@@ -2,7 +2,7 @@
 
 Modules
 -------
-manifolds      Spheres, real/complex projective spaces, products.
+manifolds      Spheres and their antipodal quotients, complex projective spaces, products.
 maps           Map objects, differentials, pullback metrics, quadrature grids.
 energy         p-energy functionals, direction-averaged densities, volumes.
 intgeo         Measures on geodesics and projective lines; averaging formulas.
@@ -10,6 +10,7 @@ constructions  Rational curves, dilations, conformal caps, perturbations.
 harmonic       Second fundamental form, tension, residuals, second variation.
 flow           Discrete Dirichlet energy and gradient flow on triangle meshes.
 report         Named verification experiments, bounds, CLI-facing reports.
+tables         The CSV layout shared by every table file.
 """
 
 from .rand import make_rng, spawn

@@ -18,14 +18,12 @@ import argparse
 import json
 import sys
 
-from .constructions import perturbed_identity
+from .constructions import MAP_CATALOG, perturbed_identity
 from .flow import conformality_defect, flow_minimize, sample_map, write_flow_log
 from .manifolds import sphere
 from .report import EXPERIMENTS, UsageError, run_suite, write_reports
 
 _CURVES = ("line", "conic", "veronese", "random")
-_MAP_KEYS = ("identity", "inclusion_rp", "inclusion_cp", "double_cover",
-             "product_lift", "homothety", "conjugation")
 
 
 def _build_parser():
@@ -97,15 +95,11 @@ def _verify(args):
 
 
 def _corpus_list(_args):
-    print("maps:")
-    for key in _MAP_KEYS:
-        print(f"  {key}")
-    print("curves:")
-    for key in _CURVES:
-        print(f"  {key}")
-    print("experiments:")
-    for key in sorted(EXPERIMENTS):
-        print(f"  {key}")
+    for title, keys in (("maps", MAP_CATALOG), ("curves", _CURVES),
+                        ("experiments", sorted(EXPERIMENTS))):
+        print(f"{title}:")
+        for key in keys:
+            print(f"  {key}")
     return 0
 
 

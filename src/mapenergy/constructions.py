@@ -19,8 +19,6 @@ from .intgeo import LineEmbedding
 from .manifolds import (
     ComplexProjective,
     GeometryError,
-    Product,
-    Sphere,
     complex_projective,
     product,
     real_projective,
@@ -310,12 +308,6 @@ def make_capped_theta(t):
 # standard catalog
 
 
-def _inclusion_matrix(rows, cols, dtype):
-    A = np.zeros((rows, cols), dtype=dtype)
-    A[:cols, :cols] = np.eye(cols)
-    return A
-
-
 def cp1_round_sphere_map(r=1.0):
     """Isometry-up-to-scale from the complex projective line to a round
     2-sphere of radius r (the line itself is the round sphere of radius 1/2)."""
@@ -350,7 +342,7 @@ def product_lift(f, r):
     to the pullback area of f as r -> 0.
     """
     dom = f.domain
-    if isinstance(dom, Sphere) and dom.n == 2:
+    if dom.kind == "sphere" and dom.n == 2:
         second = homothety_map(dom, sphere(2, r))
     elif isinstance(dom, ComplexProjective) and dom.N == 1:
         second = cp1_round_sphere_map(r)
@@ -387,43 +379,33 @@ def conjugation_map(N):
     return MapObject(M, M, ev, differential=diff, name="conjugation")
 
 
-def standard_maps(key, **kw):
-    """Catalog of reference maps addressed by string keys.
+def _inclusion(space, k, n, dtype, tag):
+    """Totally geodesic inclusion of the k-dimensional model into the n-dimensional one."""
+    k, n = int(k), int(n)
+    if not 1 <= k < n:
+        raise GeometryError("inclusion needs 1 <= k < n")
+    A = np.eye(n + 1, k + 1, dtype=dtype)
+    return normalized_linear_map(space(k), space(n), A, name=f"inclusion-{tag}{k}-{n}")
 
-    identity(manifold), inclusion_rp(k, n), inclusion_cp(k, N),
-    double_cover(), product_lift(f, r), homothety(n, kappa),
-    conjugation(N).
-    """
-    if key == "identity":
-        return identity_map(kw["manifold"])
-    if key == "inclusion_rp":
-        k, n = int(kw["k"]), int(kw["n"])
-        if not 1 <= k < n:
-            raise GeometryError("inclusion needs 1 <= k < n")
-        A = _inclusion_matrix(n + 1, k + 1, float)
-        return normalized_linear_map(
-            real_projective(k), real_projective(n), A, name=f"inclusion-rp{k}-{n}"
-        )
-    if key == "inclusion_cp":
-        k, N = int(kw["k"]), int(kw["N"])
-        if not 1 <= k < N:
-            raise GeometryError("inclusion needs 1 <= k < N")
-        A = _inclusion_matrix(N + 1, k + 1, complex)
-        return normalized_linear_map(
-            complex_projective(k), complex_projective(N), A, name=f"inclusion-cp{k}-{N}"
-        )
-    if key == "double_cover":
-        return normalized_linear_map(
-            sphere(2), real_projective(2), np.eye(3), name="double-cover"
-        )
-    if key == "product_lift":
-        return product_lift(kw["f"], float(kw["r"]))
-    if key == "homothety":
-        n = int(kw.get("n", 2))
-        return homothety_map(sphere(n), sphere(n, float(kw["kappa"])))
-    if key == "conjugation":
-        return conjugation_map(int(kw["N"]))
-    raise GeometryError(f"unknown catalog key {key!r}")
+
+# Reference maps by key; each builder takes the keyword arguments shown.
+MAP_CATALOG = {
+    "identity": lambda manifold: identity_map(manifold),
+    "inclusion_rp": lambda k, n: _inclusion(real_projective, k, n, float, "rp"),
+    "inclusion_cp": lambda k, N: _inclusion(complex_projective, k, N, complex, "cp"),
+    "double_cover": lambda: normalized_linear_map(
+        sphere(2), real_projective(2), np.eye(3), name="double-cover"),
+    "product_lift": lambda f, r: product_lift(f, float(r)),
+    "homothety": lambda kappa, n=2: homothety_map(sphere(int(n)), sphere(int(n), float(kappa))),
+    "conjugation": lambda N: conjugation_map(int(N)),
+}
+
+
+def standard_maps(key, **kw):
+    """The reference map `key` of MAP_CATALOG, built from keyword arguments."""
+    if key not in MAP_CATALOG:
+        raise GeometryError(f"unknown catalog key {key!r}")
+    return MAP_CATALOG[key](**kw)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ standard error; mesh grids are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class EnergyValue:
     warning: str | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise GeometryError(f"functional value {self.value} is not finite")
         if self.value < 0:
             raise GeometryError("functional values are nonnegative")
 

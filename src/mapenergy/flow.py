@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import tables
 from .manifolds import GeometryError, real_projective, sphere
 from .maps import MapObject
 from .meshes import (
@@ -287,40 +288,24 @@ def interpolate(m):
 
 
 def meshmap_to_csv(m, path):
-    cols = m.codomain.ambient_dim * (2 if np.iscomplexobj(m.images) else 1)
-    with open(path, "w") as fh:
-        fh.write(
-            "# level %d quotient %d codomain %s columns %d\n"
-            % (m.mesh.level, int(m.antipodal_quotient), m.codomain.kind, cols)
-        )
-        view = m.images.view(np.float64).reshape(len(m.images), cols)
-        fh.write(",".join(f"c{k}" for k in range(cols)) + "\n")
-        for row in view:
-            fh.write(",".join("%.17g" % c for c in row) + "\n")
+    rows = tables.float_columns(m.images)
+    cols = rows.shape[1]
+    meta = {"level": m.mesh.level, "quotient": int(m.antipodal_quotient),
+            "codomain": m.codomain.kind, "columns": cols}
+    tables.write_table(path, [([f"c{k}" for k in range(cols)], rows)], meta)
 
 
 def meshmap_from_csv(path, codomain):
-    with open(path) as fh:
-        header = fh.readline().split()
-        level, quotient = int(header[2]), bool(int(header[4]))
-        fh.readline()
-        rows = np.array([[float(c) for c in line.split(",")] for line in fh])
-    if codomain.dtype == np.complex128:
-        rows = rows.view(np.complex128)
-    return MeshMap(icosphere(level), codomain, rows, antipodal_quotient=quotient)
+    """Read a MeshMap file; its codomain kind and column count must match `codomain`."""
+    meta, [(_, rows)] = tables.read_table(path)
+    cols = codomain.ambient_dim * (2 if codomain.dtype == np.complex128 else 1)
+    if (meta["codomain"], int(meta["columns"])) != (codomain.kind, cols):
+        raise GeometryError(f"{path} holds a map to a {meta['codomain']}, not to {codomain!r}")
+    return MeshMap(icosphere(int(meta["level"])), codomain,
+                   tables.from_float_columns(rows, codomain.dtype),
+                   antipodal_quotient=bool(int(meta["quotient"])))
 
 
 def write_flow_log(history, path):
-    with open(path, "w") as fh:
-        fh.write("iteration,energy,grad_norm,defect,step\n")
-        for rec in history:
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%.17g\n"
-                % (
-                    rec["iteration"],
-                    rec["energy"],
-                    rec["grad_norm"],
-                    rec["defect"],
-                    rec["step"],
-                )
-            )
+    columns = ["iteration", "energy", "grad_norm", "defect", "step"]
+    tables.write_table(path, [(columns, [[rec[c] for c in columns] for rec in history])])

@@ -193,19 +193,19 @@ def second_variation(F, W, grid, tau=VARIATION_STEP):
         )
         return p_energy(Ft, grid, p=2.0)
 
-    step = tau
+    step, error = tau, None
     for attempt in range(2):
-        vals = [energy_at(k * step) for k in (-2, -1, 0, 1, 2)]
-        usable = all(
-            np.isfinite(v.value) and v.dropped_fraction <= 0.05 for v in vals
-        )
-        if usable:
+        try:
+            vals = [energy_at(k * step) for k in (-2, -1, 0, 1, 2)]
+        except GeometryError as exc:  # an unusable stencil point, e.g. a non-finite energy
+            vals, error = None, exc
+        if vals and all(v.dropped_fraction <= 0.05 for v in vals):
             e = [v.value for v in vals]
             return (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (
                 12.0 * step * step
             )
         step *= 0.5
-    raise GeometryError("variation repeatedly crossed the cut locus")
+    raise GeometryError("variation repeatedly crossed the cut locus") from error
 
 
 def jacobi_identity_check(F, generator, grid):

@@ -68,6 +68,12 @@ def _pivot_factor(x, tol=_PIVOT_TOL):
     return np.sign(pivot)
 
 
+def _canonicalize_by_pivot(self, x):
+    """Representative with its pivot coordinate real positive, and the scalar applied."""
+    f = _pivot_factor(x)
+    return x * f[..., None], f
+
+
 class ModelManifold:
     """Common surface for the model spaces."""
 
@@ -111,7 +117,14 @@ class ModelManifold:
         raise NotImplementedError
 
     def random_point(self, rng, size=()):
-        raise NotImplementedError
+        """Uniformly distributed canonical points."""
+        if isinstance(size, int):
+            size = (size,)
+        shape = size + (self.ambient_dim,)
+        g = rng.standard_normal(shape)
+        if self.is_complex:
+            g = g + 1j * rng.standard_normal(shape)
+        return self.canonicalize(g / _norm(g)[..., None])
 
     def random_unit_tangent(self, rng, x):
         shape = x.shape
@@ -127,8 +140,32 @@ class ModelManifold:
         return self.exp(x, t[..., None] * v)
 
 
+def _exp(x, v, r):
+    """Great-circle exponential on the radius-r sphere of unit representatives."""
+    theta = _norm(v) / r
+    small = theta < 1e-300
+    dirs = np.where(small[..., None], x, v / np.where(small, 1.0, theta * r)[..., None])
+    y = np.cos(theta)[..., None] * x + np.sin(theta)[..., None] * dirs
+    return y / _norm(y)[..., None]
+
+
+def _log_masked(x, y, c, r, cut):
+    """Logarithm toward the representative y with c = <x, y> >= -1, and its mask."""
+    raw = y - c[..., None] * x
+    rn = _norm(raw)
+    # |raw| = sin(theta); atan2 keeps full precision at small angles
+    theta = np.arctan2(rn, c)
+    ok = r * theta < cut - CUT_GUARD
+    safe = rn > 1e-300
+    v = (r * theta / np.where(safe, rn, 1.0))[..., None] * raw
+    v = np.where(safe[..., None], v, 0.0)
+    return v, ok
+
+
 class Sphere(ModelManifold):
     kind = "sphere"
+    # unit vectors representing one point: 2 on the antipodal quotient
+    sheets = 1
 
     def __init__(self, n, r=1.0):
         if n < 1 or r <= 0:
@@ -137,114 +174,35 @@ class Sphere(ModelManifold):
         self.dim = n
         self.ambient_dim = n + 1
         self.radius = float(r)
-        self.volume = sphere_volume(n, r)
-        self.cut_distance = math.pi * self.radius
+        self.volume = sphere_volume(n, r) / self.sheets
+        self.cut_distance = math.pi * self.radius / self.sheets
         self.dtype = np.float64
 
     def __repr__(self):
         return f"Sphere(n={self.n}, r={self.radius})"
 
-    def project_tangent(self, x, u):
-        u = u.real if np.iscomplexobj(u) else u
-        return u - np.sum(x * u, axis=-1)[..., None] * x
-
-    def exp(self, x, v):
-        theta = _norm(v) / self.radius
-        small = theta < 1e-300
-        dirs = np.where(small[..., None], x, v / np.where(small, 1.0, theta * self.radius)[..., None])
-        y = np.cos(theta)[..., None] * x + np.sin(theta)[..., None] * dirs
-        return y / _norm(y)[..., None]
-
-    def log_masked(self, x, y):
-        c = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-        raw = y - c[..., None] * x
-        rn = _norm(raw)
-        # |raw| = sin(theta); atan2 keeps full precision at small angles
-        theta = np.arctan2(rn, c)
-        ok = self.radius * theta < self.cut_distance - CUT_GUARD
-        safe = rn > 1e-300
-        v = (self.radius * theta / np.where(safe, rn, 1.0))[..., None] * raw
-        v = np.where(safe[..., None], v, 0.0)
-        return v, ok
-
-    def distance(self, x, y):
-        c = np.clip(np.sum(x * y, axis=-1), -1.0, 1.0)
-        return self.radius * np.arccos(c)
-
-    def random_point(self, rng, size=()):
-        if isinstance(size, int):
-            size = (size,)
-        g = rng.standard_normal(size + (self.ambient_dim,))
-        return g / _norm(g)[..., None]
-
-    def random_isometry(self, rng):
-        q, r = np.linalg.qr(rng.standard_normal((self.ambient_dim, self.ambient_dim)))
-        return q * np.sign(np.diag(r))
-
-    def apply_isometry(self, q, x):
-        return x @ q.T
-
-    def killing_field(self, a, x):
-        """Value at x of the Killing field generated by the skew matrix a."""
-        return self.radius * np.einsum("ij,...j->...i", a, x)
-
-
-class RealProjective(ModelManifold):
-    kind = "real_projective"
-
-    def __init__(self, n, r=1.0):
-        if n < 1 or r <= 0:
-            raise GeometryError("need dimension >= 1 and radius > 0")
-        self.n = n
-        self.dim = n
-        self.ambient_dim = n + 1
-        self.radius = float(r)
-        self.volume = sphere_volume(n, r) / 2.0
-        self.cut_distance = math.pi * self.radius / 2.0
-        self.dtype = np.float64
-
-    def __repr__(self):
-        if self.radius == 1.0:
-            return f"RealProjective(n={self.n})"
-        return f"RealProjective(n={self.n}, r={self.radius})"
-
-    def canonicalize_with_factor(self, x):
-        f = _pivot_factor(x)
-        return x * f[..., None], f
-
-    def project_tangent(self, x, u):
-        u = u.real if np.iscomplexobj(u) else u
-        return u - np.sum(x * u, axis=-1)[..., None] * x
-
-    def exp(self, x, v):
-        theta = _norm(v) / self.radius
-        small = theta < 1e-300
-        dirs = np.where(small[..., None], x, v / np.where(small, 1.0, theta * self.radius)[..., None])
-        y = np.cos(theta)[..., None] * x + np.sin(theta)[..., None] * dirs
-        return self.canonicalize(y / _norm(y)[..., None])
-
-    def log_masked(self, x, y):
+    def _fold(self, x, y):
+        """(<x, y>, None); on the quotient (|<x, y>|, the sign taking y to the +-y nearer x)."""
         c = np.sum(x * y, axis=-1)
-        s = np.where(c >= 0, 1.0, -1.0)
-        c = np.clip(np.abs(c), 0.0, 1.0)
-        raw = s[..., None] * y - c[..., None] * x
-        rn = _norm(raw)
-        theta = np.arctan2(rn, c)
-        ok = self.radius * theta < self.cut_distance - CUT_GUARD
-        safe = rn > 1e-300
-        v = (self.radius * theta / np.where(safe, rn, 1.0))[..., None] * raw
-        v = np.where(safe[..., None], v, 0.0)
-        return v, ok
+        if self.sheets == 1:
+            return c, None
+        return np.abs(c), np.where(c >= 0, 1.0, -1.0)
+
+    def project_tangent(self, x, u):
+        u = u.real if np.iscomplexobj(u) else u
+        return u - np.sum(x * u, axis=-1)[..., None] * x
+
+    def exp(self, x, v):
+        return self.canonicalize(_exp(x, v, self.radius))
+
+    def log_masked(self, x, y):
+        c, s = self._fold(x, y)
+        y = y if s is None else s[..., None] * y
+        return _log_masked(x, y, np.clip(c, -1.0, 1.0), self.radius, self.cut_distance)
 
     def distance(self, x, y):
-        c = np.clip(np.abs(np.sum(x * y, axis=-1)), 0.0, 1.0)
-        return self.radius * np.arccos(c)
-
-    def random_point(self, rng, size=()):
-        if isinstance(size, int):
-            size = (size,)
-        g = rng.standard_normal(size + (self.ambient_dim,))
-        return self.canonicalize(g / _norm(g)[..., None])
+        c, _ = self._fold(x, y)
+        return self.radius * np.arccos(np.clip(c, -1.0, 1.0))
 
     def random_isometry(self, rng):
         q, r = np.linalg.qr(rng.standard_normal((self.ambient_dim, self.ambient_dim)))
@@ -254,7 +212,20 @@ class RealProjective(ModelManifold):
         return self.canonicalize(x @ q.T)
 
     def killing_field(self, a, x):
+        """Value at x of the Killing field generated by the skew matrix a."""
         return self.radius * np.einsum("ij,...j->...i", a, x)
+
+
+class RealProjective(Sphere):
+    kind = "real_projective"
+    sheets = 2
+
+    def __repr__(self):
+        if self.radius == 1.0:
+            return f"RealProjective(n={self.n})"
+        return f"RealProjective(n={self.n}, r={self.radius})"
+
+    canonicalize_with_factor = _canonicalize_by_pivot
 
 
 class ComplexProjective(ModelManifold):
@@ -274,9 +245,7 @@ class ComplexProjective(ModelManifold):
     def __repr__(self):
         return f"ComplexProjective(N={self.N})"
 
-    def canonicalize_with_factor(self, x):
-        f = _pivot_factor(x)
-        return x * f[..., None], f
+    canonicalize_with_factor = _canonicalize_by_pivot
 
     def project_tangent(self, x, u):
         """Horizontal projection: remove the complex span of the representative."""
@@ -284,25 +253,13 @@ class ComplexProjective(ModelManifold):
         return u - _dot(x, u)[..., None] * x
 
     def exp(self, x, v):
-        theta = _norm(v)
-        small = theta < 1e-300
-        dirs = np.where(small[..., None], x, v / np.where(small, 1.0, theta)[..., None])
-        y = np.cos(theta)[..., None] * x + np.sin(theta)[..., None] * dirs
-        return self.canonicalize(y / _norm(y)[..., None])
+        return self.canonicalize(_exp(x, v, 1.0))
 
     def log_masked(self, x, y):
         h = _dot(x, y)
         r = np.abs(h)
         phase = np.where(r > 1e-300, h.conj() / np.where(r > 1e-300, r, 1.0), 1.0 + 0j)
-        c = np.clip(r, 0.0, 1.0)
-        raw = phase[..., None] * y - c[..., None] * x
-        rn = _norm(raw)
-        theta = np.arctan2(rn, c)
-        ok = theta < self.cut_distance - CUT_GUARD
-        safe = rn > 1e-300
-        v = (theta / np.where(safe, rn, 1.0))[..., None] * raw
-        v = np.where(safe[..., None], v, 0.0)
-        return v, ok
+        return _log_masked(x, phase[..., None] * y, np.clip(r, 0.0, 1.0), 1.0, self.cut_distance)
 
     def distance(self, x, y):
         c = np.clip(np.abs(_dot(x, y)), 0.0, 1.0)
@@ -311,13 +268,6 @@ class ComplexProjective(ModelManifold):
     def complex_structure(self, x, v):
         """Multiplication by i on horizontal lifts (the Kaehler J)."""
         return 1j * v
-
-    def random_point(self, rng, size=()):
-        if isinstance(size, int):
-            size = (size,)
-        shape = size + (self.ambient_dim,)
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return self.canonicalize(g / _norm(g)[..., None])
 
     def random_isometry(self, rng):
         shape = (self.ambient_dim, self.ambient_dim)
@@ -475,11 +425,6 @@ def su_basis(m):
         a = np.diag(1j * d / math.sqrt(k * (k + 1.0)))
         out.append(a)
     return out
-
-
-def u_basis(m):
-    """su(m) plus the central direction i*Id (Frobenius-normalized)."""
-    return su_basis(m) + [1j * np.eye(m) / math.sqrt(m)]
 
 
 def pluriharmonic_generator(M, x, e):

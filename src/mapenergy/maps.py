@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import meshes
+from . import meshes, tables
 from .manifolds import (
     ComplexProjective,
     GeometryError,
     Product,
-    RealProjective,
-    Sphere,
     real_inner,
     sphere_volume,
 )
@@ -49,15 +47,6 @@ class MapObject:
 
     def __call__(self, x):
         return self.evaluator(x)
-
-
-@dataclass
-class TangentFrame:
-    """Orthonormal frame of a tangent space."""
-
-    point: np.ndarray
-    vectors: np.ndarray  # (dim, ambient)
-    unitary: bool = False
 
 
 def random_frames(M, x, rng):
@@ -212,11 +201,9 @@ def build_grid(M, resolution, scheme="monte_carlo", seed=0):
 def _mesh_grid(M, level, seed):
     mesh = meshes.icosphere(int(level))
     areas = meshes.vertex_areas(mesh)
-    if isinstance(M, Sphere) and M.n == 2:
-        return QuadratureGrid(M, mesh.vertices, areas * M.radius**2, "mesh", int(level), seed)
-    if isinstance(M, RealProjective) and M.n == 2:
+    if M.kind in ("sphere", "real_projective") and M.n == 2:
         nodes = M.canonicalize(mesh.vertices)
-        return QuadratureGrid(M, nodes, 0.5 * areas * M.radius**2, "mesh", int(level), seed)
+        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh", int(level), seed)
     if isinstance(M, ComplexProjective) and M.N == 1:
         nodes = M.canonicalize(cp1_from_sphere(mesh.vertices))
         return QuadratureGrid(M, nodes, 0.25 * areas, "mesh", int(level), seed)
@@ -367,41 +354,20 @@ def unit_tangent_quadrature(M, x, order=3):
 
 
 def _node_columns(M):
-    amb = M.ambient_dim
     if M.dtype == np.complex128:
-        cols = []
-        for i in range(amb):
-            cols += [f"re{i}", f"im{i}"]
-        return cols
-    return [f"x{i}" for i in range(amb)]
+        return [f"{part}{i}" for i in range(M.ambient_dim) for part in ("re", "im")]
+    return [f"x{i}" for i in range(M.ambient_dim)]
 
 
 def grid_to_csv(grid, path):
-    """Columnar CSV: node components then weight, 17 significant digits."""
-    cols = _node_columns(grid.manifold) + ["weight"]
-    with open(path, "w") as fh:
-        fh.write("# scheme %s resolution %d seed %d\n" % (grid.scheme, grid.resolution, grid.seed))
-        fh.write(",".join(cols) + "\n")
-        for node, w in zip(grid.nodes, grid.weights):
-            if np.iscomplexobj(node):
-                vals = [f(c) for c in node for f in (lambda z: z.real, lambda z: z.imag)]
-            else:
-                vals = list(node)
-            vals.append(w)
-            fh.write(",".join("%.17g" % v for v in vals) + "\n")
+    """Table of node components (complex ones as re, im pairs) then weight."""
+    rows = np.column_stack([tables.float_columns(grid.nodes), grid.weights])
+    meta = {"scheme": grid.scheme, "resolution": grid.resolution, "seed": grid.seed}
+    tables.write_table(path, [(_node_columns(grid.manifold) + ["weight"], rows)], meta)
 
 
 def grid_from_csv(M, path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        scheme, resolution, seed = header[2], int(header[4]), int(header[6])
-        fh.readline()
-        rows = [np.array([float(c) for c in line.split(",")]) for line in fh if line.strip()]
-    data = np.array(rows)
-    weights = data[:, -1]
-    raw = data[:, :-1]
-    if M.dtype == np.complex128:
-        nodes = raw[:, 0::2] + 1j * raw[:, 1::2]
-    else:
-        nodes = raw
-    return QuadratureGrid(M, nodes, weights, scheme, resolution, seed)
+    meta, [(_, rows)] = tables.read_table(path)
+    nodes = tables.from_float_columns(rows[:, :-1], M.dtype)
+    return QuadratureGrid(M, nodes, rows[:, -1], meta["scheme"],
+                          int(meta["resolution"]), int(meta["seed"]))

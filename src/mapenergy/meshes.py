@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tables
+
 
 @dataclass
 class SphereMesh:
@@ -126,15 +128,8 @@ def cotangent_weights(mesh):
     opposite angle from each adjacent triangle.
     """
     tri = mesh.triangles
-    v = mesh.vertices
-
-    def side(i, j):
-        c = np.clip(np.einsum("ij,ij->i", v[tri[:, i]], v[tri[:, j]]), -1.0, 1.0)
-        return np.arccos(c)
-
-    a = side(1, 2)  # opposite vertex 0
-    b = side(2, 0)
-    c = side(0, 1)
+    # a is opposite vertex 0, b opposite vertex 1, c opposite vertex 2
+    a, b, c = (geodesic_edge_lengths(mesh.vertices, tri[:, p]) for p in ([1, 2], [2, 0], [0, 1]))
 
     def cot_opposite(opp, s1, s2):
         cos_a = (s1**2 + s2**2 - opp**2) / (2.0 * s1 * s2)
@@ -166,22 +161,11 @@ def antipodal_permutation(mesh):
 
 
 def mesh_to_csv(mesh, path):
-    with open(path, "w") as fh:
-        fh.write("# vertices %d triangles %d level %d\n" % (len(mesh.vertices), len(mesh.triangles), mesh.level))
-        fh.write("vx,vy,vz\n")
-        for p in mesh.vertices:
-            fh.write(",".join("%.17g" % c for c in p) + "\n")
-        fh.write("i,j,k\n")
-        for t in mesh.triangles:
-            fh.write(",".join(str(int(c)) for c in t) + "\n")
+    meta = {"vertices": len(mesh.vertices), "triangles": len(mesh.triangles), "level": mesh.level}
+    blocks = [(["vx", "vy", "vz"], mesh.vertices), (["i", "j", "k"], mesh.triangles)]
+    tables.write_table(path, blocks, meta)
 
 
 def mesh_from_csv(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        nv, nt, level = int(header[2]), int(header[4]), int(header[6])
-        fh.readline()
-        verts = np.array([[float(c) for c in fh.readline().split(",")] for _ in range(nv)])
-        fh.readline()
-        tris = np.array([[int(c) for c in fh.readline().split(",")] for _ in range(nt)])
-    return SphereMesh(vertices=verts, triangles=tris, level=level)
+    meta, [(_, verts), (_, tris)] = tables.read_table(path)
+    return SphereMesh(vertices=verts, triangles=tris.astype(int), level=int(meta["level"]))

@@ -15,16 +15,17 @@ from the recorded wall time.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import dijkstra
 
+from . import tables
 from .constructions import (
     conic_curve,
     line_curve,
@@ -327,41 +328,14 @@ class ExperimentReport:
         )
 
     def to_dict(self):
-        def clean(x):
-            if isinstance(x, float) and not np.isfinite(x):
-                return None
-            return x
-
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "estimate": clean(self.estimate),
-            "reference": clean(self.reference),
-            "tolerance": self.tolerance,
-            "tolerance_kind": self.tolerance_kind,
-            "abs_error": clean(self.abs_error),
-            "rel_error": clean(self.rel_error),
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-        }
+        """Fields by name, with non-finite floats as None (JSON null)."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: None if isinstance(v, float) and not np.isfinite(v) else v
+                for k, v in record.items()}
 
 
 def _from_dict(record):
-    def restore(x):
-        return float("nan") if x is None else x
-
-    return ExperimentReport(
-        name=record["name"],
-        inputs=record["inputs"],
-        estimate=restore(record["estimate"]),
-        reference=restore(record["reference"]),
-        tolerance=record["tolerance"],
-        tolerance_kind=record["tolerance_kind"],
-        abs_error=restore(record["abs_error"]),
-        rel_error=restore(record["rel_error"]),
-        passed=record["passed"],
-        wall_time=record["wall_time"],
-    )
+    return ExperimentReport(**{k: float("nan") if v is None else v for k, v in record.items()})
 
 
 def write_reports(reports, path):
@@ -372,26 +346,11 @@ def write_reports(reports, path):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     stem = path[: -len(".json")] if path.endswith(".json") else path
-    columns = [
-        "name",
-        "passed",
-        "estimate",
-        "reference",
-        "abs_error",
-        "rel_error",
-        "tolerance",
-        "tolerance_kind",
-        "wall_time",
-        "inputs",
-    ]
-    with open(stem + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in payload:
-            writer.writerow(
-                [rec[c] if c != "inputs" else json.dumps(rec[c], sort_keys=True)
-                 for c in columns]
-            )
+    columns = ["name", "passed", "estimate", "reference", "abs_error", "rel_error",
+               "tolerance", "tolerance_kind", "wall_time", "inputs"]
+    rows = [[rec[c] if c != "inputs" else json.dumps(rec[c], sort_keys=True)
+             for c in columns] for rec in payload]
+    tables.write_table(stem + ".csv", [(columns, rows)])
 
 
 def read_reports(path):
@@ -777,14 +736,23 @@ def _run_e1_geodesic(seed, resolution, p):
 # running experiments
 
 
+def _checked_integer(key, value, least):
+    """The integer parameter `key` of a record, checked to be at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def run_experiment(config):
     """Run one named experiment from a parameter record.
 
     `config` maps "name" to one of the registered experiment names and
-    may add "seed", "resolution", and "p".  Unknown names or keys raise
-    `UsageError`; failures inside the experiment produce a failed report
-    (estimate NaN, error message recorded in the inputs) rather than a
-    crash.
+    may add "seed" (an integer >= 0), "resolution" (an integer >= 1),
+    and "p".  Unknown names or keys and malformed values raise
+    `UsageError`.  Geometric and numerical failures inside the
+    experiment produce a failed report (estimate NaN, error message
+    recorded in the inputs) rather than a crash; programming errors
+    propagate.
     """
     cfg = dict(config)
     name = cfg.pop("name", None)
@@ -793,10 +761,10 @@ def run_experiment(config):
             f"unknown experiment {name!r}; known names: "
             + ", ".join(sorted(EXPERIMENTS))
         )
-    seed = int(cfg.pop("seed", 0))
+    seed = _checked_integer("seed", cfg.pop("seed", 0), 0)
     resolution = cfg.pop("resolution", None)
     if resolution is not None:
-        resolution = int(resolution)
+        resolution = _checked_integer("resolution", resolution, 1)
     p = cfg.pop("p", None)
     if p is not None:
         p = float(p)
@@ -807,7 +775,7 @@ def run_experiment(config):
         inputs, estimate, reference, tolerance, kind = EXPERIMENTS[name](
             seed=seed, resolution=resolution, p=p
         )
-    except Exception as exc:  # noqa: BLE001 - failures become failed reports
+    except (GeometryError, ArithmeticError, np.linalg.LinAlgError) as exc:
         inputs = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
         if resolution is not None:
             inputs["resolution"] = resolution

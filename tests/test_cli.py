@@ -33,6 +33,13 @@ def test_verify_unknown_experiment_is_a_usage_error(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+def test_verify_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "croke", "--seed", "-1"])
+    assert info.value.code == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_verify_failure_sets_the_exit_status(capsys):
     # p outside the bound's validity range fails inside the experiment
     code = main(["verify", "bounds-identity", "--resolution", "300",

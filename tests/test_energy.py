@@ -269,6 +269,12 @@ def test_energy_value_rejects_negative():
         EnergyValue(2.0, -1.0, "mesh", 4, 0)
 
 
+def test_energy_value_rejects_non_finite():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(GeometryError):
+            EnergyValue(2.0, value, "mesh", 4, 0)
+
+
 # ---------------------------------------------------------------------------
 # curve length
 

@@ -16,7 +16,7 @@ from mapenergy.flow import (
     write_flow_log,
 )
 from mapenergy.harmonic import tension as fd_tension
-from mapenergy.manifolds import GeometryError, real_projective, sphere
+from mapenergy.manifolds import GeometryError, complex_projective, real_projective, sphere
 from mapenergy.maps import MapObject, build_grid, compose, identity_map, normalized_linear_map
 from mapenergy.meshes import icosphere
 from mapenergy.rand import make_rng
@@ -216,6 +216,9 @@ def test_meshmap_csv_roundtrip(tmp_path):
     backq = meshmap_from_csv(pq, rp2)
     assert backq.antipodal_quotient
     np.testing.assert_array_equal(backq.images, mq.images)
+    for wrong in (s2, complex_projective(1), real_projective(3)):
+        with pytest.raises(GeometryError):
+            meshmap_from_csv(pq, wrong)
 
 
 def test_flow_log_csv(tmp_path):

@@ -12,8 +12,10 @@ from mapenergy.constructions import (
     standard_maps,
     veronese_curve,
 )
-from mapenergy.energy import p_energy, surface_area
+from mapenergy import harmonic
+from mapenergy.energy import EnergyValue, p_energy, surface_area
 from mapenergy.harmonic import (
+    VARIATION_STEP,
     VariationField,
     fundamental_form_line_integral,
     hermitian_residual,
@@ -234,6 +236,29 @@ def test_second_variation_zero_field_and_evenness():
     s1 = second_variation(F, W, grid)
     s2 = second_variation(F, Wneg, grid)
     assert s1 == pytest.approx(s2, abs=1e-9)
+
+
+def test_second_variation_halves_the_step_after_a_non_finite_energy(monkeypatch):
+    s2 = sphere(2)
+    grid = build_grid(s2, 3, "mesh")
+    W = VariationField(
+        lambda x: s2.project_tangent(
+            x, np.broadcast_to(np.array([0.0, 0.0, 1.0]), x.shape).copy()
+        )
+    )
+    F = identity_map(s2)
+    expected = second_variation(F, W, grid, tau=VARIATION_STEP / 2)
+    calls = []
+
+    def first_energy_not_finite(Ft, grid, p):
+        calls.append(p)
+        if len(calls) == 1:
+            return EnergyValue(p, float("nan"), grid.scheme, grid.resolution, grid.seed)
+        return p_energy(Ft, grid, p=p)
+
+    monkeypatch.setattr(harmonic, "p_energy", first_energy_not_finite)
+    assert second_variation(F, W, grid) == expected
+    assert len(calls) == 6
 
 
 def test_second_variation_warns_for_non_harmonic_map():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mapenergy import make_rng
 from mapenergy.manifolds import (
+    CUT_GUARD,
     CutLocusError,
     complex_projective,
     pluriharmonic_generator,
@@ -295,3 +298,78 @@ def test_random_point_determinism():
         a = M.random_point(make_rng(123), 17)
         b = M.random_point(make_rng(123), 17)
         np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# properties of the shared sphere / antipodal-quotient model
+
+QUOTIENT_MODELS = [sphere(2, 1.7), sphere(3, 0.6), real_projective(2, 2.5), real_projective(3, 0.8)]
+PROPERTY = settings(derandomize=True, deadline=None)
+
+
+@st.composite
+def unit_vectors(draw, dim):
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    assume(np.linalg.norm(v) > 0.1)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def point_pairs(draw):
+    """A model, a canonical point x, and a representative (either one on the
+    quotient) of a point y at a drawn fraction of the cut distance from x."""
+    M = draw(st.sampled_from(QUOTIENT_MODELS))
+    x = M.canonicalize(draw(unit_vectors(M.ambient_dim)))
+    u = M.project_tangent(x, draw(unit_vectors(M.ambient_dim)))
+    assume(np.linalg.norm(u) > 0.1)
+    u = u / np.linalg.norm(u)
+    y = M.exp(x, draw(st.floats(0.0, 1.0)) * M.cut_distance * u)
+    if M.kind == "real_projective" and draw(st.booleans()):
+        y = -y
+    return M, x, y
+
+
+@PROPERTY
+@given(point_pairs())
+def test_exp_of_log_returns_the_point_inside_the_cut_guard(case):
+    M, x, y = case
+    v, ok = M.log_masked(x, y)
+    if M.distance(x, y) < M.cut_distance - 2 * CUT_GUARD:
+        assert ok
+    if ok:
+        np.testing.assert_allclose(np.dot(x, v), 0.0, atol=1e-12 * M.radius)
+        # arccos in `distance` resolves small angles only to about sqrt(eps)
+        np.testing.assert_allclose(M.norm(v), M.distance(x, y), atol=1e-7 * M.radius)
+        np.testing.assert_allclose(M.exp(x, v), M.canonicalize(y), atol=1e-8 * M.radius)
+
+
+@PROPERTY
+@given(point_pairs(), st.integers(0, 2**32 - 1))
+def test_outputs_are_canonical_and_canonicalize_is_idempotent(case, seed):
+    M, x, y = case
+    c = M.canonicalize(y)
+    np.testing.assert_array_equal(M.canonicalize(c), c)
+    rng = make_rng(seed)
+    for p in (M.random_point(rng, 3), M.apply_isometry(M.random_isometry(rng), x),
+              M.exp(x, M.random_unit_tangent(rng, x))):
+        np.testing.assert_array_equal(M.canonicalize(p), p)
+
+
+@PROPERTY
+@given(point_pairs())
+def test_quotient_distance_is_the_nearer_lift(case):
+    M, x, y = case
+    S = sphere(M.n, M.radius)
+    expected = S.distance(x, y)
+    if M.kind == "real_projective":
+        expected = min(expected, S.distance(x, -y))
+    np.testing.assert_allclose(M.distance(x, y), expected, atol=1e-12 * M.radius)
+
+
+@PROPERTY
+@given(point_pairs(), st.integers(0, 2**32 - 1))
+def test_distance_is_invariant_under_random_isometries(case, seed):
+    M, x, y = case
+    q = M.random_isometry(make_rng(seed))
+    moved = M.distance(M.apply_isometry(q, x), M.apply_isometry(q, y))
+    np.testing.assert_allclose(moved, M.distance(x, y), atol=2e-7 * M.radius)

@@ -229,14 +229,20 @@ def test_hopf_chart_round_trip_and_isometry():
 
 
 def test_grid_csv_round_trip(tmp_path):
-    for M in (sphere(2), complex_projective(2)):
-        g = build_grid(M, 20, seed=3)
+    for M, resolution, scheme in ((sphere(2), 20, "monte_carlo"),
+                                  (complex_projective(2), 20, "monte_carlo"),
+                                  (real_projective(2), 2, "mesh"),
+                                  (real_projective(2, 1.5), 1, "mesh")):
+        g = build_grid(M, resolution, scheme, seed=3)
         path = tmp_path / "grid.csv"
         grid_to_csv(g, path)
         back = grid_from_csv(M, path)
         np.testing.assert_array_equal(back.nodes, g.nodes)
         np.testing.assert_array_equal(back.weights, g.weights)
         assert back.scheme == g.scheme and back.seed == g.seed
+    lines = path.read_bytes().split(b"\n")
+    assert lines[:2] == [b"# scheme mesh resolution 1 seed 3", b"x0,x1,x2,weight"]
+    assert lines[2] == b",".join(b"%.17g" % v for v in [*g.nodes[0], g.weights[0]])
 
 
 def test_compose_chains_differentials():

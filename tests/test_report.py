@@ -175,6 +175,10 @@ def test_unknown_experiment_and_parameters_are_usage_errors():
         run_experiment({})
     with pytest.raises(UsageError):
         run_experiment({"name": "croke", "limbs": 4})
+    for bad in ({"seed": -1}, {"seed": 1.7}, {"seed": None}, {"seed": True},
+                {"resolution": 0}, {"resolution": -5}, {"resolution": 2.5}):
+        with pytest.raises(UsageError):
+            run_experiment({"name": "croke", **bad})
 
 
 def test_constituent_failure_yields_a_failed_report():
@@ -184,6 +188,15 @@ def test_constituent_failure_yields_a_failed_report():
     assert not report.passed
     assert np.isnan(report.estimate)
     assert "error" in report.inputs
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(seed, resolution, p):
+        raise TypeError("a bug, not a failed check")
+
+    monkeypatch.setitem(EXPERIMENTS, "croke", broken)
+    with pytest.raises(TypeError):
+        run_experiment({"name": "croke"})
 
 
 def test_reports_are_deterministic_given_the_seed():

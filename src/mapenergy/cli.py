@@ -38,7 +38,7 @@ def _build_parser():
                         help="experiment name, or 'all' for the full suite")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--resolution", type=int, default=None)
-    verify.add_argument("--p", type=float, default=None)
+    verify.add_argument("--p", type=float, default=None, help="exponent (bounds-identity only)")
     verify.add_argument("--out", default=None,
                         help="write the JSON report array (and CSV twin) here")
     verify.add_argument("--config", default=None,

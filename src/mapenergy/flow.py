@@ -108,7 +108,7 @@ def discrete_tension(m):
     return out / m.areas[:, None]
 
 
-def _resymmetrized(mesh, images, perm):
+def _resymmetrized(images, perm):
     out = images.copy()
     keep = np.arange(len(images)) < perm
     out[perm[keep]] = images[keep]
@@ -146,7 +146,7 @@ def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
         for _ in range(10):
             trial = m.codomain.exp(current.images, step * tau)
             if perm is not None:
-                trial = _resymmetrized(m.mesh, trial, perm)
+                trial = _resymmetrized(trial, perm)
             candidate = current.with_images(trial)
             trial_energy = discrete_energy(candidate)
             if trial_energy <= energy:

@@ -48,7 +48,6 @@ class VariationField:
     """Assignment x -> W(x), a tangent vector at F(x), for variations of F."""
 
     field: Callable
-    provenance: str = "arbitrary"
 
     def __call__(self, x):
         return self.field(x)
@@ -157,7 +156,7 @@ def pushforward_field(F, vector_field, h=1e-4):
             raise CutLocusError("pushforward probe crossed the cut locus")
         return (vp - vm) / (2.0 * h)
 
-    return VariationField(push, provenance="pushforward")
+    return VariationField(push)
 
 
 def _warn_if_not_harmonic(F, probes):

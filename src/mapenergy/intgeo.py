@@ -111,8 +111,6 @@ class MeasureSample:
 
     element: object
     weight: float
-    seed: int
-    index: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def sample_geodesics(n, K, seed=0):
     x = M.random_point(rng, int(K))
     u = M.random_unit_tangent(rng, x)
     w = geodesic_space_mass(n) / K
-    return [MeasureSample(GeodesicLoop(M, x[i], u[i]), w, seed, i) for i in range(int(K))]
+    return [MeasureSample(GeodesicLoop(M, x[i], u[i]), w) for i in range(int(K))]
 
 
 def sample_lines(N, K, seed=0):
@@ -155,7 +153,7 @@ def sample_lines(N, K, seed=0):
     x = M.random_point(rng, int(K))
     u = M.random_unit_tangent(rng, x)
     w = line_space_mass(N) / K
-    return [MeasureSample(LineEmbedding(x[i], u[i]), w, seed, i) for i in range(int(K))]
+    return [MeasureSample(LineEmbedding(x[i], u[i]), w) for i in range(int(K))]
 
 
 def sample_rp2_planes(n, K, seed=0):
@@ -171,7 +169,7 @@ def sample_rp2_planes(n, K, seed=0):
         g = rng.standard_normal((M.ambient_dim, 3))
         q, _ = np.linalg.qr(g)
         emb = normalized_linear_map(rp2, M, q, name="plane")
-        out.append(MeasureSample(emb, w, seed, i))
+        out.append(MeasureSample(emb, w))
     return out
 
 

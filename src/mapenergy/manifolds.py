@@ -75,7 +75,13 @@ def _canonicalize_by_pivot(self, x):
 
 
 class ModelManifold:
-    """Common surface for the model spaces."""
+    """Common surface for the model spaces.
+
+    The sphere, its quotient and CP^N share exp, log and distance: each
+    keeps unit representatives on the sphere of `radius`, and its
+    `_fold(x, y)` gives the representative y' of y nearest x with c =
+    <x, y'>.  Products override all three.
+    """
 
     kind = "abstract"
     is_complex = False
@@ -94,14 +100,11 @@ class ModelManifold:
     def project_tangent(self, x, u):
         raise NotImplementedError
 
-    def inner(self, u, v):
-        return real_inner(u, v)
-
     def norm(self, v):
         return _norm(v)
 
     def exp(self, x, v):
-        raise NotImplementedError
+        return self.canonicalize(_exp(x, v, self.radius))
 
     def log(self, x, y):
         v, ok = self.log_masked(x, y)
@@ -111,10 +114,12 @@ class ModelManifold:
 
     def log_masked(self, x, y):
         """Logarithm with a validity mask instead of an exception."""
-        raise NotImplementedError
+        c, y = self._fold(x, y)
+        return _log_masked(x, y, c, self.radius, self.cut_distance)
 
     def distance(self, x, y):
-        raise NotImplementedError
+        c, y = self._fold(x, y)
+        return self.radius * _angle(x, y, c)[0]
 
     def random_point(self, rng, size=()):
         """Uniformly distributed canonical points."""
@@ -149,12 +154,17 @@ def _exp(x, v, r):
     return y / _norm(y)[..., None]
 
 
-def _log_masked(x, y, c, r, cut):
-    """Logarithm toward the representative y with c = <x, y> >= -1, and its mask."""
+def _angle(x, y, c):
+    """Angle from x to the representative y with c = <x, y>; also y - c x and its norm."""
     raw = y - c[..., None] * x
     rn = _norm(raw)
     # |raw| = sin(theta); atan2 keeps full precision at small angles
-    theta = np.arctan2(rn, c)
+    return np.arctan2(rn, c), raw, rn
+
+
+def _log_masked(x, y, c, r, cut):
+    """Logarithm toward the representative y with c = <x, y> >= -1, and its mask."""
+    theta, raw, rn = _angle(x, y, c)
     ok = r * theta < cut - CUT_GUARD
     safe = rn > 1e-300
     v = (r * theta / np.where(safe, rn, 1.0))[..., None] * raw
@@ -182,27 +192,15 @@ class Sphere(ModelManifold):
         return f"Sphere(n={self.n}, r={self.radius})"
 
     def _fold(self, x, y):
-        """(<x, y>, None); on the quotient (|<x, y>|, the sign taking y to the +-y nearer x)."""
+        """<x, y'> and the representative y' of y nearest x: y, or +-y on the quotient."""
         c = np.sum(x * y, axis=-1)
-        if self.sheets == 1:
-            return c, None
-        return np.abs(c), np.where(c >= 0, 1.0, -1.0)
+        if self.sheets == 2:
+            c, y = np.abs(c), np.where(c >= 0, 1.0, -1.0)[..., None] * y
+        return np.clip(c, -1.0, 1.0), y
 
     def project_tangent(self, x, u):
         u = u.real if np.iscomplexobj(u) else u
         return u - np.sum(x * u, axis=-1)[..., None] * x
-
-    def exp(self, x, v):
-        return self.canonicalize(_exp(x, v, self.radius))
-
-    def log_masked(self, x, y):
-        c, s = self._fold(x, y)
-        y = y if s is None else s[..., None] * y
-        return _log_masked(x, y, np.clip(c, -1.0, 1.0), self.radius, self.cut_distance)
-
-    def distance(self, x, y):
-        c, _ = self._fold(x, y)
-        return self.radius * np.arccos(np.clip(c, -1.0, 1.0))
 
     def random_isometry(self, rng):
         q, r = np.linalg.qr(rng.standard_normal((self.ambient_dim, self.ambient_dim)))
@@ -231,6 +229,8 @@ class RealProjective(Sphere):
 class ComplexProjective(ModelManifold):
     kind = "complex_projective"
     is_complex = True
+    # representatives lie on the unit sphere of C^{N+1}
+    radius = 1.0
 
     def __init__(self, N):
         if N < 1:
@@ -252,18 +252,12 @@ class ComplexProjective(ModelManifold):
         u = u.astype(np.complex128, copy=False)
         return u - _dot(x, u)[..., None] * x
 
-    def exp(self, x, v):
-        return self.canonicalize(_exp(x, v, 1.0))
-
-    def log_masked(self, x, y):
+    def _fold(self, x, y):
+        """|<x, y>| and the representative of y with <x, y> real nonnegative."""
         h = _dot(x, y)
         r = np.abs(h)
         phase = np.where(r > 1e-300, h.conj() / np.where(r > 1e-300, r, 1.0), 1.0 + 0j)
-        return _log_masked(x, phase[..., None] * y, np.clip(r, 0.0, 1.0), 1.0, self.cut_distance)
-
-    def distance(self, x, y):
-        c = np.clip(np.abs(_dot(x, y)), 0.0, 1.0)
-        return np.arccos(c)
+        return np.clip(r, 0.0, 1.0), phase[..., None] * y
 
     def complex_structure(self, x, v):
         """Multiplication by i on horizontal lifts (the Kaehler J)."""

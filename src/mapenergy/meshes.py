@@ -136,27 +136,21 @@ def cotangent_weights(mesh):
         cos_a = np.clip(cos_a, -1.0, 1.0)
         return cos_a / np.sqrt(np.maximum(1.0 - cos_a**2, 1e-300))
 
-    cots = [cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)]
-    weights = {}
-    for k, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
-        p = np.sort(np.stack([tri[:, i], tri[:, j]], axis=1), axis=1)
-        for (pi, pj), ct in zip(p, cots[k]):
-            weights[(pi, pj)] = weights.get((pi, pj), 0.0) + 0.5 * ct
-    pairs = np.array(sorted(weights))
-    w = np.array([weights[tuple(p)] for p in pairs])
-    return pairs, w
+    cots = np.concatenate([cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)])
+    sides = np.sort(np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]]), axis=1)
+    pairs, index = np.unique(sides, axis=0, return_inverse=True)
+    # each edge borders two triangles, and a sum of two terms has no order to depend on
+    return pairs, np.bincount(index.reshape(-1), weights=0.5 * cots, minlength=len(pairs))
 
 
 def antipodal_permutation(mesh):
     """Index permutation sending each vertex to its exact antipode."""
-    # adding 0.0 collapses signed zeros so byte-level lookup is reliable
-    lookup = {(v + 0.0).tobytes(): i for i, v in enumerate(mesh.vertices)}
-    perm = np.empty(len(mesh.vertices), dtype=int)
-    for i, v in enumerate(mesh.vertices):
-        j = lookup.get((-v + 0.0).tobytes())
-        if j is None:
-            raise ValueError("mesh is not antipodally symmetric")
-        perm[i] = j
+    v = mesh.vertices
+    perm = np.empty(len(v), dtype=int)
+    # the k-th vertex in lexicographic order has the k-th of -v as antipode
+    perm[np.lexsort(v.T)] = np.lexsort(-v.T)
+    if not np.array_equal(v[perm], -v):
+        raise ValueError("mesh is not antipodally symmetric")
     return perm
 
 

@@ -7,7 +7,8 @@ energies) supplied by the caller rather than computed.  `systole_rp2`
 estimates the shortest noncontractible loop of a conformal metric on the
 projective plane from a weighted graph geodesic search.  The experiment
 registry maps stable string names to end-to-end numerical checks, each
-returning an `ExperimentReport` whose pass flag is a pure function of
+declared with its default resolution, reference and tolerance, and each
+yielding an `ExperimentReport` whose pass flag is a pure function of
 (estimate, reference, tolerance); reports serialize to a JSON array with
 a CSV twin and are bit-identical across runs with equal seeds, apart
 from the recorded wall time.
@@ -15,10 +16,12 @@ from the recorded wall time.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,13 +89,26 @@ class UsageError(ValueError):
 # closed-form lower bounds
 
 
-_BOUND_PARAMS = {
-    "CPN_P": ("N", "p", "area"),
-    "RPN_P": ("n", "p", "length"),
-    "INFIMUM": ("N", "area"),
-    "RP3_INTERVAL": ("plane_energy",),
-    "PU": ("area", "systole"),
-    "ELEMENTARY": ("p", "n", "vol", "pvol"),
+def _cpn_p(N, p, area):
+    N = int(N)
+    coeff = np.pi**N / (2.0 * math.factorial(N))
+    return float(coeff * ((2.0 * N / np.pi) * area) ** (p / 2.0))
+
+
+def _rpn_p(n, p, length):
+    base = math.sqrt(int(n)) * length / np.pi
+    return float(sphere_volume(int(n)) / 4.0 * base**p)
+
+
+# tag -> formula; each formula's parameter names are the bound's parameters
+_BOUNDS = {
+    "CPN_P": _cpn_p,
+    "RPN_P": _rpn_p,
+    "INFIMUM": lambda N, area: float(np.pi ** (int(N) - 1) / math.factorial(int(N) - 1) * area),
+    "RP3_INTERVAL": lambda plane_energy: (float(0.75 * np.pi * plane_energy),
+                                          float(np.pi * plane_energy)),
+    "PU": lambda area, systole: float(area - (2.0 / np.pi) * systole**2),
+    "ELEMENTARY": lambda p, n, vol, pvol: elementary_bound(p, n, vol, pvol),
 }
 
 
@@ -133,12 +149,12 @@ class BoundSpec:
     params: dict
 
     def __post_init__(self):
-        if self.tag not in _BOUND_PARAMS:
+        if self.tag not in _BOUNDS:
             raise GeometryError(
                 f"unknown bound tag {self.tag!r}; expected one of "
-                f"{sorted(_BOUND_PARAMS)}"
+                f"{sorted(_BOUNDS)}"
             )
-        expected = _BOUND_PARAMS[self.tag]
+        expected = tuple(inspect.signature(_BOUNDS[self.tag]).parameters)
         if set(self.params) != set(expected):
             raise GeometryError(
                 f"bound {self.tag} needs parameters {expected}, "
@@ -170,32 +186,19 @@ class BoundSpec:
 
 def eval_bound(spec):
     """Numeric value of a `BoundSpec` (a pair for RP3_INTERVAL)."""
-    q = spec.params
-    if spec.tag == "CPN_P":
-        N = int(q["N"])
-        coeff = np.pi**N / (2.0 * math.factorial(N))
-        return float(coeff * ((2.0 * N / np.pi) * q["area"]) ** (q["p"] / 2.0))
-    if spec.tag == "RPN_P":
-        n = int(q["n"])
-        base = math.sqrt(n) * q["length"] / np.pi
-        return float(sphere_volume(n) / 4.0 * base ** q["p"])
-    if spec.tag == "INFIMUM":
-        N = int(q["N"])
-        return float(np.pi ** (N - 1) / math.factorial(N - 1) * q["area"])
-    if spec.tag == "RP3_INTERVAL":
-        b = q["plane_energy"]
-        return (float(0.75 * np.pi * b), float(np.pi * b))
-    if spec.tag == "PU":
-        return float(q["area"] - (2.0 / np.pi) * q["systole"] ** 2)
-    return elementary_bound(q["p"], q["n"], q["vol"], q["pvol"])
+    return _BOUNDS[spec.tag](**spec.params)
 
 
 # ---------------------------------------------------------------------------
 # systole of a conformal metric on RP^2
 
 
-def _chord_graph(mesh, rings):
-    """Vertex pairs within `rings` mesh hops and their geodesic lengths.
+# hops spanned by the chords of the systole graph
+_CHORD_RINGS = 3
+
+
+def _chord_graph(mesh):
+    """Vertex pairs within `_CHORD_RINGS` mesh hops and their geodesic lengths.
 
     Augmenting the edge graph with 2- and 3-hop chords shrinks the
     direction-quantization bias of graph shortest paths from a few
@@ -213,7 +216,7 @@ def _chord_graph(mesh, rings):
     adj.data[:] = 1.0
     reach = adj.copy()
     hop = adj
-    for _ in range(rings - 1):
+    for _ in range(_CHORD_RINGS - 1):
         hop = hop @ adj
         reach = reach + hop
     reach = sparse.triu(reach, k=1).tocoo()
@@ -222,7 +225,7 @@ def _chord_graph(mesh, rings):
     return np.stack([i, j], axis=1), np.arccos(dots)
 
 
-def systole_rp2(weight, level=4, rings=3):
+def systole_rp2(weight, level=4):
     """Shortest noncontractible loop of the metric weight * round on RP^2.
 
     `weight` is a positive conformal factor, given as a callable on unit
@@ -248,7 +251,7 @@ def systole_rp2(weight, level=4, rings=3):
         raise GeometryError("the conformal weight must be positive")
     if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
         raise GeometryError("the conformal weight must be antipodally even")
-    pairs, lengths = _chord_graph(mesh, rings)
+    pairs, lengths = _chord_graph(mesh)
     root = np.sqrt(mu)
     costs = lengths * 0.5 * (root[pairs[:, 0]] + root[pairs[:, 1]])
     n = len(mesh.vertices)
@@ -363,12 +366,21 @@ def read_reports(path):
 # the experiment registry
 
 EXPERIMENTS = {}
+Experiment = namedtuple("Experiment", "run unit resolution tolerance kind reference")
 
 
-def _experiment(name):
-    def register(fn):
-        EXPERIMENTS[name] = fn
-        return fn
+def _experiment(name, unit, resolution, tolerance, kind="absolute", reference=0.0):
+    """Register `run(seed, <unit>[, p])`, which returns (inputs, estimate).
+
+    The declaration is the report contract: `unit` names the resolution
+    input and `resolution` is its default; `reference` is a number or a
+    function of the run's inputs.  The experiment reads `p` exactly when
+    `run` has a parameter of that name.
+    """
+
+    def register(run):
+        EXPERIMENTS[name] = Experiment(run, unit, resolution, tolerance, kind, reference)
+        return run
 
     return register
 
@@ -377,10 +389,9 @@ def _relerr(value, reference):
     return abs(value - reference) / abs(reference)
 
 
-@_experiment("croke")
-def _run_croke(seed, resolution, p):
+@_experiment("croke", "pairs", 1000, 1e-6)
+def _run_croke(seed, pairs):
     """Spherical mean of |dF(u)|^2 against the trace of the pullback Gram."""
-    pairs = int(resolution or 1000)
     pools = [
         (sphere(2), [
             identity_map(sphere(2)),
@@ -414,16 +425,14 @@ def _run_croke(seed, resolution, p):
             raise GeometryError("a probe point fell in the unreliable band")
         trace = np.real(np.trace(gram, axis1=-2, axis2=-1))
         worst = max(worst, float(np.max(np.abs(density - trace) / np.abs(trace))))
-    inputs = {"pairs": pairs, "seed": seed, "order": 3}
-    return inputs, worst, 0.0, 1e-6, "absolute"
+    return {"order": 3}, worst
 
 
-@_experiment("bounds-identity")
-def _run_bounds_identity(seed, resolution, p):
+@_experiment("bounds-identity", "nodes", 100000, 5e-3)
+def _run_bounds_identity(seed, nodes, p=None):
     """Identity maps saturate the closed-form p-energy bounds."""
-    nodes = int(resolution or 100000)
-    p_complex = (2.0, 3.0, 4.0) if p is None else (float(p),)
-    p_real = (1.0, 2.0, 4.0) if p is None else (float(p),)
+    p_complex = (2.0, 3.0, 4.0) if p is None else (p,)
+    p_real = (1.0, 2.0, 4.0) if p is None else (p,)
     worst = 0.0
     checked = []
     for N in (1, 2):
@@ -438,20 +447,16 @@ def _run_bounds_identity(seed, resolution, p):
         M = real_projective(n)
         grid = build_grid(M, nodes, "monte_carlo", seed=seed + 8 + n)
         for q in p_real:
-            if q < 1:
-                continue
             bound = eval_bound(BoundSpec("RPN_P", {"n": n, "p": q, "length": np.pi}))
             value = p_energy(identity_map(M), grid, p=q).value
             worst = max(worst, _relerr(value, bound))
             checked.append(f"rp{n}-p{q:g}")
-    inputs = {"nodes": nodes, "seed": seed, "checked": checked}
-    return inputs, worst, 0.0, 5e-3, "absolute"
+    return {"checked": checked}, worst
 
 
-@_experiment("line-formula")
-def _run_line_formula(seed, resolution, p):
+@_experiment("line-formula", "lines", 2000, 0.01)
+def _run_line_formula(seed, lines):
     """Line averages of restricted energies recover the 2-energy."""
-    lines = int(resolution or 2000)
     target = np.pi**2
     maps = {
         "identity": identity_map(complex_projective(2)),
@@ -464,26 +469,22 @@ def _run_line_formula(seed, resolution, p):
                                   seed=seed + index)
         averages[label] = float(avg)
         worst = max(worst, _relerr(avg, target))
-    inputs = {"lines": lines, "seed": seed, "averages": averages,
-              "mass": line_space_mass(2)}
-    return inputs, worst, 0.0, 0.01, "absolute"
+    return {"averages": averages, "mass": line_space_mass(2)}, worst
 
 
-@_experiment("rp2-family")
-def _run_rp2_family(seed, resolution, p):
+@_experiment("rp2-family", "planes", 64, 0.01)
+def _run_rp2_family(seed, planes):
     """Plane averages of restricted energies recover the 2-energy on RP^3."""
-    planes = int(resolution or 64)
     avg = rp2_family_average(identity_map(real_projective(3)), K=planes,
                              seed=seed, resolution=4)
     worst = max(_relerr(avg, 1.5 * np.pi**2),
                 _relerr(rp2_family_mass(3), 0.75 * np.pi))
-    inputs = {"planes": planes, "seed": seed, "average": float(avg),
-              "mass": rp2_family_mass(3)}
-    return inputs, worst, 0.0, 0.01, "absolute"
+    return {"average": float(avg), "mass": rp2_family_mass(3)}, worst
 
 
-@_experiment("squeeze")
-def _run_squeeze(seed, resolution, p):
+@_experiment("squeeze", "nodes", 100000, 0.02, "relative",
+             reference=lambda inputs: np.pi * inputs["restricted_energy"])
+def _run_squeeze(seed, nodes):
     """Dilation squeeze of a perturbed identity map of CP^2.
 
     Composing with stronger and stronger dilations drives the 2-energy
@@ -491,7 +492,6 @@ def _run_squeeze(seed, resolution, p):
     the run checks the terminal value against that target and insists
     the sequence decreases within three combined standard errors.
     """
-    nodes = int(resolution or 100000)
     F = perturbed_identity(complex_projective(2), magnitude=0.2,
                            flavor="squeeze", seed=seed)
     grid = build_grid(complex_projective(2), nodes, "monte_carlo",
@@ -511,46 +511,39 @@ def _run_squeeze(seed, resolution, p):
     line_grid = build_grid(complex_projective(1), 4, "mesh")
     restricted = p_energy(compose(F, reference_line(2).embedding), line_grid,
                           p=2.0).value
-    target = np.pi * restricted
-    inputs = {"nodes": nodes, "seed": seed, "magnitude": 0.2,
+    inputs = {"magnitude": 0.2,
               "lambdas": list(lambdas), "energies": [float(v) for v in values],
               "stderrs": [float(e) for e in errors],
               "restricted_energy": float(restricted)}
-    return inputs, values[-1], target, 0.02, "relative"
+    return inputs, values[-1]
 
 
-@_experiment("theta")
-def _run_theta(seed, resolution, p):
+@_experiment("theta", "nodes", 30000, 5e-3, "relative", reference=3.0 * np.pi**2)
+def _run_theta(seed, nodes):
     """Conformal dilations of the 3-sphere lower the projective energy."""
-    nodes = int(resolution or 30000)
     grid = build_grid(sphere(3), nodes, "monte_carlo", seed=seed + 5)
     values = [p_energy(make_theta(t), grid, p=2.0).value for t in (1, 2, 4, 8)]
     if not all(b < a for a, b in zip(values, values[1:])):
         raise GeometryError("dilation energies fail to decrease strictly")
-    inputs = {"nodes": nodes, "seed": seed, "parameters": [1, 2, 4, 8],
-              "energies": [float(v) for v in values]}
-    return inputs, values[0], 3.0 * np.pi**2, 5e-3, "relative"
+    return {"parameters": [1, 2, 4, 8], "energies": [float(v) for v in values]}, values[0]
 
 
-@_experiment("capped-theta")
-def _run_capped_theta(seed, resolution, p):
+@_experiment("capped-theta", "nodes", 30000, 0.02, "relative", reference=2.0 * np.pi**2)
+def _run_capped_theta(seed, nodes):
     """Extrapolated limit of the capped dilation family on RP^3.
 
     The capped family's energies approach twice pi squared like c / t,
     so the Richardson combination 2 E(16) - E(8) cancels the leading
     tail and lands on the limit.
     """
-    nodes = int(resolution or 30000)
     grid = build_grid(real_projective(3), nodes, "monte_carlo", seed=seed + 7)
     e8 = p_energy(make_capped_theta(8.0), grid, p=2.0).value
     e16 = p_energy(make_capped_theta(16.0), grid, p=2.0).value
-    inputs = {"nodes": nodes, "seed": seed,
-              "energies": {"8": float(e8), "16": float(e16)}}
-    return inputs, 2.0 * e16 - e8, 2.0 * np.pi**2, 0.02, "relative"
+    return {"energies": {"8": float(e8), "16": float(e16)}}, 2.0 * e16 - e8
 
 
-@_experiment("holomorphic-corpus")
-def _run_holomorphic_corpus(seed, resolution, p):
+@_experiment("holomorphic-corpus", "level", 4, 1.0)
+def _run_holomorphic_corpus(seed, level):
     """Degree-d rational curves: energy = area = d * pi, residuals vanish.
 
     The estimate is the worst constituent deviation divided by its own
@@ -558,7 +551,6 @@ def _run_holomorphic_corpus(seed, resolution, p):
     pluriharmonic, metric-compatibility, and tension residuals), so a
     value below one means every check passed.
     """
-    level = int(resolution or 4)
     grid = build_grid(complex_projective(1), level, "mesh")
     curves = {"line": (make_rational_curve(line_curve(2)), 1),
               "conic": (make_rational_curve(conic_curve()), 2),
@@ -579,13 +571,11 @@ def _run_holomorphic_corpus(seed, resolution, p):
                     _relerr(energy, degree * np.pi) / 5e-3,
                     _relerr(area, degree * np.pi) / 5e-3,
                     plh / 1e-3, herm / 1e-3, tau / 1e-3)
-    inputs = {"level": level, "seed": seed, "probes": 100,
-              "curves": breakdown}
-    return inputs, worst, 0.0, 1.0, "absolute"
+    return {"probes": 100, "curves": breakdown}, worst
 
 
-@_experiment("harmonic-diagnostics")
-def _run_harmonic_diagnostics(seed, resolution, p):
+@_experiment("harmonic-diagnostics", "probes", 100, 1.0)
+def _run_harmonic_diagnostics(seed, probes):
     """Tension and holomorphy residuals separate harmonic maps from others.
 
     Every member of the harmonic corpus must keep its residuals under
@@ -593,7 +583,6 @@ def _run_harmonic_diagnostics(seed, resolution, p):
     while a perturbed identity must exceed the same budget by an order
     of magnitude or the run fails.
     """
-    probes_n = int(resolution or 100)
     corpus = {
         "identity-cp1": identity_map(complex_projective(1)),
         "identity-rp2": identity_map(real_projective(2)),
@@ -605,25 +594,22 @@ def _run_harmonic_diagnostics(seed, resolution, p):
     worst = 0.0
     breakdown = {}
     for index, (label, F) in enumerate(corpus.items()):
-        x = F.domain.random_point(spawn(seed, index), size=(probes_n,))
+        x = F.domain.random_point(spawn(seed, index), size=(probes,))
         tau = float(np.max(np.linalg.norm(tension(F, x), axis=-1)))
         breakdown[label] = {"tension": tau}
         worst = max(worst, tau / 1e-3)
     cp1 = complex_projective(1)
-    x = cp1.random_point(spawn(seed, 17), size=(probes_n,))
+    x = cp1.random_point(spawn(seed, 17), size=(probes,))
     bent = perturbed_identity(cp1, magnitude=0.2, seed=seed)
     bent_tau = float(np.max(np.linalg.norm(tension(bent, x), axis=-1)))
     if bent_tau < 1e-2:
         raise GeometryError("a perturbed identity failed to register tension")
-    inputs = {"probes": probes_n, "seed": seed, "corpus": breakdown,
-              "perturbed_tension": bent_tau}
-    return inputs, worst, 0.0, 1.0, "absolute"
+    return {"corpus": breakdown, "perturbed_tension": bent_tau}, worst
 
 
-@_experiment("jacobi")
-def _run_jacobi(seed, resolution, p):
+@_experiment("jacobi", "level", 4, 0.05)
+def _run_jacobi(seed, level):
     """Second variations match the index-form shortcut on a degree-2 curve."""
-    level = int(resolution or 4)
     F = make_rational_curve(veronese_curve())
     grid = build_grid(complex_projective(1), level, "mesh")
     scale = p_energy(F, grid, p=2.0).value
@@ -635,14 +621,12 @@ def _run_jacobi(seed, resolution, p):
                     abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-3 * scale))
         sides[f"generator-{index}"] = {"stencil": float(lhs),
                                        "index_form": float(rhs)}
-    inputs = {"level": level, "seed": seed, "generators": 2, "sides": sides}
-    return inputs, worst, 0.0, 0.05, "absolute"
+    return {"generators": 2, "sides": sides}, worst
 
 
-@_experiment("trace-II")
-def _run_trace_ii(seed, resolution, p):
+@_experiment("trace-II", "level", 4, 1e-3)
+def _run_trace_ii(seed, level):
     """Symmetry directions are energy-neutral for the identity of CP^1."""
-    level = int(resolution or 4)
     M = complex_projective(1)
     F = identity_map(M)
     grid = build_grid(M, level, "mesh")
@@ -656,21 +640,19 @@ def _run_trace_ii(seed, resolution, p):
     ]
     trace = index_trace_over_symmetries(F, grid, basis)
     worst = max(max(abs(v) for v in variations), abs(trace)) / scale
-    inputs = {"level": level, "seed": seed,
-              "variations": [float(v) for v in variations],
+    inputs = {"variations": [float(v) for v in variations],
               "trace": float(trace), "energy": float(scale)}
-    return inputs, worst, 0.0, 1e-3, "absolute"
+    return inputs, worst
 
 
-@_experiment("pu")
-def _run_pu(seed, resolution, p):
+@_experiment("pu", "level", 4, 1.0)
+def _run_pu(seed, level):
     """Systolic slack on RP^2: zero for the round metric, positive off it.
 
     The round metric must sit within two percent of equality (graph
     bias), and the weight 1 + x0^2 / 2 must show slack at least three
     times the refinement uncertainty |slack(level+1) - slack(level)|.
     """
-    level = int(resolution or 4)
     sys_round = systole_rp2(1.0, level=level)
     round_slack = eval_bound(BoundSpec("PU", {"area": 2.0 * np.pi,
                                               "systole": sys_round}))
@@ -689,21 +671,20 @@ def _run_pu(seed, resolution, p):
     if not slack > 0:
         raise GeometryError("the bumped metric shows no systolic slack")
     worst = max(round_dev / 0.02, 3.0 * uncertainty / slack)
-    inputs = {"level": level, "seed": seed, "round_systole": float(sys_round),
+    inputs = {"round_systole": float(sys_round),
               "bump_area": float(area), "bump_systole": float(sys_fine),
               "slack": float(slack), "uncertainty": float(uncertainty)}
-    return inputs, worst, 0.0, 1.0, "absolute"
+    return inputs, worst
 
 
-@_experiment("flow")
-def _run_flow(seed, resolution, p):
+@_experiment("flow", "level", 4, 0.01, "relative", reference=4.0 * np.pi)
+def _run_flow(seed, level):
     """Discrete energy descent returns a bent sphere map to the identity.
 
     The flow must descend monotonically to the round-sphere energy, and
     the conformality defect of the final map must be at least ten times
     smaller than that of the bent start.
     """
-    level = int(resolution or 4)
     bent = perturbed_identity(sphere(2), magnitude=0.2, seed=seed)
     start = sample_map(bent, level)
     defect_before = conformality_defect(start)
@@ -714,22 +695,20 @@ def _run_flow(seed, resolution, p):
     defect_after = conformality_defect(final)
     if not defect_before / max(defect_after, 1e-300) >= 10.0:
         raise GeometryError("the conformality defect did not shrink tenfold")
-    inputs = {"level": level, "seed": seed, "iterations": len(history) - 1,
+    inputs = {"iterations": len(history) - 1,
               "defect_before": float(defect_before),
               "defect_after": float(defect_after),
               "final_grad_norm": float(history[-1]["grad_norm"])}
-    return inputs, energies[-1], 4.0 * np.pi, 0.01, "relative"
+    return inputs, energies[-1]
 
 
-@_experiment("e1-geodesic")
-def _run_e1_geodesic(seed, resolution, p):
+@_experiment("e1-geodesic", "loops", 400, 0.01, "relative",
+             reference=eval_bound(BoundSpec("RPN_P", {"n": 3, "p": 1.0, "length": np.pi})))
+def _run_e1_geodesic(seed, loops):
     """Geodesic image lengths bound the 1-energy, sharply for the identity."""
-    loops = int(resolution or 400)
     value = e1_geodesic_bound(identity_map(real_projective(3)), K=loops,
                               seed=seed, steps=256)
-    reference = eval_bound(BoundSpec("RPN_P", {"n": 3, "p": 1.0, "length": np.pi}))
-    inputs = {"loops": loops, "seed": seed}
-    return inputs, value, reference, 0.01, "relative"
+    return {}, value
 
 
 # ---------------------------------------------------------------------------
@@ -743,17 +722,8 @@ def _checked_integer(key, value, least):
     return int(value)
 
 
-def run_experiment(config):
-    """Run one named experiment from a parameter record.
-
-    `config` maps "name" to one of the registered experiment names and
-    may add "seed" (an integer >= 0), "resolution" (an integer >= 1),
-    and "p".  Unknown names or keys and malformed values raise
-    `UsageError`.  Geometric and numerical failures inside the
-    experiment produce a failed report (estimate NaN, error message
-    recorded in the inputs) rather than a crash; programming errors
-    propagate.
-    """
+def _parsed(config):
+    """(name, seed, resolution, p) of a parameter record, checked."""
     cfg = dict(config)
     name = cfg.pop("name", None)
     if name not in EXPERIMENTS:
@@ -761,35 +731,63 @@ def run_experiment(config):
             f"unknown experiment {name!r}; known names: "
             + ", ".join(sorted(EXPERIMENTS))
         )
+    experiment = EXPERIMENTS[name]
     seed = _checked_integer("seed", cfg.pop("seed", 0), 0)
     resolution = cfg.pop("resolution", None)
-    if resolution is not None:
-        resolution = _checked_integer("resolution", resolution, 1)
+    resolution = _checked_integer(
+        "resolution", experiment.resolution if resolution is None else resolution, 1)
     p = cfg.pop("p", None)
     if p is not None:
+        if "p" not in inspect.signature(experiment.run).parameters:
+            raise UsageError(f"{name} does not read p")
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not math.isfinite(p):
+            raise UsageError(f"p must be a finite real number, got {p!r}")
         p = float(p)
     if cfg:
         raise UsageError(f"unknown parameters for {name}: {sorted(cfg)}")
+    return name, seed, resolution, p
+
+
+def run_experiment(config):
+    """Run one named experiment from a parameter record.
+
+    `config` maps "name" to one of the registered experiment names and
+    may add "seed" (an integer >= 0), "resolution" (an integer >= 1,
+    the registered default when absent), and "p" (a finite real, for
+    the experiments that read it).  Unknown names or keys and malformed
+    values raise `UsageError`.  Geometric and numerical failures inside
+    the experiment produce a failed report (estimate NaN, error message
+    recorded in the inputs) rather than a crash; programming errors
+    propagate.
+    """
+    name, seed, resolution, p = _parsed(config)
+    experiment = EXPERIMENTS[name]
     started = time.perf_counter()
     try:
-        inputs, estimate, reference, tolerance, kind = EXPERIMENTS[name](
-            seed=seed, resolution=resolution, p=p
-        )
+        inputs, estimate = experiment.run(seed, resolution, **({} if p is None else {"p": p}))
     except (GeometryError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        inputs = {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
-        if resolution is not None:
-            inputs["resolution"] = resolution
-        estimate, reference, tolerance, kind = float("nan"), 0.0, 0.0, "absolute"
+        inputs, estimate = {"error": f"{type(exc).__name__}: {exc}"}, float("nan")
+        contract = (0.0, 0.0, "absolute")
+    else:
+        reference = experiment.reference
+        reference = reference(inputs) if callable(reference) else reference
+        contract = (reference, experiment.tolerance, experiment.kind)
     wall = time.perf_counter() - started
-    return ExperimentReport.build(name, inputs, estimate, reference,
-                                  tolerance, kind, wall)
+    inputs = {experiment.unit: resolution, "seed": seed, **inputs}
+    return ExperimentReport.build(name, inputs, estimate, *contract, wall)
 
 
 def run_suite(configs):
-    """Run several experiments: a list of records or a name -> record map."""
+    """Run several experiments: a list of records or a name -> record map.
+
+    Every record is checked before the first one runs.
+    """
     if isinstance(configs, dict):
         configs = [{"name": name, **(record or {})}
                    for name, record in configs.items()]
+    configs = list(configs)
+    for record in configs:
+        _parsed(record)
     return [run_experiment(record) for record in configs]
 
 

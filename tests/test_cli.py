@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mapenergy.cli import main
+from mapenergy.report import EXPERIMENTS
 
 
 def test_corpus_list_names_the_catalog(capsys):
@@ -38,6 +39,24 @@ def test_verify_negative_seed_is_a_usage_error(capsys):
         main(["verify", "croke", "--seed", "-1"])
     assert info.value.code == 2
     assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_verify_all_with_p_is_a_usage_error_before_anything_runs(monkeypatch, capsys):
+    ran = []
+
+    def spy(seed, nodes, p=None):
+        ran.append(p)
+        return {}, 0.0
+
+    # bounds-identity reads p and sorts first, so it would run before the
+    # first experiment that rejects p
+    monkeypatch.setitem(EXPERIMENTS, "bounds-identity",
+                        EXPERIMENTS["bounds-identity"]._replace(run=spy))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "all", "--p", "3"])
+    assert info.value.code == 2
+    assert "does not read p" in capsys.readouterr().err
+    assert ran == []
 
 
 def test_verify_failure_sets_the_exit_status(capsys):

@@ -2,8 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapenergy import energy, make_rng
+from mapenergy.constructions import (
+    conic_curve,
+    make_projective_dilation,
+    make_rational_curve,
+    make_theta,
+    perturbed_identity,
+    random_curve,
+)
 from mapenergy.energy import (
     EnergyValue,
     croke_density,
@@ -23,6 +33,7 @@ from mapenergy.manifolds import (
 from mapenergy.maps import (
     MapObject,
     build_grid,
+    compose,
     energy_density,
     homothety_map,
     identity_map,
@@ -333,3 +344,39 @@ def test_curve_length_chord_fallback_on_jumps():
     F = MapObject(M, M, ev, smoothness="piecewise", name="two-level")
     loop = _GreatLoop(M)
     assert curve_length(F, loop, steps=256) == pytest.approx(np.pi, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# properties: the energy depends on neither the frames nor the codomain's position
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+# (map, grid, relative tolerance): analytic differentials are exact, while
+# finite differences along different frames differ by their truncation error
+ENERGY_CASES = [
+    (make_projective_dilation(2, 3.0), build_grid(complex_projective(2), 200, "monte_carlo", seed=4), 1e-12),
+    (make_rational_curve(conic_curve()), build_grid(complex_projective(1), 2, "mesh"), 1e-12),
+    (make_rational_curve(random_curve(2, 3, seed=1)), build_grid(complex_projective(1), 2, "mesh"), 1e-12),
+    (make_theta(2.0), build_grid(sphere(3), 200, "monte_carlo", seed=5), 1e-12),
+    (perturbed_identity(sphere(2), 0.2, seed=1), build_grid(sphere(2), 2, "mesh"), 1e-9),
+    (perturbed_identity(real_projective(2), 0.2, seed=2), build_grid(real_projective(2), 2, "mesh"), 1e-9),
+    (perturbed_identity(complex_projective(2), 0.2, seed=3),
+     build_grid(complex_projective(2), 200, "monte_carlo", seed=6), 1e-9),
+]
+
+
+@PROPERTY
+@given(st.sampled_from(ENERGY_CASES), st.floats(1.0, 4.0), st.integers(1, 2**16))
+def test_energy_does_not_depend_on_the_frames(case, p, salt):
+    F, grid, rtol = case
+    reference = p_energy(F, grid, p, salt=0).value
+    assert p_energy(F, grid, p, salt=salt).value == pytest.approx(reference, rel=rtol)
+
+
+@PROPERTY
+@given(st.sampled_from(ENERGY_CASES), st.floats(1.0, 4.0), st.integers(0, 2**32 - 1))
+def test_energy_is_invariant_under_codomain_isometries(case, p, seed):
+    F, grid, rtol = case
+    R = F.codomain.random_isometry(make_rng(seed))
+    moved = compose(normalized_linear_map(F.codomain, F.codomain, R), F)
+    assert p_energy(moved, grid, p).value == pytest.approx(p_energy(F, grid, p).value, rel=rtol)

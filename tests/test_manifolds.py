@@ -61,7 +61,21 @@ def test_distance_reference_points():
     w = np.array([0, 1.0, 0], dtype=complex)
     np.testing.assert_allclose(cp.distance(z, w), math.pi / 2, atol=1e-15)
     # phase changes of the representative do not move the point
-    np.testing.assert_allclose(cp.distance(z, np.exp(0.7j) * z), 0.0, atol=1e-7)
+    np.testing.assert_allclose(cp.distance(z, np.exp(0.7j) * z), 0.0, atol=1e-12)
+
+
+def test_tiny_sphere_distances_keep_full_relative_precision():
+    x = np.array([0.0, 0.0, 1.0])
+    y = np.array([0.0, 1.66e-8, 1.0])
+    np.testing.assert_allclose(sphere(2, 1.7).distance(x, y), 1.7 * 1.66e-8, rtol=1e-12)
+    np.testing.assert_allclose(real_projective(2, 1.7).distance(x, -y), 1.7 * 1.66e-8, rtol=1e-12)
+
+
+def test_tiny_cp_distances_keep_full_relative_precision():
+    cp = complex_projective(2)
+    z = np.array([1.0, 0.0, 0.0], dtype=complex)
+    w = np.array([np.cos(3e-9), 1j * np.sin(3e-9), 0.0])
+    np.testing.assert_allclose(cp.distance(z, w), 3e-9, rtol=1e-12)
 
 
 @pytest.mark.parametrize("M", MODELS, ids=repr)
@@ -143,7 +157,7 @@ def test_exp_at_cut_distance_cp():
     u = cp.random_unit_tangent(rng, z)
     y = cp.exp(z, (math.pi / 2) * u)
     np.testing.assert_allclose(cp.distance(z, y), math.pi / 2, atol=1e-12)
-    np.testing.assert_allclose(cp.distance(y, cp.canonicalize(u)), 0.0, atol=1e-7)
+    np.testing.assert_allclose(cp.distance(y, cp.canonicalize(u)), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("M", MODELS, ids=repr)
@@ -338,8 +352,7 @@ def test_exp_of_log_returns_the_point_inside_the_cut_guard(case):
         assert ok
     if ok:
         np.testing.assert_allclose(np.dot(x, v), 0.0, atol=1e-12 * M.radius)
-        # arccos in `distance` resolves small angles only to about sqrt(eps)
-        np.testing.assert_allclose(M.norm(v), M.distance(x, y), atol=1e-7 * M.radius)
+        np.testing.assert_allclose(M.norm(v), M.distance(x, y), atol=1e-12 * M.radius)
         np.testing.assert_allclose(M.exp(x, v), M.canonicalize(y), atol=1e-8 * M.radius)
 
 
@@ -372,4 +385,4 @@ def test_distance_is_invariant_under_random_isometries(case, seed):
     M, x, y = case
     q = M.random_isometry(make_rng(seed))
     moved = M.distance(M.apply_isometry(q, x), M.apply_isometry(q, y))
-    np.testing.assert_allclose(moved, M.distance(x, y), atol=2e-7 * M.radius)
+    np.testing.assert_allclose(moved, M.distance(x, y), atol=1e-12 * M.radius)

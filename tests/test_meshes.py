@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from mapenergy import meshes
 
@@ -22,11 +23,50 @@ def test_vertex_areas_tile_the_sphere():
 
 
 def test_antipodal_symmetry():
-    m = meshes.icosphere(3)
-    perm = meshes.antipodal_permutation(m)
-    assert np.all(perm[perm] == np.arange(m.n_vertices))
-    assert np.all(perm != np.arange(m.n_vertices))
-    np.testing.assert_array_equal(m.vertices[perm], -m.vertices)
+    for level in range(6):
+        m = meshes.icosphere(level)
+        perm = meshes.antipodal_permutation(m)
+        assert np.all(perm[perm] == np.arange(m.n_vertices))
+        assert np.all(perm != np.arange(m.n_vertices))
+        assert np.all(m.vertices[perm] == -m.vertices)
+
+
+def test_antipodal_permutation_rejects_a_nudged_vertex():
+    m = meshes.icosphere(2)
+    vertices = m.vertices.copy()
+    vertices[7, 0] = np.nextafter(vertices[7, 0], 2.0)
+    with pytest.raises(ValueError, match="antipodally symmetric"):
+        meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles, m.level))
+
+
+def _cotangent_weights_by_edge_loop(mesh):
+    """Reference: accumulate the half-cotangents edge by edge in a dict."""
+    tri = mesh.triangles
+    a, b, c = (meshes.geodesic_edge_lengths(mesh.vertices, tri[:, p])
+               for p in ([1, 2], [2, 0], [0, 1]))
+
+    def cot_opposite(opp, s1, s2):
+        cos_a = np.clip((s1**2 + s2**2 - opp**2) / (2.0 * s1 * s2), -1.0, 1.0)
+        return cos_a / np.sqrt(np.maximum(1.0 - cos_a**2, 1e-300))
+
+    cots = [cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)]
+    weights = {}
+    for k, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
+        p = np.sort(np.stack([tri[:, i], tri[:, j]], axis=1), axis=1)
+        for (pi, pj), ct in zip(p, cots[k]):
+            weights[(pi, pj)] = weights.get((pi, pj), 0.0) + 0.5 * ct
+    pairs = np.array(sorted(weights))
+    return pairs, np.array([weights[tuple(q)] for q in pairs])
+
+
+def test_cotangent_weights_match_the_edge_loop_bit_for_bit():
+    for level in range(4):
+        m = meshes.icosphere(level)
+        pairs, w = meshes.cotangent_weights(m)
+        ref_pairs, ref_w = _cotangent_weights_by_edge_loop(m)
+        np.testing.assert_array_equal(pairs, ref_pairs)
+        np.testing.assert_array_equal(pairs, meshes.mesh_edges(m.triangles))
+        assert w.tobytes() == ref_w.tobytes()
 
 
 def test_cotangent_weights_positive():

@@ -179,6 +179,13 @@ def test_unknown_experiment_and_parameters_are_usage_errors():
                 {"resolution": 0}, {"resolution": -5}, {"resolution": 2.5}):
         with pytest.raises(UsageError):
             run_experiment({"name": "croke", **bad})
+    # p is accepted only by experiments that read it, and only as a finite real
+    for bad in ({"name": "croke", "p": 3}, {"name": "theta", "p": -3},
+                {"name": "bounds-identity", "p": "x"}, {"name": "bounds-identity", "p": True},
+                {"name": "bounds-identity", "p": float("nan")},
+                {"name": "bounds-identity", "p": float("inf")}):
+        with pytest.raises(UsageError):
+            run_experiment(bad)
 
 
 def test_constituent_failure_yields_a_failed_report():
@@ -188,13 +195,14 @@ def test_constituent_failure_yields_a_failed_report():
     assert not report.passed
     assert np.isnan(report.estimate)
     assert "error" in report.inputs
+    assert report.inputs["nodes"] == 500 and report.inputs["seed"] == 0
 
 
 def test_programming_errors_propagate(monkeypatch):
-    def broken(seed, resolution, p):
+    def broken(seed, pairs):
         raise TypeError("a bug, not a failed check")
 
-    monkeypatch.setitem(EXPERIMENTS, "croke", broken)
+    monkeypatch.setitem(EXPERIMENTS, "croke", EXPERIMENTS["croke"]._replace(run=broken))
     with pytest.raises(TypeError):
         run_experiment({"name": "croke"})
 

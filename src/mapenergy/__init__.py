@@ -8,6 +8,7 @@ energy         p-energy functionals, direction-averaged densities, volumes.
 intgeo         Measures on geodesics and projective lines; averaging formulas.
 constructions  Rational curves, dilations, conformal caps, perturbations.
 harmonic       Second fundamental form, tension, residuals, second variation.
+meshes         Icosphere meshes and the geometry each mesh keeps once derived.
 flow           Discrete Dirichlet energy and gradient flow on triangle meshes.
 report         Named verification experiments, bounds, CLI-facing reports.
 tables         The CSV layout shared by every table file.

@@ -160,7 +160,6 @@ def curve_length(F, curve, steps=256):
     t = np.linspace(0.0, period, int(steps) + 1)
     x = curve.point(t)
     v = curve.velocity(t)
-    y = F(x)
     cod = F.codomain
     if F.differential is not None:
         push = F.differential(x, v)
@@ -172,7 +171,9 @@ def curve_length(F, curve, steps=256):
         cols, ok = differential_columns(F, x, unit[..., None, :])
         speed = np.sqrt(real_inner(cols[..., 0, :], cols[..., 0, :])) * vn
     dt = t[1] - t[0]
-    seg_ok = ok[:-1] & ok[1:]
-    trap = 0.5 * dt * (speed[:-1] + speed[1:])
-    chord = cod.distance(y[:-1], y[1:])
-    return float(np.sum(np.where(seg_ok, trap, chord)))
+    lengths = 0.5 * dt * (speed[:-1] + speed[1:])
+    failed = ~(ok[:-1] & ok[1:])
+    if np.any(failed):
+        y = F(x)
+        lengths[failed] = cod.distance(y[:-1][failed], y[1:][failed])
+    return float(np.sum(lengths))

@@ -7,6 +7,11 @@ discretizes the smooth energy; its negative gradient is the discrete
 tension, and projected gradient descent with an accept/halve step
 controller produces approximately harmonic maps for cross-module
 oracles.
+
+The domain geometry belongs to the mesh: MeshMaps and
+`conformality_defect` read cotangent weights, vertex areas, the antipodal
+permutation and flattened domain triangles from `meshes`, which derives
+each once per mesh, read-only.  Only the image half is computed here.
 """
 
 from __future__ import annotations
@@ -21,15 +26,17 @@ from . import tables
 from .manifolds import GeometryError, real_projective, sphere
 from .maps import MapObject
 from .meshes import (
+    DEGENERATE_GUARD,
     antipodal_permutation,
     cotangent_weights,
+    flat_triangles,
     icosphere,
-    spherical_triangle_areas,
+    plant_triangles,
+    triangle_sides,
     vertex_areas,
 )
 
 GRADIENT_TOLERANCE = 1e-6
-DEGENERATE_GUARD = 1e-12
 
 
 @dataclass
@@ -128,15 +135,8 @@ def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
     perm = antipodal_permutation(m.mesh) if m.antipodal_quotient else None
     current = m
     energy = discrete_energy(current)
-    history = [
-        {
-            "iteration": 0,
-            "energy": energy,
-            "grad_norm": float(np.max(m.codomain.norm(discrete_tension(current)))),
-            "defect": conformality_defect(current),
-            "step": step,
-        }
-    ]
+    gnorm = float(np.max(m.codomain.norm(discrete_tension(current))))
+    history = [_record(0, current, energy, gnorm, step)]
     for it in range(1, iters + 1):
         tau = discrete_tension(current)
         gnorm = float(np.max(m.codomain.norm(tau)))
@@ -160,27 +160,13 @@ def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
             )
         current, energy = candidate, trial_energy
         step *= 1.3
-        history.append(
-            {
-                "iteration": it,
-                "energy": energy,
-                "grad_norm": gnorm,
-                "defect": conformality_defect(current),
-                "step": step,
-            }
-        )
+        history.append(_record(it, current, energy, gnorm, step))
     return current, history
 
 
-def _plant_triangle(l_ab, l_bc, l_ca):
-    """Side vectors of the Euclidean triangle with the given side lengths."""
-    cos_a = (l_ab**2 + l_ca**2 - l_bc**2) / np.maximum(2.0 * l_ab * l_ca, DEGENERATE_GUARD)
-    bad = np.abs(cos_a) > 1.0 + 1e-9
-    cos_a = np.clip(cos_a, -1.0, 1.0)
-    sin_a = np.sqrt(np.maximum(1.0 - cos_a**2, 0.0))
-    e1 = np.stack([l_ab, np.zeros_like(l_ab)], axis=-1)
-    e2 = np.stack([l_ca * cos_a, l_ca * sin_a], axis=-1)
-    return e1, e2, bad
+def _record(it, m, energy, gnorm, step):
+    return {"iteration": it, "energy": energy, "grad_norm": gnorm,
+            "defect": conformality_defect(m), "step": step}
 
 
 def conformality_defect(m):
@@ -191,32 +177,11 @@ def conformality_defect(m):
     give the defect |s1 - s2| / (s1 + s2).  Degenerate triangles are
     skipped (with a warning when any occur).
     """
-    tri = m.mesh.triangles
-    v = m.mesh.vertices
-    f = m.images
-    dom, cod = sphere(2), m.codomain
-
-    def sides(points, space):
-        a, b, c = points[tri[:, 0]], points[tri[:, 1]], points[tri[:, 2]]
-        return space.distance(a, b), space.distance(b, c), space.distance(c, a)
-
-    d1, d2, d3 = sides(v, dom)
-    p1, p2, bad_dom = _plant_triangle(d1, d2, d3)
-    q1, q2, bad_img = _plant_triangle(*sides(f, cod))
-    P = np.stack([p1, p2], axis=-1)
-    Q = np.stack([q1, q2], axis=-1)
-    det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
-    degenerate = bad_dom | bad_img | (np.abs(det) < DEGENERATE_GUARD)
-    Pinv = np.zeros_like(P)
-    safe_det = np.where(degenerate, 1.0, det)
-    Pinv[..., 0, 0] = P[..., 1, 1] / safe_det
-    Pinv[..., 1, 1] = P[..., 0, 0] / safe_det
-    Pinv[..., 0, 1] = -P[..., 0, 1] / safe_det
-    Pinv[..., 1, 0] = -P[..., 1, 0] / safe_det
-    L = Q @ Pinv
-    s = np.linalg.svd(L, compute_uv=False)
+    inverses, degenerate, areas = flat_triangles(m.mesh)
+    Q, bad_img = plant_triangles(*triangle_sides(m.images, m.mesh.triangles, m.codomain))
+    degenerate = degenerate | bad_img
+    s = np.linalg.svd(Q @ inverses, compute_uv=False)
     defect = np.abs(s[..., 0] - s[..., 1]) / (s[..., 0] + s[..., 1] + DEGENERATE_GUARD)
-    areas = spherical_triangle_areas(v, tri)
     keep = ~degenerate
     if not np.all(keep):
         warnings.warn(

@@ -1,6 +1,6 @@
 """Differential-geometric diagnostics for maps between model manifolds.
 
-Second fundamental form samples, tension fields, pluriharmonicity and
+Second fundamental form values, tension fields, pluriharmonicity and
 Hermitian-symmetry residuals, second variations of the Dirichlet energy,
 the Jacobi-field identity for symmetry directions, and line integrals of
 the fundamental 2-form.  Everything is chart-free: intrinsic
@@ -11,8 +11,6 @@ logarithm, which is exact for geodesics and O(h^2) otherwise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,7 +21,7 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import MapObject, compose, differential_columns, frame_at, pullback_gram
+from .maps import MapObject, compose, differential_columns, frame_at, log_probes, pullback_gram
 
 SECOND_DIFF_STEP = 1e-3
 VARIATION_STEP = 1e-2
@@ -34,47 +32,18 @@ TENSION_TOLERANCE = 1e-3
 # second fundamental form
 
 
-@dataclass(frozen=True)
-class SecondFormSample:
-    """Second-fundamental-form value at a base point for a tangent pair."""
-
-    base: np.ndarray
-    pair: tuple
-    value: np.ndarray
-
-
-@dataclass(frozen=True)
-class VariationField:
-    """Assignment x -> W(x), a tangent vector at F(x), for variations of F."""
-
-    field: Callable
-
-    def __call__(self, x):
-        return self.field(x)
-
-
 def _acceleration(F, x, v, h):
     """Intrinsic acceleration of t -> F(exp_x(t v)) at t = 0.
 
     Second difference through the codomain logarithm; exact (up to
     rounding) when the image curve is a geodesic.
     """
-    dom, cod = F.domain, F.codomain
-    y0 = F(x)
-    vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
-    vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
-    if not np.all(okp & okm):
+    vp, vm, ok = log_probes(F, x, v, h)
+    if not np.all(ok):
         raise CutLocusError(
             "second difference crossed the cut locus; resample the probe point"
         )
     return (vp + vm) / (h * h)
-
-
-def _alpha(F, x, v, w, h):
-    """Polarized second-fundamental-form value (symmetric in v, w)."""
-    plus = _acceleration(F, x, v + w, h)
-    minus = _acceleration(F, x, v - w, h)
-    return 0.25 * (plus - minus)
 
 
 def second_fundamental_form(F, x, v, w, h=SECOND_DIFF_STEP):
@@ -84,7 +53,9 @@ def second_fundamental_form(F, x, v, w, h=SECOND_DIFF_STEP):
     diagonal and polarized off the diagonal, so symmetry in (v, w) is
     exact by construction.
     """
-    return SecondFormSample(base=x, pair=(v, w), value=_alpha(F, x, v, w, h))
+    plus = _acceleration(F, x, v + w, h)
+    minus = _acceleration(F, x, v - w, h)
+    return 0.25 * (plus - minus)
 
 
 def tension(F, x, h=SECOND_DIFF_STEP, frame=None):
@@ -112,7 +83,8 @@ def pluriharmonic_residual(F, x, h=SECOND_DIFF_STEP):
     for i in range(M.dim):
         for j in range(i, M.dim):
             ei, ej = fr[..., i, :], fr[..., j, :]
-            combo = _alpha(F, x, 1j * ei, 1j * ej, h) + _alpha(F, x, ei, ej, h)
+            combo = (second_fundamental_form(F, x, 1j * ei, 1j * ej, h)
+                     + second_fundamental_form(F, x, ei, ej, h))
             best = np.maximum(best, F.codomain.norm(combo))
     return best
 
@@ -148,15 +120,22 @@ def pushforward_field(F, vector_field, h=1e-4):
         v = vector_field(x)
         if F.differential is not None:
             return F.differential(x, v)
-        dom, cod = F.domain, F.codomain
-        y0 = F(x)
-        vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
-        vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
-        if not np.all(okp & okm):
+        vp, vm, ok = log_probes(F, x, v, h)
+        if not np.all(ok):
             raise CutLocusError("pushforward probe crossed the cut locus")
         return (vp - vm) / (2.0 * h)
 
-    return VariationField(push)
+    return push
+
+
+def symmetry_variation(F, generator):
+    """Variation field dF(J K) along the complex rotation J K of the Killing
+    field K that a skew-Hermitian matrix generates on the domain CP^N."""
+    M = F.domain
+    if not isinstance(M, ComplexProjective):
+        raise GeometryError("symmetry directions need a complex projective domain")
+    a = np.asarray(generator, dtype=complex)
+    return pushforward_field(F, lambda x: 1j * M.killing_field(a, x))
 
 
 def _warn_if_not_harmonic(F, probes):
@@ -173,12 +152,11 @@ def _warn_if_not_harmonic(F, probes):
 def second_variation(F, W, grid, tau=VARIATION_STEP):
     """Five-point second derivative of the energy along the variation W.
 
-    The varied map is F_t(x) = exp_{F(x)}(t W(x)); all five energies use
+    W is any callable sending points x to tangent vectors at F(x).  The
+    varied map is F_t(x) = exp_{F(x)}(t W(x)); all five energies use
     the same frozen grid and the same finite-difference pathway so the
     even-order discretization errors cancel in the stencil.
     """
-    if not isinstance(W, VariationField):
-        W = VariationField(W)
     cod = F.codomain
     w_nodes = W(grid.nodes)
     if not np.all(np.isfinite(w_nodes)):
@@ -216,25 +194,17 @@ def jacobi_identity_check(F, generator, grid):
     a trace of the second fundamental form.  Returns (second variation,
     trace-form integral); the two agree for harmonic maps.
     """
-    M = F.domain
-    if not isinstance(M, ComplexProjective):
-        raise GeometryError("symmetry directions need a complex projective domain")
-    a = np.asarray(generator, dtype=complex)
-
-    def rotated_killing(x):
-        return 1j * M.killing_field(a, x)
-
-    W = pushforward_field(F, rotated_killing)
+    W = symmetry_variation(F, generator)
     lhs = second_variation(F, W, grid)
 
-    x = grid.nodes
+    M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
     w_vals = W(x)
     fr = frame_at(M, x)
     total = np.zeros_like(w_vals)
     for i in range(M.dim):
         ei = fr[..., i, :]
         grad = 1j * M.killing_derivative(a, x, ei)
-        total = total + _alpha(F, x, grad, ei, SECOND_DIFF_STEP)
+        total = total + second_fundamental_form(F, x, grad, ei)
     integrand = -2.0 * real_inner(total, w_vals)
     rhs = float(np.sum(grid.weights * integrand))
     return lhs, rhs
@@ -247,17 +217,9 @@ def index_trace_over_symmetries(F, grid, basis):
     inner product, this trace vanishes at harmonic maps to compact
     symmetric targets.
     """
-    M = F.domain
-    if not isinstance(M, ComplexProjective):
-        raise GeometryError("symmetry directions need a complex projective domain")
     total = 0.0
     for a in basis:
-        aa = np.asarray(a, dtype=complex)
-
-        def rotated(x, aa=aa):
-            return 1j * M.killing_field(aa, x)
-
-        total += second_variation(F, pushforward_field(F, rotated), grid)
+        total += second_variation(F, symmetry_variation(F, a), grid)
     return total
 
 

@@ -6,6 +6,9 @@ derivatives are central differences pushed through the codomain
 logarithm, which keeps every computed vector an honest tangent vector.
 Pullback Gram matrices, quadrature grids, and exact low-degree
 unit-tangent designs live here as well.
+
+A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
+once per (salt, unitary), read-only, and gone with the grid.
 """
 
 import math
@@ -102,29 +105,32 @@ def frame_at(M, x, unitary=False):
     return f[0] if x.ndim == 1 else f
 
 
+def log_probes(F, x, v, h, y0=None):
+    """log_{F(x)} F(exp_x(h v)) and log_{F(x)} F(exp_x(-h v)), and where both
+    are defined; `y0` is F(x) when the caller already has it."""
+    dom, cod = F.domain, F.codomain
+    y0 = F(x) if y0 is None else y0
+    vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
+    vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
+    return vp, vm, okp & okm
+
+
 def differential_columns(F, x, frames, h=DEFAULT_FD_STEP):
     """Pushforwards of the frame vectors, (..., dim, amb_cod), with validity mask.
 
     Uses the analytic differential when available, else central
     differences through the codomain logarithm.
     """
-    d = frames.shape[-2]
-    xb = np.broadcast_to(x[..., None, :], frames.shape[:-1] + (x.shape[-1],))
     if F.differential is not None:
-        cols = F.differential(xb, frames)
-        return cols, np.ones(x.shape[:-1], dtype=bool)
-    dom, cod = F.domain, F.codomain
+        xb = np.broadcast_to(x[..., None, :], frames.shape[:-1] + (x.shape[-1],))
+        return F.differential(xb, frames), np.ones(x.shape[:-1], dtype=bool)
     y0 = F(x)
     cols = []
     ok = np.ones(x.shape[:-1], dtype=bool)
-    for i in range(d):
-        e = frames[..., i, :]
-        yp = F(dom.exp(x, h * e))
-        ym = F(dom.exp(x, -h * e))
-        vp, okp = cod.log_masked(y0, yp)
-        vm, okm = cod.log_masked(y0, ym)
+    for i in range(frames.shape[-2]):
+        vp, vm, ok_i = log_probes(F, x, frames[..., i, :], h, y0)
         cols.append((vp - vm) / (2.0 * h))
-        ok &= okp & okm
+        ok &= ok_i
     return np.stack(cols, axis=-2), ok
 
 
@@ -159,6 +165,7 @@ class QuadratureGrid:
     scheme: str
     resolution: int
     seed: int = 0
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def total_mass(self):
@@ -211,10 +218,11 @@ def _mesh_grid(M, level, seed):
 
 
 def grid_frames(grid, salt=0, unitary=False):
-    """Deterministic frames at the grid nodes, derived from the grid seed."""
-    rng = spawn(grid.seed, 1000 + salt)
-    M = grid.manifold
-    return unitary_frames(M, grid.nodes, rng) if unitary else random_frames(M, grid.nodes, rng)
+    """Deterministic frames at the grid nodes, derived from the grid seed:
+    drawn once per (salt, unitary) and kept, read-only, on the grid."""
+    draw = unitary_frames if unitary else random_frames
+    return meshes.kept(grid.derived, (salt, bool(unitary)),
+                       lambda: draw(grid.manifold, grid.nodes, spawn(grid.seed, 1000 + salt)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,22 +4,33 @@ Meshes are subdivided icosahedra.  Subdivision normalizes edge midpoints,
 so every level keeps the exact antipodal symmetry of the icosahedron;
 vertex quadrature weights come from spherical triangle areas and sum to
 4*pi up to roundoff.
+
+A `SphereMesh` owns the arrays derived from it (cotangent weights,
+vertex areas, the antipodal permutation, flattened triangles): each is
+computed on the first call for a mesh object, kept on it and returned
+read-only.  Meshes compare by identity, and `icosphere` keeps one mesh
+per level.
 """
 
+import functools
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tables
+from .manifolds import sphere
+
+# side products and determinants below this count as degenerate
+DEGENERATE_GUARD = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class SphereMesh:
     vertices: np.ndarray  # (V, 3) unit
     triangles: np.ndarray  # (T, 3) int
     level: int
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_vertices(self):
@@ -39,24 +50,14 @@ def icosahedron():
         v.append((b, 0.0, a))
     v = np.array(v)
     v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    # faces by nearest-neighbor adjacency of the 12 vertices
-    d = v @ v.T
-    adj = d > 0.3
+    # faces: sorted triples of pairwise nearest neighbors, oriented outward
+    adj = v @ v.T > 0.3
     np.fill_diagonal(adj, False)
-    faces = set()
-    for i in range(12):
-        for j in range(i + 1, 12):
-            if not adj[i, j]:
-                continue
-            for k in range(j + 1, 12):
-                if adj[i, k] and adj[j, k]:
-                    faces.add((i, j, k))
-    faces = np.array(sorted(faces))
-    # orient faces outward
-    for f in faces:
-        a, b, c = v[f]
-        if np.dot(np.cross(b - a, c - a), a + b + c) < 0:
-            f[1], f[2] = f[2], f[1]
+    i, j, k = np.nonzero(adj[:, :, None] & adj[:, None, :] & adj[None, :, :])
+    faces = np.stack([i, j, k], axis=1)[(i < j) & (j < k)]
+    a, b, c = v[faces].transpose(1, 0, 2)
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
     return v, faces
 
 
@@ -81,7 +82,7 @@ def _subdivide(vertices, faces):
     return np.array(verts), np.array(out)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def icosphere(level):
     """Icosahedral mesh after `level` rounds of midpoint subdivision."""
     v, f = icosahedron()
@@ -100,13 +101,30 @@ def spherical_triangle_areas(vertices, triangles):
     return 2.0 * np.arctan2(num, den)
 
 
+def kept(cache, key, derive):
+    """`cache[key]`, set to the read-only arrays of `derive()` on first use."""
+    if key not in cache:
+        value = derive()
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+        cache[key] = value
+    return cache[key]
+
+
+def _derived(derive):
+    """`derive(mesh)`, computed once per mesh object and kept on the mesh."""
+    @functools.wraps(derive)
+    def get(mesh):
+        return kept(mesh.derived, derive.__name__, lambda: derive(mesh))
+    return get
+
+
+@_derived
 def vertex_areas(mesh):
     """Lumped vertex weights: one third of each incident spherical triangle."""
-    areas = spherical_triangle_areas(mesh.vertices, mesh.triangles)
-    w = np.zeros(len(mesh.vertices))
-    for k in range(3):
-        np.add.at(w, mesh.triangles[:, k], areas / 3.0)
-    return w
+    thirds = spherical_triangle_areas(mesh.vertices, mesh.triangles) / 3.0
+    # corner by corner, in triangle order
+    return np.bincount(mesh.triangles.T.ravel(), np.tile(thirds, 3), len(mesh.vertices))
 
 
 def mesh_edges(triangles):
@@ -120,6 +138,12 @@ def geodesic_edge_lengths(vertices, pairs):
     return np.arccos(c)
 
 
+def law_of_cosines(opp, s1, s2):
+    """Cosine of the angle between sides s1 and s2, opposite the side opp."""
+    return (s1**2 + s2**2 - opp**2) / np.maximum(2.0 * s1 * s2, DEGENERATE_GUARD)
+
+
+@_derived
 def cotangent_weights(mesh):
     """Per-edge cotangent weights from intrinsic (geodesic) edge lengths.
 
@@ -132,8 +156,7 @@ def cotangent_weights(mesh):
     a, b, c = (geodesic_edge_lengths(mesh.vertices, tri[:, p]) for p in ([1, 2], [2, 0], [0, 1]))
 
     def cot_opposite(opp, s1, s2):
-        cos_a = (s1**2 + s2**2 - opp**2) / (2.0 * s1 * s2)
-        cos_a = np.clip(cos_a, -1.0, 1.0)
+        cos_a = np.clip(law_of_cosines(opp, s1, s2), -1.0, 1.0)
         return cos_a / np.sqrt(np.maximum(1.0 - cos_a**2, 1e-300))
 
     cots = np.concatenate([cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)])
@@ -143,6 +166,7 @@ def cotangent_weights(mesh):
     return pairs, np.bincount(index.reshape(-1), weights=0.5 * cots, minlength=len(pairs))
 
 
+@_derived
 def antipodal_permutation(mesh):
     """Index permutation sending each vertex to its exact antipode."""
     v = mesh.vertices
@@ -152,6 +176,41 @@ def antipodal_permutation(mesh):
     if not np.array_equal(v[perm], -v):
         raise ValueError("mesh is not antipodally symmetric")
     return perm
+
+
+def triangle_sides(points, triangles, space):
+    """Distances in `space` along the sides ab, bc, ca of each triangle."""
+    a, b, c = points[triangles[:, 0]], points[triangles[:, 1]], points[triangles[:, 2]]
+    return space.distance(a, b), space.distance(b, c), space.distance(c, a)
+
+
+def plant_triangles(l_ab, l_bc, l_ca):
+    """Side matrices, columns ab and ac, of the Euclidean triangles with the
+    given side lengths, and where the lengths violate the triangle inequality."""
+    cos_a = law_of_cosines(l_bc, l_ab, l_ca)
+    bad = np.abs(cos_a) > 1.0 + 1e-9
+    cos_a = np.clip(cos_a, -1.0, 1.0)
+    sin_a = np.sqrt(np.maximum(1.0 - cos_a**2, 0.0))
+    e1 = np.stack([l_ab, np.zeros_like(l_ab)], axis=-1)
+    e2 = np.stack([l_ca * cos_a, l_ca * sin_a], axis=-1)
+    return np.stack([e1, e2], axis=-1), bad
+
+
+@_derived
+def flat_triangles(mesh):
+    """(inverses, degenerate, areas) of the triangles flattened by their sides.
+
+    Sides are geodesic lengths on the unit sphere.  `inverses` holds the
+    inverse of each side matrix, or its adjugate where `degenerate` flags
+    a failed flattening or |det| below the guard; `areas` holds the
+    spherical areas.
+    """
+    P, bad = plant_triangles(*triangle_sides(mesh.vertices, mesh.triangles, sphere(2)))
+    det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
+    degenerate = bad | (np.abs(det) < DEGENERATE_GUARD)
+    adjugate = np.stack([P[..., 1, 1], -P[..., 0, 1], -P[..., 1, 0], P[..., 0, 0]], axis=-1)
+    inverses = adjugate.reshape(-1, 2, 2) / np.where(degenerate, 1.0, det)[:, None, None]
+    return inverses, degenerate, spherical_triangle_areas(mesh.vertices, mesh.triangles)
 
 
 def mesh_to_csv(mesh, path):

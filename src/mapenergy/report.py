@@ -46,11 +46,10 @@ from .energy import croke_density, elementary_bound, p_energy, surface_area
 from .flow import conformality_defect, flow_minimize, sample_map
 from .harmonic import (
     hermitian_residual,
-    index_trace_over_symmetries,
     jacobi_identity_check,
     pluriharmonic_residual,
-    pushforward_field,
     second_variation,
+    symmetry_variation,
     tension,
 )
 from .intgeo import (
@@ -225,6 +224,18 @@ def _chord_graph(mesh):
     return np.stack([i, j], axis=1), np.arccos(dots)
 
 
+def _conformal_weight(weight, mesh):
+    """A positive conformal weight, callable or constant, at the mesh vertices."""
+    n = len(mesh.vertices)
+    mu = (np.asarray(weight(mesh.vertices), dtype=float) if callable(weight)
+          else np.full(n, float(weight)))
+    if mu.shape != (n,):
+        raise GeometryError("weight must produce one value per vertex")
+    if not np.all(mu > 0):
+        raise GeometryError("the conformal weight must be positive")
+    return mu
+
+
 def systole_rp2(weight, level=4):
     """Shortest noncontractible loop of the metric weight * round on RP^2.
 
@@ -241,14 +252,7 @@ def systole_rp2(weight, level=4):
     """
     mesh = icosphere(level)
     perm = antipodal_permutation(mesh)
-    if callable(weight):
-        mu = np.asarray(weight(mesh.vertices), dtype=float)
-    else:
-        mu = float(weight) * np.ones(len(mesh.vertices))
-    if mu.shape != (len(mesh.vertices),):
-        raise GeometryError("weight must produce one value per vertex")
-    if not np.all(mu > 0):
-        raise GeometryError("the conformal weight must be positive")
+    mu = _conformal_weight(weight, mesh)
     if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
         raise GeometryError("the conformal weight must be antipodally even")
     pairs, lengths = _chord_graph(mesh)
@@ -270,13 +274,7 @@ def systole_rp2(weight, level=4):
 def conformal_area_rp2(weight, level=5):
     """Area of the metric weight * round on RP^2 by mesh quadrature."""
     mesh = icosphere(level)
-    if callable(weight):
-        mu = np.asarray(weight(mesh.vertices), dtype=float)
-    else:
-        mu = float(weight) * np.ones(len(mesh.vertices))
-    if not np.all(mu > 0):
-        raise GeometryError("the conformal weight must be positive")
-    return float(0.5 * np.sum(vertex_areas(mesh) * mu))
+    return float(0.5 * np.sum(vertex_areas(mesh) * _conformal_weight(weight, mesh)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +429,13 @@ def _run_croke(seed, pairs):
 @_experiment("bounds-identity", "nodes", 100000, 5e-3)
 def _run_bounds_identity(seed, nodes, p=None):
     """Identity maps saturate the closed-form p-energy bounds."""
-    p_complex = (2.0, 3.0, 4.0) if p is None else (p,)
-    p_real = (1.0, 2.0, 4.0) if p is None else (p,)
+    if p is None:
+        p_complex, p_real = (2.0, 3.0, 4.0), (1.0, 2.0, 4.0)
+    else:  # the CP^N bound holds for p >= 2, the RP^n bound for p >= 1
+        p_complex, p_real = (p,) if p >= 2.0 else (), (p,)
     worst = 0.0
     checked = []
-    for N in (1, 2):
+    for N in (1, 2) if p_complex else ():
         M = complex_projective(N)
         grid = build_grid(M, nodes, "monte_carlo", seed=seed + N)
         for q in p_complex:
@@ -632,13 +632,9 @@ def _run_trace_ii(seed, level):
     grid = build_grid(M, level, "mesh")
     scale = p_energy(F, grid, p=2.0).value
     basis = su_basis(2)
-    variations = [
-        second_variation(
-            F, pushforward_field(F, lambda x, a=a: M.complex_structure(
-                x, M.killing_field(a, x))), grid)
-        for a in basis
-    ]
-    trace = index_trace_over_symmetries(F, grid, basis)
+    variations = [second_variation(F, symmetry_variation(F, a), grid) for a in basis]
+    # index_trace_over_symmetries(F, grid, basis), without recomputing its terms
+    trace = sum(variations)
     worst = max(max(abs(v) for v in variations), abs(trace)) / scale
     inputs = {"variations": [float(v) for v in variations],
               "trace": float(trace), "energy": float(scale)}

@@ -222,7 +222,7 @@ def test_criterion_12_structural_property_suite():
     fy = frame_at(cp1, y)
     a_vw = second_fundamental_form(base, y, fy[..., 0, :], fy[..., 1, :])
     a_wv = second_fundamental_form(base, y, fy[..., 1, :], fy[..., 0, :])
-    sym_dev = float(np.max(np.abs(a_vw.value - a_wv.value)))
+    sym_dev = float(np.max(np.abs(a_vw - a_wv)))
     ok = sym_dev < 1e-12
     all_ok = all_ok and ok
     notes.append(f"second-form symmetry {sym_dev:.1e}")

@@ -346,6 +346,29 @@ def test_curve_length_chord_fallback_on_jumps():
     assert curve_length(F, loop, steps=256) == pytest.approx(np.pi, abs=1e-9)
 
 
+def test_curve_length_of_an_analytic_map_measures_no_chords(monkeypatch):
+    # every segment has a valid differential, so no chord is needed
+    M = real_projective(2)
+    F = homothety_map(M, real_projective(2, 1.7))
+
+    def no_chords(x, y):
+        raise AssertionError("a chord was measured")
+
+    monkeypatch.setattr(F.codomain, "distance", no_chords)
+    assert curve_length(F, _GreatLoop(M)) == pytest.approx(1.7 * np.pi, abs=1e-6)
+
+
+def test_p_energy_on_a_reused_grid_equals_a_fresh_grid_bit_for_bit():
+    M = complex_projective(2)
+    F = make_projective_dilation(2, 2.0)
+    reused = build_grid(M, 300, seed=4)
+    p_energy(identity_map(M), reused, p=2.0)
+    for p in (2.0, 3.0):
+        again = p_energy(F, reused, p=p)
+        fresh = p_energy(F, build_grid(M, 300, seed=4), p=p)
+        assert (again.value, again.stderr) == (fresh.value, fresh.stderr)
+
+
 # ---------------------------------------------------------------------------
 # properties: the energy depends on neither the frames nor the codomain's position
 

@@ -18,6 +18,7 @@ from mapenergy.flow import (
 from mapenergy.harmonic import tension as fd_tension
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective, sphere
 from mapenergy.maps import MapObject, build_grid, compose, identity_map, normalized_linear_map
+from mapenergy import meshes
 from mapenergy.meshes import icosphere
 from mapenergy.rand import make_rng
 
@@ -165,6 +166,49 @@ def test_conformality_defect_examples():
     mesh = icosphere(3)
     imgs = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (len(mesh.vertices), 3)).copy()
     assert conformality_defect(MeshMap(mesh, s2, imgs)) == 0.0
+
+
+def _defect_by_whole_triangles(m, guard=1e-12):
+    """Reference: flatten the domain and the image triangles on every call."""
+    tri, v, f = m.mesh.triangles, m.mesh.vertices, m.images
+
+    def sides(points, space):
+        a, b, c = points[tri[:, 0]], points[tri[:, 1]], points[tri[:, 2]]
+        return space.distance(a, b), space.distance(b, c), space.distance(c, a)
+
+    def plant(l_ab, l_bc, l_ca):
+        cos_a = (l_ab**2 + l_ca**2 - l_bc**2) / np.maximum(2.0 * l_ab * l_ca, guard)
+        bad = np.abs(cos_a) > 1.0 + 1e-9
+        cos_a = np.clip(cos_a, -1.0, 1.0)
+        sin_a = np.sqrt(np.maximum(1.0 - cos_a**2, 0.0))
+        e1 = np.stack([l_ab, np.zeros_like(l_ab)], axis=-1)
+        e2 = np.stack([l_ca * cos_a, l_ca * sin_a], axis=-1)
+        return np.stack([e1, e2], axis=-1), bad
+
+    P, bad_dom = plant(*sides(v, s2))
+    Q, bad_img = plant(*sides(f, m.codomain))
+    det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
+    degenerate = bad_dom | bad_img | (np.abs(det) < guard)
+    Pinv = np.zeros_like(P)
+    safe_det = np.where(degenerate, 1.0, det)
+    Pinv[..., 0, 0] = P[..., 1, 1] / safe_det
+    Pinv[..., 1, 1] = P[..., 0, 0] / safe_det
+    Pinv[..., 0, 1] = -P[..., 0, 1] / safe_det
+    Pinv[..., 1, 0] = -P[..., 1, 0] / safe_det
+    s = np.linalg.svd(Q @ Pinv, compute_uv=False)
+    defect = np.abs(s[..., 0] - s[..., 1]) / (s[..., 0] + s[..., 1] + guard)
+    areas = meshes.spherical_triangle_areas(v, tri)
+    keep = ~degenerate
+    return float(np.sum(areas[keep] * defect[keep]) / float(np.sum(areas[keep])))
+
+
+def test_conformality_defect_equals_the_whole_triangle_computation():
+    bent = perturbed_identity(s2, magnitude=0.2, seed=0)
+    for level in range(4):
+        for m in (sample_map(identity_map(s2), level),
+                  sample_map(identity_map(rp2), level, antipodal_quotient=True),
+                  sample_map(bent, level)):
+            assert conformality_defect(m) == _defect_by_whole_triangles(m)
 
 
 # ---------------------------------------------------------------------------

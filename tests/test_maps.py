@@ -213,6 +213,18 @@ def test_grid_determinism_and_frames():
     np.testing.assert_array_equal(f1, f2)
 
 
+def test_grid_frames_are_drawn_once_per_salt_and_read_only():
+    g = build_grid(complex_projective(2), 50, seed=9)
+    f = grid_frames(g, salt=4)
+    assert grid_frames(g, salt=4) is f
+    with pytest.raises(ValueError):
+        f[0, 0, 0] = 0.0
+    other = grid_frames(g, salt=5)
+    assert other is not f and not np.array_equal(other, f)
+    unitary = grid_frames(g, salt=4, unitary=True)
+    assert unitary is not f and grid_frames(g, salt=4, unitary=True) is unitary
+
+
 def test_hopf_chart_round_trip_and_isometry():
     M = complex_projective(1)
     rng = make_rng(53)

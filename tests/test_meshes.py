@@ -94,3 +94,33 @@ def test_mesh_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.vertices, m.vertices)
     np.testing.assert_array_equal(back.triangles, m.triangles)
     assert back.level == 1
+
+
+def test_mesh_geometry_is_computed_once_and_read_only():
+    m = meshes.icosphere(2)
+    for derive in (meshes.cotangent_weights, meshes.vertex_areas,
+                   meshes.antipodal_permutation, meshes.flat_triangles):
+        first, second = derive(m), derive(m)
+        assert second is first
+        for array in first if isinstance(first, tuple) else (first,):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+
+def test_a_separately_built_mesh_gets_its_own_geometry(tmp_path):
+    m = meshes.icosphere(1)
+    path = tmp_path / "mesh.csv"
+    meshes.mesh_to_csv(m, path)
+    back = meshes.mesh_from_csv(path)
+    assert back != m and meshes.icosphere(1) is m
+    for derive in (meshes.cotangent_weights, meshes.vertex_areas, meshes.antipodal_permutation):
+        mine, theirs = derive(back), derive(m)
+        assert mine is not theirs
+        for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (mine, theirs))):
+            assert a.tobytes() == b.tobytes()
+    # a mesh that shares level and triangles with a symmetric one is checked afresh
+    meshes.antipodal_permutation(m)
+    vertices = m.vertices.copy()
+    vertices[7, 0] = np.nextafter(vertices[7, 0], 2.0)
+    with pytest.raises(ValueError, match="antipodally symmetric"):
+        meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles, m.level))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mapenergy import harmonic, report as report_module
 from mapenergy.energy import elementary_bound, p_energy
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective
 from mapenergy.maps import build_grid
@@ -189,13 +190,37 @@ def test_unknown_experiment_and_parameters_are_usage_errors():
 
 
 def test_constituent_failure_yields_a_failed_report():
-    # p = 0.5 is outside the complex bound's validity range, so the
+    # p = 0.5 is outside the real bound's validity range, so the
     # pipeline fails internally; that must surface as a failed report.
     report = run_experiment({"name": "bounds-identity", "resolution": 500, "p": 0.5})
     assert not report.passed
     assert np.isnan(report.estimate)
     assert "error" in report.inputs
     assert report.inputs["nodes"] == 500 and report.inputs["seed"] == 0
+
+
+def test_bounds_identity_checks_the_bounds_that_hold_for_a_given_p():
+    # the RP^n bounds hold for p >= 1, the CP^N bounds only for p >= 2
+    low = run_experiment({"name": "bounds-identity", "resolution": 2000, "p": 1.5})
+    assert low.passed and low.inputs["checked"] == ["rp2-p1.5", "rp3-p1.5"]
+    high = run_experiment({"name": "bounds-identity", "resolution": 2000, "p": 2.5})
+    assert high.passed
+    assert high.inputs["checked"] == ["cp1-p2.5", "cp2-p2.5", "rp2-p2.5", "rp3-p2.5"]
+
+
+def test_trace_ii_computes_each_symmetry_variation_once(monkeypatch):
+    calls = []
+    for module in (report_module, harmonic):
+        original = module.second_variation
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "second_variation", counted)
+    rep = run_experiment({"name": "trace-II", "resolution": 3})
+    assert rep.passed and len(calls) == 3
+    assert rep.inputs["trace"] == sum(rep.inputs["variations"])
 
 
 def test_programming_errors_propagate(monkeypatch):

@@ -2,7 +2,7 @@
 
 Modules
 -------
-manifolds      Spheres and their antipodal quotients, complex projective spaces, products.
+manifolds      Spheres and their antipodal quotients, complex projective spaces.
 maps           Map objects, differentials, pullback metrics, quadrature grids.
 energy         p-energy functionals, direction-averaged densities, volumes.
 intgeo         Measures on geodesics and projective lines; averaging formulas.

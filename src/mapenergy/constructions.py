@@ -10,7 +10,6 @@ identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .manifolds import (
     ComplexProjective,
     GeometryError,
     complex_projective,
-    product,
     real_projective,
     sphere,
 )
@@ -28,7 +26,6 @@ from .maps import (
     MapObject,
     build_grid,
     compose,
-    cp1_to_sphere,
     homothety_map,
     identity_map,
     normalized_linear_map,
@@ -188,30 +185,27 @@ def make_projective_dilation(N, lam):
     return normalized_linear_map(M, M, np.diag(scale), name=f"dilation-{lam:g}")
 
 
-def squeeze_limit(F, lambdas=(1.0, 2.0, 4.0, 8.0, 16.0), grid=None, line_resolution=4, seed=101):
-    """Energies of F after each dilation, plus the squeeze target.
+# level of the projective-line mesh that carries the restricted energy
+_LINE_LEVEL = 4
 
-    Returns (sequence, target) where target = C_N * E2(F restricted to
-    the reference line), C_N = pi^(N-1)/(N-1)!.  All sequence entries
-    share one quadrature grid so the trend is smooth in lam; no
+
+def squeeze_limit(F, grid, lambdas):
+    """2-energies of F after each dilation, and of F on the reference line.
+
+    Returns (energies, restricted): one `EnergyValue` per lam in
+    `lambdas`, all on `grid` so the trend is smooth in lam, and the
+    2-energy of F restricted to the reference line.  As lam grows the
+    energies descend to C_N * restricted, C_N = pi^(N-1)/(N-1)!; no
     convergence assertion is made here.
     """
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("squeeze limits need a complex projective domain")
-    N = M.N
-    if grid is None:
-        grid = build_grid(M, 20000, "monte_carlo", seed=seed)
-    seq = np.array(
-        [
-            p_energy(compose(F, make_projective_dilation(N, lam)), grid, p=2.0).value
-            for lam in lambdas
-        ]
-    )
-    line_grid = build_grid(complex_projective(1), line_resolution, "mesh")
-    restricted = p_energy(compose(F, reference_line(N).embedding), line_grid, p=2.0)
-    c_n = np.pi ** (N - 1) / math.factorial(N - 1)
-    return seq, float(c_n * restricted.value)
+    energies = [p_energy(compose(F, make_projective_dilation(M.N, lam)), grid, p=2.0)
+                for lam in lambdas]
+    line_grid = build_grid(complex_projective(1), _LINE_LEVEL, "mesh")
+    restricted = p_energy(compose(F, reference_line(M.N).embedding), line_grid, p=2.0)
+    return energies, float(restricted.value)
 
 
 # ---------------------------------------------------------------------------
@@ -308,63 +302,6 @@ def make_capped_theta(t):
 # standard catalog
 
 
-def cp1_round_sphere_map(r=1.0):
-    """Isometry-up-to-scale from the complex projective line to a round
-    2-sphere of radius r (the line itself is the round sphere of radius 1/2)."""
-    M = complex_projective(1)
-    S = sphere(2, r)
-
-    def ev(z):
-        return cp1_to_sphere(z)
-
-    def diff(z, v):
-        a, b = z[..., 0], z[..., 1]
-        va, vb = v[..., 0], v[..., 1]
-        cross = np.conj(va) * b + np.conj(a) * vb
-        rep_vel = np.stack(
-            [
-                2.0 * (np.conj(a) * va - np.conj(b) * vb).real,
-                2.0 * cross.real,
-                2.0 * cross.imag,
-            ],
-            axis=-1,
-        )
-        return r * rep_vel
-
-    return MapObject(M, S, ev, differential=diff, name="round-chart")
-
-
-def product_lift(f, r):
-    """Pair a map from a 2-sphere-like domain with a shrink onto S^2(r).
-
-    The lifted map x -> (f(x), shrink(x)) embeds the domain as a graph;
-    its energy splits as E2(f) + E2(shrink) and its pullback area tends
-    to the pullback area of f as r -> 0.
-    """
-    dom = f.domain
-    if dom.kind == "sphere" and dom.n == 2:
-        second = homothety_map(dom, sphere(2, r))
-    elif isinstance(dom, ComplexProjective) and dom.N == 1:
-        second = cp1_round_sphere_map(r)
-    else:
-        raise GeometryError("product lifts need a 2-sphere or projective-line domain")
-    cod = product(f.codomain, second.codomain)
-
-    def ev(x):
-        ya = np.asarray(f(x))
-        yb = np.asarray(second(x))
-        return cod._assemble([ya, yb], x.shape)
-
-    diff = None
-    if f.differential is not None:
-        def diff(x, v):
-            wa = np.asarray(f.differential(x, v))
-            wb = np.asarray(second.differential(x, v))
-            return cod._assemble([wa, wb], x.shape)
-
-    return MapObject(dom, cod, ev, differential=diff, name=f"{f.name}-lift-{r:g}")
-
-
 def conjugation_map(N):
     """The antiholomorphic involution [z] -> [conj(z)]."""
     M = complex_projective(N)
@@ -395,7 +332,6 @@ MAP_CATALOG = {
     "inclusion_cp": lambda k, N: _inclusion(complex_projective, k, N, complex, "cp"),
     "double_cover": lambda: normalized_linear_map(
         sphere(2), real_projective(2), np.eye(3), name="double-cover"),
-    "product_lift": lambda f, r: product_lift(f, float(r)),
     "homothety": lambda kappa, n=2: homothety_map(sphere(int(n)), sphere(int(n), float(kappa))),
     "conjugation": lambda N: conjugation_map(int(N)),
 }

@@ -20,11 +20,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import tables
 from .manifolds import GeometryError, real_projective, sphere
-from .maps import MapObject
 from .meshes import (
     DEGENERATE_GUARD,
     antipodal_permutation,
@@ -191,61 +189,6 @@ def conformality_defect(m):
     if total == 0.0:
         raise GeometryError("all triangles degenerate")
     return float(np.sum(areas[keep] * defect[keep]) / total)
-
-
-# ---------------------------------------------------------------------------
-# interpolation back to an analytic-style map
-
-
-def _barycentric(tri_inverses, candidates, x):
-    lam = np.einsum("...kij,...j->...ki", tri_inverses[candidates], x)
-    quality = np.min(lam, axis=-1)
-    best = np.argmax(quality, axis=-1)
-    take = np.arange(len(x)), best
-    return candidates[take], lam[take], quality[take]
-
-
-def interpolate(m):
-    """Piecewise map from barycentric intrinsic averaging of vertex images.
-
-    Locates the mesh triangle containing each query point, then takes
-    the weighted Karcher mean (three fixed-point iterations of exp/log
-    averaging) of the three vertex images.
-    """
-    mesh, cod = m.mesh, m.codomain
-    tri = mesh.triangles
-    corners = mesh.vertices[tri]
-    inverses = np.linalg.inv(np.swapaxes(corners, -2, -1))
-    centroids = corners.mean(axis=1)
-    centroids /= np.linalg.norm(centroids, axis=-1, keepdims=True)
-    tree = cKDTree(centroids)
-    images = m.images
-    domain = m.domain
-
-    def ev(x):
-        flat = x.reshape(-1, 3)
-        _, cand = tree.query(flat, k=min(12, len(tri)))
-        if cand.ndim == 1:
-            cand = cand[:, None]
-        idx, lam, quality = _barycentric(inverses, cand, flat)
-        misses = quality < -1e-9
-        if np.any(misses):
-            all_cand = np.broadcast_to(np.arange(len(tri)), (int(np.sum(misses)), len(tri)))
-            idx_m, lam_m, _ = _barycentric(inverses, all_cand, flat[misses])
-            idx[misses], lam[misses] = idx_m, lam_m
-        lam = np.clip(lam, 0.0, None)
-        lam /= np.sum(lam, axis=-1, keepdims=True)
-        pts = images[tri[idx]]
-        start = np.argmax(lam, axis=-1)
-        y = pts[np.arange(len(flat)), start]
-        for _ in range(3):
-            vecs, ok = cod.log_masked(y[:, None, :], pts)
-            if not np.all(ok):
-                raise GeometryError("interpolation spans the codomain cut locus")
-            y = cod.exp(y, np.sum(lam[..., None] * vecs, axis=1))
-        return y.reshape(x.shape[:-1] + (cod.ambient_dim,))
-
-    return MapObject(domain, cod, ev, smoothness="lipschitz", name="mesh-interpolant")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import MapObject, compose, differential_columns, frame_at, log_probes, pullback_gram
+from .maps import MapObject, compose, differential_columns, frame_at, log_probes
 
 SECOND_DIFF_STEP = 1e-3
 VARIATION_STEP = 1e-2
@@ -224,7 +224,7 @@ def index_trace_over_symmetries(F, grid, basis):
 
 
 # ---------------------------------------------------------------------------
-# fundamental 2-form and rank diagnostics
+# fundamental 2-form
 
 
 def fundamental_form_line_integral(F, line, grid):
@@ -251,18 +251,3 @@ def fundamental_form_line_integral(F, line, grid):
         raise CutLocusError("differential probe failed on the line grid")
     density = real_inner(cols[..., 0, :], cols[..., 0, :])
     return float(np.sum(w * density))
-
-
-def rank_profile(F, grid):
-    """Histogram of the numerical rank of dF over the grid nodes.
-
-    Eigenvalues above 1e-6 of the largest one count toward the rank;
-    entry k of the returned array is the number of nodes with rank k.
-    """
-    M = F.domain
-    fr = frame_at(M, grid.nodes)
-    gram, ok = pullback_gram(F, grid.nodes, fr)
-    ev = np.linalg.eigvalsh(gram)
-    top = ev[..., -1]
-    ranks = np.sum(ev > 1e-6 * top[..., None], axis=-1)
-    return np.bincount(ranks[ok], minlength=M.dim + 1)

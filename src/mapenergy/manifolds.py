@@ -12,8 +12,6 @@ Points live on the unit sphere of an ambient real or complex vector space:
   S^{2N+1}); representatives are unit vectors in C^{N+1} with the first
   nonzero coordinate real and positive, tangent vectors are horizontal
   lifts.
-* ``Product`` -- finite products with the Euclidean combination of
-  factor distances.
 
 All operations broadcast over leading batch axes; the ambient coordinate
 axis is always the last one.
@@ -80,7 +78,7 @@ class ModelManifold:
     The sphere, its quotient and CP^N share exp, log and distance: each
     keeps unit representatives on the sphere of `radius`, and its
     `_fold(x, y)` gives the representative y' of y nearest x with c =
-    <x, y'>.  Products override all three.
+    <x, y'>.
     """
 
     kind = "abstract"
@@ -283,85 +281,6 @@ class ComplexProjective(ModelManifold):
         return self.project_tangent(x, aw) - _dot(x, np.einsum("ij,...j->...i", a, x))[..., None] * w
 
 
-class Product(ModelManifold):
-    kind = "product"
-
-    def __init__(self, factors):
-        if not factors:
-            raise GeometryError("need at least one factor")
-        self.factors = tuple(factors)
-        self.dim = sum(f.dim for f in self.factors)
-        self.ambient_dim = sum(f.ambient_dim for f in self.factors)
-        self.volume = math.prod(f.volume for f in self.factors)
-        self.cut_distance = min(f.cut_distance for f in self.factors)
-        self.is_complex = any(f.is_complex for f in self.factors)
-        self.dtype = np.complex128 if self.is_complex else np.float64
-        self.slices = []
-        lo = 0
-        for f in self.factors:
-            self.slices.append(slice(lo, lo + f.ambient_dim))
-            lo += f.ambient_dim
-
-    def __repr__(self):
-        return "Product(" + ", ".join(repr(f) for f in self.factors) + ")"
-
-    def _blocks(self, x):
-        return [self._cast(x[..., s], f) for f, s in zip(self.factors, self.slices)]
-
-    @staticmethod
-    def _cast(block, factor):
-        if factor.is_complex:
-            return block.astype(np.complex128, copy=False)
-        return block.real if np.iscomplexobj(block) else block
-
-    def _assemble(self, blocks, shape=None):
-        lead = np.broadcast_shapes(*[b.shape[:-1] for b in blocks])
-        out = np.zeros(lead + (self.ambient_dim,), dtype=self.dtype)
-        for b, s in zip(blocks, self.slices):
-            out[..., s] = b
-        return out
-
-    def canonicalize_with_factor(self, x):
-        blocks = []
-        for f, b in zip(self.factors, self._blocks(x)):
-            blocks.append(f.canonicalize(b))
-        return self._assemble(blocks, x.shape), np.ones(x.shape[:-1], dtype=self.dtype)
-
-    def project_tangent(self, x, u):
-        xb = self._blocks(x)
-        ub = self._blocks(u)
-        return self._assemble([f.project_tangent(a, b) for f, a, b in zip(self.factors, xb, ub)], x.shape)
-
-    def exp(self, x, v):
-        xb = self._blocks(x)
-        vb = self._blocks(v)
-        return self._assemble([f.exp(a, b) for f, a, b in zip(self.factors, xb, vb)], x.shape)
-
-    def log_masked(self, x, y):
-        xb = self._blocks(x)
-        yb = self._blocks(y)
-        vs, ok = [], True
-        for f, a, b in zip(self.factors, xb, yb):
-            v, m = f.log_masked(a, b)
-            vs.append(v)
-            ok = np.logical_and(ok, m)
-        return self._assemble(vs, x.shape), ok
-
-    def distance(self, x, y):
-        xb = self._blocks(x)
-        yb = self._blocks(y)
-        d2 = 0.0
-        for f, a, b in zip(self.factors, xb, yb):
-            d2 = d2 + f.distance(a, b) ** 2
-        return np.sqrt(d2)
-
-    def random_point(self, rng, size=()):
-        if isinstance(size, int):
-            size = (size,)
-        blocks = [f.random_point(rng, size) for f in self.factors]
-        return self._assemble(blocks, size + (self.ambient_dim,))
-
-
 def sphere(n, r=1.0):
     return Sphere(n, r)
 
@@ -374,24 +293,8 @@ def complex_projective(N):
     return ComplexProjective(N)
 
 
-def product(*factors):
-    return Product(factors)
-
-
 # ---------------------------------------------------------------------------
 # Lie algebra helpers for isometry groups.
-
-def so_basis(m):
-    """Basis of so(m), orthonormal for the Frobenius inner product -tr(XY)."""
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = np.zeros((m, m))
-            a[i, j] = 1.0 / math.sqrt(2.0)
-            a[j, i] = -1.0 / math.sqrt(2.0)
-            out.append(a)
-    return out
-
 
 def su_basis(m):
     """Basis of su(m) (skew-Hermitian traceless), Frobenius-orthonormal.
@@ -419,15 +322,3 @@ def su_basis(m):
         a = np.diag(1j * d / math.sqrt(k * (k + 1.0)))
         out.append(a)
     return out
-
-
-def pluriharmonic_generator(M, x, e):
-    """Element of u(N+1) whose Killing field vanishes at x with derivative J on C e.
-
-    For a unit horizontal e at x the generated field V satisfies
-    V(x) = 0, grad_e V = J e, grad_{J e} V = -e, and grad_{e'} V = 0 for
-    horizontal e' complex-orthogonal to e.
-    """
-    if not isinstance(M, ComplexProjective):
-        raise GeometryError("defined for complex projective targets only")
-    return 1j * np.outer(e, e.conj())

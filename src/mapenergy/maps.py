@@ -11,7 +11,7 @@ A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
 once per (salt, unitary), read-only, and gone with the grid.
 """
 
-import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +20,6 @@ from . import meshes, tables
 from .manifolds import (
     ComplexProjective,
     GeometryError,
-    Product,
     real_inner,
     sphere_volume,
 )
@@ -175,45 +174,41 @@ class QuadratureGrid:
         return len(self.weights)
 
 
+# least resolution of each grid scheme: a node count, or a subdivision level
+_LEAST_RESOLUTION = {"monte_carlo": 1, "mesh": 0}
+
+
 def build_grid(M, resolution, scheme="monte_carlo", seed=0):
     """Quadrature grid integrating to the manifold volume.
 
     monte_carlo:    `resolution` uniform nodes, equal weights
     mesh:           subdivided icosahedron at level `resolution`
                     (2-spheres, RP^2, and CP^1 via the Hopf chart)
-    product_angles: tensor product of factor grids on product manifolds
+
+    `resolution` is an integer, at least 1 for monte_carlo and 0 for mesh.
     """
-    if scheme == "monte_carlo":
-        rng = make_rng(seed)
-        nodes = M.random_point(rng, int(resolution))
-        w = np.full(len(nodes), M.volume / len(nodes))
-        return QuadratureGrid(M, nodes, w, scheme, int(resolution), seed)
+    if scheme not in _LEAST_RESOLUTION:
+        raise GeometryError(f"unknown grid scheme {scheme!r}")
+    least = _LEAST_RESOLUTION[scheme]
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < least:
+        raise GeometryError(f"a {scheme} grid needs an integer resolution >= {least}, got {resolution!r}")
+    resolution = int(resolution)
     if scheme == "mesh":
         return _mesh_grid(M, resolution, seed)
-    if scheme == "product_angles":
-        if not isinstance(M, Product):
-            raise GeometryError("product_angles grids require a product manifold")
-        parts = [build_grid(f, resolution, "monte_carlo", seed + 31 * i) for i, f in enumerate(M.factors)]
-        idx = np.meshgrid(*[np.arange(len(p)) for p in parts], indexing="ij")
-        nodes = np.concatenate(
-            [p.nodes[i.ravel()] for p, i in zip(parts, idx)], axis=-1
-        ).astype(M.dtype)
-        w = np.ones(idx[0].size)
-        for p, i in zip(parts, idx):
-            w = w * p.weights[i.ravel()]
-        return QuadratureGrid(M, nodes, w, scheme, int(resolution), seed)
-    raise GeometryError(f"unknown grid scheme {scheme!r}")
+    nodes = M.random_point(make_rng(seed), resolution)
+    w = np.full(resolution, M.volume / resolution)
+    return QuadratureGrid(M, nodes, w, scheme, resolution, seed)
 
 
 def _mesh_grid(M, level, seed):
-    mesh = meshes.icosphere(int(level))
+    mesh = meshes.icosphere(level)
     areas = meshes.vertex_areas(mesh)
     if M.kind in ("sphere", "real_projective") and M.n == 2:
         nodes = M.canonicalize(mesh.vertices)
-        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh", int(level), seed)
+        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh", level, seed)
     if isinstance(M, ComplexProjective) and M.N == 1:
         nodes = M.canonicalize(cp1_from_sphere(mesh.vertices))
-        return QuadratureGrid(M, nodes, 0.25 * areas, "mesh", int(level), seed)
+        return QuadratureGrid(M, nodes, 0.25 * areas, "mesh", level, seed)
     raise GeometryError(f"no mesh scheme for {M!r}")
 
 

@@ -2,8 +2,8 @@
 
 Three layers live here.  `BoundSpec` / `eval_bound` turn a handful of
 closed-form lower bounds for p-energies into callable arithmetic, with
-the geometric inputs (target areas, geodesic lengths, per-plane
-energies) supplied by the caller rather than computed.  `systole_rp2`
+the geometric inputs (target areas, geodesic lengths, systoles)
+supplied by the caller rather than computed.  `systole_rp2`
 estimates the shortest noncontractible loop of a conformal metric on the
 projective plane from a weighted graph geodesic search.  The experiment
 registry maps stable string names to end-to-end numerical checks, each
@@ -38,11 +38,11 @@ from .constructions import (
     make_theta,
     perturbed_identity,
     random_curve,
-    reference_line,
+    squeeze_limit,
     standard_maps,
     veronese_curve,
 )
-from .energy import croke_density, elementary_bound, p_energy, surface_area
+from .energy import croke_density, p_energy, surface_area
 from .flow import conformality_defect, flow_minimize, sample_map
 from .harmonic import (
     hermitian_residual,
@@ -69,7 +69,6 @@ from .manifolds import (
 )
 from .maps import (
     build_grid,
-    compose,
     frame_at,
     homothety_map,
     identity_map,
@@ -104,10 +103,7 @@ _BOUNDS = {
     "CPN_P": _cpn_p,
     "RPN_P": _rpn_p,
     "INFIMUM": lambda N, area: float(np.pi ** (int(N) - 1) / math.factorial(int(N) - 1) * area),
-    "RP3_INTERVAL": lambda plane_energy: (float(0.75 * np.pi * plane_energy),
-                                          float(np.pi * plane_energy)),
     "PU": lambda area, systole: float(area - (2.0 / np.pi) * systole**2),
-    "ELEMENTARY": lambda p, n, vol, pvol: elementary_bound(p, n, vol, pvol),
 }
 
 
@@ -129,17 +125,10 @@ class BoundSpec:
     ``INFIMUM``      N, area              sharp 2-energy infimum for maps
                                           of CP^N with image-class area
                                           as given.
-    ``RP3_INTERVAL`` plane_energy         two-sided bracket for the
-                                          2-energy of maps of RP^3 whose
-                                          restrictions to projective
-                                          planes have average energy at
-                                          least plane_energy.
     ``PU``           area, systole        slack of the round-metric
                                           systolic inequality on RP^2.
-    ``ELEMENTARY``   p >= n, vol, pvol    Hoelder bound from the pullback
-                                          volume alone.
 
-    The numbers `area`, `length`, `plane_energy` are inputs with
+    The numbers `area`, `length`, `systole` are inputs with
     documented provenance, never computed here: this module evaluates
     bounds, it does not establish them.
     """
@@ -164,27 +153,18 @@ class BoundSpec:
                 value = self.params[key]
                 if int(value) != value or int(value) < 1:
                     raise GeometryError(f"{key} must be a positive integer")
-        for key in ("area", "length", "plane_energy", "systole", "vol"):
+        for key in ("area", "length", "systole"):
             if key in self.params and not self.params[key] > 0:
                 raise GeometryError(f"{key} must be positive")
-        if "pvol" in self.params and self.params["pvol"] < 0:
-            raise GeometryError("pvol must be nonnegative")
         p = self.params.get("p")
         if self.tag == "CPN_P" and p is not None and p < 2:
             raise GeometryError("the CPN_P bound needs p >= 2")
         if self.tag == "RPN_P" and p is not None and p < 1:
             raise GeometryError("the RPN_P bound needs p >= 1")
-        if self.tag == "ELEMENTARY" and p < self.params["n"]:
-            raise GeometryError("the ELEMENTARY bound needs p >= n")
-
-    @property
-    def strict(self):
-        """True when no map can attain the bound (p > 2 complex case)."""
-        return self.tag == "CPN_P" and self.params["p"] > 2
 
 
 def eval_bound(spec):
-    """Numeric value of a `BoundSpec` (a pair for RP3_INTERVAL)."""
+    """Numeric value of a `BoundSpec`."""
     return _BOUNDS[spec.tag](**spec.params)
 
 
@@ -497,24 +477,19 @@ def _run_squeeze(seed, nodes):
     grid = build_grid(complex_projective(2), nodes, "monte_carlo",
                       seed=seed + 3)
     lambdas = (1.0, 2.0, 4.0, 8.0, 16.0)
-    values, errors = [], []
-    for lam in lambdas:
-        ev = p_energy(compose(F, make_projective_dilation(2, lam)), grid, p=2.0)
-        values.append(ev.value)
-        errors.append(ev.stderr or 0.0)
+    energies, restricted = squeeze_limit(F, grid, lambdas)
+    values = [ev.value for ev in energies]
+    errors = [ev.stderr or 0.0 for ev in energies]
     for k in range(len(values) - 1):
         slack = 3.0 * (errors[k] + errors[k + 1])
         if values[k + 1] > values[k] + slack:
             raise GeometryError(
                 "squeeze sequence fails to decrease within sampling error"
             )
-    line_grid = build_grid(complex_projective(1), 4, "mesh")
-    restricted = p_energy(compose(F, reference_line(2).embedding), line_grid,
-                          p=2.0).value
     inputs = {"magnitude": 0.2,
               "lambdas": list(lambdas), "energies": [float(v) for v in values],
               "stderrs": [float(e) for e in errors],
-              "restricted_energy": float(restricted)}
+              "restricted_energy": restricted}
     return inputs, values[-1]
 
 

@@ -11,14 +11,13 @@ from mapenergy.constructions import (
     make_rational_curve,
     make_theta,
     perturbed_identity,
-    product_lift,
     random_curve,
     reference_line,
     squeeze_limit,
     standard_maps,
     veronese_curve,
 )
-from mapenergy.energy import p_energy, pullback_volume, surface_area
+from mapenergy.energy import p_energy, surface_area
 from mapenergy.manifolds import (
     GeometryError,
     complex_projective,
@@ -135,12 +134,16 @@ def test_dilation_fixes_reference_line_pointwise():
     assert np.max(np.linalg.norm(T(pts) - pts, axis=-1)) < 1e-12
 
 
+LAMBDAS = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
 def test_squeeze_limit_identity():
     M = complex_projective(2)
     grid = build_grid(M, 20000, "monte_carlo", seed=14)
-    seq, target = squeeze_limit(identity_map(M), grid=grid)
-    assert target == pytest.approx(np.pi**2, rel=1e-9)
-    np.testing.assert_allclose(seq, np.pi**2, rtol=0.01)
+    energies, restricted = squeeze_limit(identity_map(M), grid, LAMBDAS)
+    assert restricted == pytest.approx(np.pi, rel=1e-9)
+    np.testing.assert_allclose([ev.value for ev in energies], np.pi**2, rtol=0.01)
+    assert all(ev.stderr > 0 for ev in energies)
 
 
 def test_squeeze_limit_constant_map():
@@ -151,17 +154,18 @@ def test_squeeze_limit_constant_map():
         differential=lambda x, v: np.zeros_like(v), name="constant",
     )
     grid = build_grid(M, 2000, "monte_carlo", seed=15)
-    seq, target = squeeze_limit(F, grid=grid)
-    np.testing.assert_allclose(seq, 0.0, atol=1e-12)
-    assert target == pytest.approx(0.0, abs=1e-12)
+    energies, restricted = squeeze_limit(F, grid, LAMBDAS)
+    np.testing.assert_allclose([ev.value for ev in energies], 0.0, atol=1e-12)
+    assert restricted == pytest.approx(0.0, abs=1e-12)
 
 
 def test_squeeze_limit_perturbed_identity():
     M = complex_projective(2)
     F = perturbed_identity(M, magnitude=0.2, flavor="squeeze", seed=2)
     grid = build_grid(M, 100000, "monte_carlo", seed=16)
-    seq, target = squeeze_limit(F, grid=grid)
-    assert abs(seq[-1] - target) < 0.02 * target
+    energies, restricted = squeeze_limit(F, grid, LAMBDAS)
+    target = np.pi * restricted
+    assert abs(energies[-1].value - target) < 0.02 * target
 
 
 # ---------------------------------------------------------------------------
@@ -306,44 +310,11 @@ def test_conjugation_is_isometric():
 
 
 def test_catalog_rejects_unknown_keys():
-    with pytest.raises(GeometryError):
-        standard_maps("moebius")
+    for key in ("moebius", "product_lift"):
+        with pytest.raises(GeometryError, match="unknown catalog key"):
+            standard_maps(key)
     with pytest.raises(GeometryError):
         standard_maps("inclusion_rp", k=3, n=3)
-
-
-# ---------------------------------------------------------------------------
-# product lifts
-
-
-def test_product_lift_energy_splits_and_area_shrinks():
-    dc = standard_maps("double_cover")
-    areas = []
-    for r in (1.0, 0.5, 0.25):
-        F = product_lift(dc, r)
-        grid = build_grid(F.domain, 4, "mesh")
-        E = p_energy(F, grid, p=2.0).value
-        A = pullback_volume(F, grid)
-        assert E == pytest.approx(4.0 * np.pi * (1.0 + r * r), rel=1e-9)
-        assert A == pytest.approx(4.0 * np.pi * (1.0 + r * r), rel=1e-9)
-        areas.append(A)
-    assert areas[0] > areas[1] > areas[2]
-    # r -> 0 recovers the pullback area of the base map
-    assert areas[-1] == pytest.approx(4.0 * np.pi, rel=0.07)
-
-
-def test_product_lift_projective_line_domain():
-    line = make_rational_curve(line_curve())
-    for r in (1.0, 0.25):
-        F = product_lift(line, r)
-        grid = build_grid(F.domain, 4, "mesh")
-        E = p_energy(F, grid, p=2.0).value
-        assert E == pytest.approx(np.pi * (1.0 + 4.0 * r * r), rel=1e-9)
-
-
-def test_product_lift_rejects_other_domains():
-    with pytest.raises(GeometryError):
-        product_lift(identity_map(real_projective(3)), 0.5)
 
 
 # ---------------------------------------------------------------------------

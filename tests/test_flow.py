@@ -9,7 +9,6 @@ from mapenergy.flow import (
     discrete_energy,
     discrete_tension,
     flow_minimize,
-    interpolate,
     meshmap_from_csv,
     meshmap_to_csv,
     sample_map,
@@ -119,18 +118,6 @@ def test_flow_perturbed_identity_descends_to_harmonic():
     assert energies[-1] == pytest.approx(4.0 * np.pi, rel=0.01)
     assert d0 / hist[-1]["defect"] >= 10.0
     assert float(np.max(s2.norm(discrete_tension(mf)))) < 1e-4
-    # the interpolated map's finite-difference tension drops to the
-    # piecewise-interpolation floor, far below the initial tension scale
-    I = interpolate(mf)
-    tri = mf.mesh.triangles[::100]
-    cent = mf.mesh.vertices[tri].mean(axis=1)
-    cent /= np.linalg.norm(cent, axis=-1, keepdims=True)
-    sup_interp = float(np.max(s2.norm(fd_tension(I, cent))))
-    sup_initial = float(
-        np.max(s2.norm(fd_tension(perturbed_identity(s2, magnitude=0.2, seed=1), cent)))
-    )
-    assert sup_interp < 0.01
-    assert sup_interp < sup_initial / 50.0
 
 
 def test_flow_perturbed_double_cover():
@@ -227,23 +214,7 @@ def test_latitude_squash_tension_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# interpolation and persistence
-
-
-def test_interpolation_reproduces_identity():
-    m = sample_map(identity_map(s2), 4)
-    I = interpolate(m)
-    x = s2.random_point(make_rng(5), 400)
-    assert np.max(np.linalg.norm(I(x) - x, axis=-1)) < 1e-4
-    v = m.mesh.vertices[:200]
-    assert np.max(np.linalg.norm(I(v) - v, axis=-1)) < 1e-12
-
-
-def test_interpolation_quotient_domain():
-    m = sample_map(identity_map(rp2), 3, antipodal_quotient=True)
-    I = interpolate(m)
-    x = rp2.random_point(make_rng(6), 200)
-    assert np.max(np.linalg.norm(I(x) - x, axis=-1)) < 1e-3
+# persistence
 
 
 def test_meshmap_csv_roundtrip(tmp_path):

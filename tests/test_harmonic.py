@@ -22,7 +22,6 @@ from mapenergy.harmonic import (
     jacobi_identity_check,
     pluriharmonic_residual,
     pushforward_field,
-    rank_profile,
     second_fundamental_form,
     second_variation,
     tension,
@@ -307,7 +306,7 @@ def test_symmetry_trace_vanishes():
 
 
 # ---------------------------------------------------------------------------
-# fundamental 2-form line integrals and rank
+# fundamental 2-form line integrals
 
 
 def test_fundamental_form_integral_equals_line_area():
@@ -329,15 +328,3 @@ def test_fundamental_form_integral_warns_off_corpus():
     P = perturbed_identity(cp2, magnitude=0.2, seed=0)
     with pytest.warns(UserWarning):
         fundamental_form_line_integral(P, reference_line(2), grid)
-
-
-def test_rank_profile():
-    cp2 = complex_projective(2)
-    grid = build_grid(cp2, 500, "monte_carlo", seed=14)
-    full = rank_profile(identity_map(cp2), grid)
-    assert full[-1] == len(grid.nodes) and np.sum(full[:-1]) == 0
-    t8 = rank_profile(make_projective_dilation(2, 8.0), grid)
-    assert t8[-1] == len(grid.nodes)
-    C = _constant_map(cp2, np.array([1.0, 0.0, 0.0], dtype=complex))
-    flat = rank_profile(C, grid)
-    assert flat[0] == len(grid.nodes) and np.sum(flat[1:]) == 0

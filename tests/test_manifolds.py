@@ -10,10 +10,7 @@ from mapenergy.manifolds import (
     CUT_GUARD,
     CutLocusError,
     complex_projective,
-    pluriharmonic_generator,
-    product,
     real_projective,
-    so_basis,
     sphere,
     sphere_volume,
     su_basis,
@@ -128,10 +125,6 @@ def test_log_then_exp(M):
     z = M.exp(x, M.log(x, y))
     if M.kind == "sphere":
         err = np.linalg.norm(z - y, axis=-1)
-    elif M.kind == "product":
-        err = sum(
-            _aligned_chord(z[..., s], y[..., s]) for s in M.slices
-        )
     else:
         err = _aligned_chord(z, y)
     np.testing.assert_allclose(err, 0.0, atol=1e-9)
@@ -162,8 +155,6 @@ def test_exp_at_cut_distance_cp():
 
 @pytest.mark.parametrize("M", MODELS, ids=repr)
 def test_distance_isometry_invariance(M):
-    if M.kind == "product":
-        return
     rng = make_rng(47)
     x = M.random_point(rng, 300)
     y = M.random_point(rng, 300)
@@ -211,32 +202,7 @@ def test_submersion_distance_consistency():
     np.testing.assert_allclose(np.linalg.norm(v, axis=-1), cp.distance(z, w), atol=1e-10)
 
 
-def test_product_metric():
-    P = product(complex_projective(1), sphere(2, 0.5))
-    rng = make_rng(29)
-    x = P.random_point(rng, 100)
-    y = P.random_point(rng, 100)
-    d = P.distance(x, y)
-    d1 = P.factors[0].distance(x[..., :2].astype(complex), y[..., :2].astype(complex))
-    d2 = P.factors[1].distance(x[..., 2:].real, y[..., 2:].real)
-    np.testing.assert_allclose(d, np.sqrt(d1**2 + d2**2), atol=1e-12)
-    np.testing.assert_allclose(P.volume, math.pi * 4 * math.pi * 0.25, rtol=1e-12)
-
-    keep = d < P.cut_distance - 1e-3
-    v = P.log(x[keep], y[keep])
-    z = P.exp(x[keep], v)
-    err = sum(_aligned_chord(z[..., s], y[keep][..., s]) for s in P.slices)
-    np.testing.assert_allclose(err, 0.0, atol=1e-9)
-
-
 def test_lie_algebra_bases():
-    for m in (3, 4):
-        B = so_basis(m)
-        assert len(B) == m * (m - 1) // 2
-        for a in B:
-            np.testing.assert_allclose(a + a.T, 0.0, atol=1e-15)
-        G = np.array([[np.trace(a @ b.T) for b in B] for a in B])
-        np.testing.assert_allclose(G, np.eye(len(B)), atol=1e-14)
     for m in (2, 3):
         B = su_basis(m)
         assert len(B) == m * m - 1
@@ -281,30 +247,6 @@ def test_killing_derivative_matches_fd_oracle():
             analytic = cp.killing_derivative(a, z, w)
             fd = _killing_derivative_fd(cp, a, z, w)
             np.testing.assert_allclose(analytic, fd, atol=1e-6)
-
-
-def test_pluriharmonic_generator_derivatives():
-    # the generated field vanishes at x; its covariant derivative rotates the
-    # complex line through e by J and kills the complex-orthogonal directions
-    for N in (1, 2):
-        cp = complex_projective(N)
-        rng = make_rng(71 + N)
-        z = cp.random_point(rng)
-        e = cp.random_unit_tangent(rng, z)
-        a = pluriharmonic_generator(cp, z, e)
-        np.testing.assert_allclose(a + a.conj().T, 0.0, atol=1e-15)
-        np.testing.assert_allclose(cp.killing_field(a, z), 0.0, atol=1e-13)
-
-        d_e = _killing_derivative_fd(cp, a, z, e)
-        np.testing.assert_allclose(d_e, 1j * e, atol=1e-6)
-        d_je = _killing_derivative_fd(cp, a, z, 1j * e)
-        np.testing.assert_allclose(d_je, -e, atol=1e-6)
-        if N > 1:
-            g = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-            ep = cp.project_tangent(z, g)
-            ep = ep - np.sum(e.conj() * ep) * e  # complex-orthogonal to e
-            ep = ep / np.linalg.norm(ep)
-            np.testing.assert_allclose(_killing_derivative_fd(cp, a, z, ep), 0.0, atol=1e-6)
 
 
 def test_random_point_determinism():

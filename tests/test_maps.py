@@ -5,8 +5,8 @@ import pytest
 
 from mapenergy import make_rng
 from mapenergy.manifolds import (
+    GeometryError,
     complex_projective,
-    product,
     real_projective,
     sphere,
     sphere_volume,
@@ -158,16 +158,6 @@ def test_double_cover_local_isometry():
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
 
-def test_product_identity_gram():
-    P = product(complex_projective(1), sphere(2, 0.5))
-    rng = make_rng(43)
-    x = P.random_point(rng, 10)
-    fr = random_frames(P, x, rng)
-    G, ok = pullback_gram(identity_map(P), x, fr)
-    assert ok.all()
-    np.testing.assert_allclose(G, np.broadcast_to(np.eye(4), G.shape), atol=1e-9)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_unit_tangent_design_moments(d):
     # exact constants and second moments: int u_i u_j = delta_ij sigma(d-1)/d
@@ -198,9 +188,20 @@ def test_grid_masses():
     np.testing.assert_allclose(m.total_mass, 2 * math.pi, rtol=1e-12)
     m = build_grid(complex_projective(1), 3, scheme="mesh")
     np.testing.assert_allclose(m.total_mass, math.pi, rtol=1e-12)
-    P = product(sphere(2), sphere(2, 0.5))
-    g = build_grid(P, 40, scheme="product_angles", seed=2)
-    np.testing.assert_allclose(g.total_mass, P.volume, rtol=1e-9)
+    assert build_grid(sphere(2), 0, scheme="mesh").resolution == 0
+    g = build_grid(sphere(2), np.int64(7), seed=1)
+    assert len(g) == 7 and type(g.resolution) is int
+    assert build_grid(sphere(2), np.int32(2), scheme="mesh").resolution == 2
+    # a node count is an integer >= 1, a mesh level an integer >= 0
+    for resolution in (2.7, 2.0, True, 0, -3, None, "5"):
+        with pytest.raises(GeometryError, match="monte_carlo grid needs an integer"):
+            build_grid(sphere(2), resolution)
+    for level in (-1, 1.5, False):
+        with pytest.raises(GeometryError, match="mesh grid needs an integer"):
+            build_grid(sphere(2), level, "mesh")
+    for scheme in ("product_angles", "Mesh"):
+        with pytest.raises(GeometryError, match="unknown grid scheme"):
+            build_grid(sphere(2), 4, scheme)
 
 
 def test_grid_determinism_and_frames():

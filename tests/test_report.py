@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mapenergy import harmonic, report as report_module
-from mapenergy.energy import elementary_bound, p_energy
+from mapenergy.energy import p_energy
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective
 from mapenergy.maps import build_grid
 from mapenergy.constructions import (
@@ -40,18 +40,10 @@ def test_bound_values_match_closed_forms():
     assert eval_bound(BoundSpec("CPN_P", {"N": 2, "p": 4.0, "area": np.pi})) == pytest.approx(4 * np.pi**2, rel=1e-15)
     assert eval_bound(BoundSpec("RPN_P", {"n": 3, "p": 2.0, "length": np.pi})) == pytest.approx(1.5 * np.pi**2, rel=1e-15)
     assert eval_bound(BoundSpec("RPN_P", {"n": 2, "p": 1.0, "length": np.pi})) == pytest.approx(np.sqrt(2) * np.pi, rel=1e-14)
-    lo, hi = eval_bound(BoundSpec("RP3_INTERVAL", {"plane_energy": 2 * np.pi}))
-    assert lo == pytest.approx(1.5 * np.pi**2, rel=1e-15)
-    assert hi == pytest.approx(2 * np.pi**2, rel=1e-15)
 
 
 def test_round_metric_sits_on_the_systolic_equality():
     assert eval_bound(BoundSpec("PU", {"area": 2 * np.pi, "systole": np.pi})) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_elementary_tag_delegates():
-    spec = BoundSpec("ELEMENTARY", {"p": 3.0, "n": 2, "vol": 4 * np.pi, "pvol": 2.0})
-    assert eval_bound(spec) == elementary_bound(3.0, 2, 4 * np.pi, 2.0)
 
 
 def test_quadratic_exponent_agrees_with_the_sharp_infimum():
@@ -63,8 +55,11 @@ def test_quadratic_exponent_agrees_with_the_sharp_infimum():
 
 
 def test_bound_validation_rejects_bad_input():
-    with pytest.raises(GeometryError):
-        BoundSpec("NO_SUCH_TAG", {})
+    for tag, params in (("NO_SUCH_TAG", {}),
+                        ("RP3_INTERVAL", {"plane_energy": 2 * np.pi}),
+                        ("ELEMENTARY", {"p": 3.0, "n": 2, "vol": 4 * np.pi, "pvol": 2.0})):
+        with pytest.raises(GeometryError, match="unknown bound tag"):
+            BoundSpec(tag, params)
     with pytest.raises(GeometryError):
         BoundSpec("CPN_P", {"N": 2, "p": 2.0})  # missing area
     with pytest.raises(GeometryError):
@@ -77,14 +72,6 @@ def test_bound_validation_rejects_bad_input():
         BoundSpec("RPN_P", {"n": 3, "p": 2.0, "length": -1.0})
     with pytest.raises(GeometryError):
         BoundSpec("INFIMUM", {"N": 2.5, "area": np.pi})
-    with pytest.raises(GeometryError):
-        BoundSpec("ELEMENTARY", {"p": 1.0, "n": 2, "vol": 1.0, "pvol": 1.0})
-
-
-def test_strictness_flag_marks_the_unattainable_range():
-    assert not BoundSpec("CPN_P", {"N": 2, "p": 2.0, "area": np.pi}).strict
-    assert BoundSpec("CPN_P", {"N": 2, "p": 3.0, "area": np.pi}).strict
-    assert not BoundSpec("RPN_P", {"n": 3, "p": 4.0, "length": np.pi}).strict
 
 
 def test_corpus_energies_respect_their_bounds():

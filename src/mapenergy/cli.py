@@ -20,7 +20,7 @@ import sys
 
 from .constructions import MAP_CATALOG, perturbed_identity
 from .flow import conformality_defect, flow_minimize, sample_map, write_flow_log
-from .manifolds import sphere
+from .manifolds import GeometryError, sphere
 from .report import EXPERIMENTS, UsageError, run_suite, write_reports
 
 _CURVES = ("line", "conic", "veronese", "random")
@@ -105,7 +105,10 @@ def _corpus_list(_args):
 
 def _flow(args):
     bent = perturbed_identity(sphere(2), magnitude=0.2, seed=args.seed)
-    start = sample_map(bent, args.mesh_level)
+    try:
+        start = sample_map(bent, args.mesh_level)
+    except GeometryError as exc:
+        raise UsageError(f"--mesh-level: {exc}") from None
     before = conformality_defect(start)
     final, history = flow_minimize(start, step=0.25, iters=args.steps,
                                    grad_tol=2e-4)

@@ -6,7 +6,8 @@ projective plane).  The graph Dirichlet energy with cotangent weights
 discretizes the smooth energy; its negative gradient is the discrete
 tension, and projected gradient descent with an accept/halve step
 controller produces approximately harmonic maps for cross-module
-oracles.
+oracles.  The descent records only what its controller computes;
+callers measure `conformality_defect` of the maps they keep.
 
 The domain geometry belongs to the mesh: MeshMaps and
 `conformality_defect` read cotangent weights, vertex areas, the antipodal
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import tables
 from .manifolds import GeometryError, real_projective, sphere
+from .maps import checked_resolution
 from .meshes import (
     DEGENERATE_GUARD,
     antipodal_permutation,
@@ -82,8 +84,8 @@ class MeshMap:
 
 
 def sample_map(F, level, antipodal_quotient=False):
-    """MeshMap sampling an analytic map at the vertices of an icosphere."""
-    mesh = icosphere(level)
+    """MeshMap sampling an analytic map at the vertices of an icosphere of level >= 0."""
+    mesh = icosphere(checked_resolution("mesh", level))
     x = mesh.vertices
     if antipodal_quotient:
         x = F.domain.canonicalize(x)
@@ -101,16 +103,15 @@ def discrete_tension(m):
 
     Entry i is (1/a_i) sum_j w_ij log_{F_i}(F_j) over mesh neighbors j.
     """
-    cod = m.codomain
-    i, j = m.pairs[:, 0], m.pairs[:, 1]
-    fwd, ok_f = cod.log_masked(m.images[i], m.images[j])
-    bwd, ok_b = cod.log_masked(m.images[j], m.images[i])
-    if not (np.all(ok_f) and np.all(ok_b)):
+    # each edge in both directions: row i gathers w_ij log_{F_i}(F_j), then row j the reverse
+    rows, cols = np.concatenate([m.pairs, m.pairs[:, ::-1]]).T
+    logs, ok = m.codomain.log_masked(m.images[rows], m.images[cols])
+    if not np.all(ok):
         raise GeometryError("a mesh edge spans the codomain cut locus")
-    out = np.zeros_like(m.images)
-    np.add.at(out, i, m.weights[:, None] * fwd)
-    np.add.at(out, j, m.weights[:, None] * bwd)
-    return out / m.areas[:, None]
+    terms = np.tile(m.weights, 2)[:, None] * logs
+    # bincount sums each real column (re and im for complex) in index order, as np.add.at does
+    sums = [np.bincount(rows, col, len(m.images)) for col in terms.view(np.float64).T]
+    return np.stack(sums, axis=-1).view(m.images.dtype) / m.areas[:, None]
 
 
 def _resymmetrized(images, perm):
@@ -128,16 +129,15 @@ def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
     before the flow is declared stalled, and accepted steps grow the
     step back by 1.3x so the tail converges at the stability limit.
     Returns the final MeshMap and a history of per-iteration records
-    (iteration, energy, gradient norm, conformality defect, step).
+    (iteration, energy, grad_norm before the step, step); record 0 is the start.
     """
     perm = antipodal_permutation(m.mesh) if m.antipodal_quotient else None
     current = m
     energy = discrete_energy(current)
-    gnorm = float(np.max(m.codomain.norm(discrete_tension(current))))
-    history = [_record(0, current, energy, gnorm, step)]
+    tau = discrete_tension(current)
+    gnorm = float(np.max(m.codomain.norm(tau)))
+    history = [_record(0, energy, gnorm, step)]
     for it in range(1, iters + 1):
-        tau = discrete_tension(current)
-        gnorm = float(np.max(m.codomain.norm(tau)))
         if gnorm < grad_tol:
             break
         accepted = False
@@ -158,13 +158,15 @@ def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
             )
         current, energy = candidate, trial_energy
         step *= 1.3
-        history.append(_record(it, current, energy, gnorm, step))
+        history.append(_record(it, energy, gnorm, step))
+        if it < iters:
+            tau = discrete_tension(current)
+            gnorm = float(np.max(m.codomain.norm(tau)))
     return current, history
 
 
-def _record(it, m, energy, gnorm, step):
-    return {"iteration": it, "energy": energy, "grad_norm": gnorm,
-            "defect": conformality_defect(m), "step": step}
+def _record(it, energy, gnorm, step):
+    return {"iteration": it, "energy": energy, "grad_norm": gnorm, "step": step}
 
 
 def conformality_defect(m):
@@ -209,11 +211,10 @@ def meshmap_from_csv(path, codomain):
     cols = codomain.ambient_dim * (2 if codomain.dtype == np.complex128 else 1)
     if (meta["codomain"], int(meta["columns"])) != (codomain.kind, cols):
         raise GeometryError(f"{path} holds a map to a {meta['codomain']}, not to {codomain!r}")
-    return MeshMap(icosphere(int(meta["level"])), codomain,
+    return MeshMap(icosphere(checked_resolution("mesh", int(meta["level"]))), codomain,
                    tables.from_float_columns(rows, codomain.dtype),
                    antipodal_quotient=bool(int(meta["quotient"])))
 
 
 def write_flow_log(history, path):
-    columns = ["iteration", "energy", "grad_norm", "defect", "step"]
-    tables.write_table(path, [(columns, [[rec[c] for c in columns] for rec in history])])
+    tables.write_table(path, [(list(history[0]), [list(rec.values()) for rec in history])])

@@ -178,6 +178,16 @@ class QuadratureGrid:
 _LEAST_RESOLUTION = {"monte_carlo": 1, "mesh": 0}
 
 
+def checked_resolution(scheme, resolution):
+    """`resolution` as an int; GeometryError unless an integer (not a bool) >= the scheme's least."""
+    if scheme not in _LEAST_RESOLUTION:
+        raise GeometryError(f"unknown grid scheme {scheme!r}")
+    least = _LEAST_RESOLUTION[scheme]
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < least:
+        raise GeometryError(f"a {scheme} grid needs an integer resolution >= {least}, got {resolution!r}")
+    return int(resolution)
+
+
 def build_grid(M, resolution, scheme="monte_carlo", seed=0):
     """Quadrature grid integrating to the manifold volume.
 
@@ -187,12 +197,7 @@ def build_grid(M, resolution, scheme="monte_carlo", seed=0):
 
     `resolution` is an integer, at least 1 for monte_carlo and 0 for mesh.
     """
-    if scheme not in _LEAST_RESOLUTION:
-        raise GeometryError(f"unknown grid scheme {scheme!r}")
-    least = _LEAST_RESOLUTION[scheme]
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < least:
-        raise GeometryError(f"a {scheme} grid needs an integer resolution >= {least}, got {resolution!r}")
-    resolution = int(resolution)
+    resolution = checked_resolution(scheme, resolution)
     if scheme == "mesh":
         return _mesh_grid(M, resolution, seed)
     nodes = M.random_point(make_rng(seed), resolution)

@@ -156,11 +156,14 @@ class BoundSpec:
         for key in ("area", "length", "systole"):
             if key in self.params and not self.params[key] > 0:
                 raise GeometryError(f"{key} must be positive")
-        p = self.params.get("p")
-        if self.tag == "CPN_P" and p is not None and p < 2:
-            raise GeometryError("the CPN_P bound needs p >= 2")
-        if self.tag == "RPN_P" and p is not None and p < 1:
-            raise GeometryError("the RPN_P bound needs p >= 1")
+        if "p" in self.params:
+            p, least = self.params["p"], {"CPN_P": 2, "RPN_P": 1}[self.tag]
+            if not (_is_finite_real(p) and p >= least):
+                raise GeometryError(f"the {self.tag} bound needs a finite real p >= {least}, got {p!r}")
+
+
+def _is_finite_real(value):
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def eval_bound(spec):
@@ -711,7 +714,7 @@ def _parsed(config):
     if p is not None:
         if "p" not in inspect.signature(experiment.run).parameters:
             raise UsageError(f"{name} does not read p")
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not math.isfinite(p):
+        if not _is_finite_real(p):
             raise UsageError(f"p must be a finite real number, got {p!r}")
         p = float(p)
     if cfg:

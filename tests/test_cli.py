@@ -86,6 +86,13 @@ def test_flow_subcommand_writes_a_log(tmp_path, capsys):
                  "--out", str(log)])
     assert code == 0
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "iteration,energy,grad_norm,defect,step"
+    assert lines[0] == "iteration,energy,grad_norm,step"
     assert len(lines) >= 2
     assert "conformality defect" in capsys.readouterr().out
+
+    refused = tmp_path / "refused.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["flow", "--mesh-level", "-1", "--steps", "3", "--out", str(refused)])
+    assert info.value.code == 2
+    assert "--mesh-level" in capsys.readouterr().err
+    assert not refused.exists()

@@ -16,8 +16,15 @@ from mapenergy.flow import (
 )
 from mapenergy.harmonic import tension as fd_tension
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective, sphere
-from mapenergy.maps import MapObject, build_grid, compose, identity_map, normalized_linear_map
-from mapenergy import meshes
+from mapenergy.maps import (
+    MapObject,
+    build_grid,
+    compose,
+    cp1_from_sphere,
+    identity_map,
+    normalized_linear_map,
+)
+from mapenergy import flow, meshes
 from mapenergy.meshes import icosphere
 from mapenergy.rand import make_rng
 
@@ -59,6 +66,10 @@ def test_meshmap_validation():
     asym[3] = rp2.canonicalize(np.array([0.3, 0.1, 0.95]))
     with pytest.raises(GeometryError):
         MeshMap(mesh, rp2, asym, antipodal_quotient=True)
+    for level in (-1, True, 1.5, "2", None):
+        with pytest.raises(GeometryError, match="integer resolution >= 0"):
+            sample_map(identity_map(s2), level)
+    assert sample_map(identity_map(s2), np.int64(1)).mesh.level == 1
 
 
 def test_vertex_areas_cover_domain():
@@ -116,8 +127,17 @@ def test_flow_perturbed_identity_descends_to_harmonic():
     energies = [rec["energy"] for rec in hist]
     assert all(b <= a for a, b in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(4.0 * np.pi, rel=0.01)
-    assert d0 / hist[-1]["defect"] >= 10.0
+    assert d0 / conformality_defect(mf) >= 10.0
     assert float(np.max(s2.norm(discrete_tension(mf)))) < 1e-4
+
+
+def test_flow_records_no_conformality_defect(monkeypatch):
+    calls = []
+    monkeypatch.setattr(flow, "conformality_defect", lambda m: calls.append(m) or 0.0)
+    m0 = sample_map(perturbed_identity(s2, magnitude=0.2, seed=1), 2)
+    _, hist = flow_minimize(m0, iters=20, grad_tol=0.0)
+    assert len(hist) == 21
+    assert calls == []
 
 
 def test_flow_perturbed_double_cover():
@@ -202,6 +222,29 @@ def test_conformality_defect_equals_the_whole_triangle_computation():
 # tension oracle against the smooth module
 
 
+def _tension_by_add_at(m):
+    """Reference: scatter the forward and the backward edge terms with np.add.at."""
+    i, j = m.pairs[:, 0], m.pairs[:, 1]
+    fwd, _ = m.codomain.log_masked(m.images[i], m.images[j])
+    bwd, _ = m.codomain.log_masked(m.images[j], m.images[i])
+    out = np.zeros_like(m.images)
+    np.add.at(out, i, m.weights[:, None] * fwd)
+    np.add.at(out, j, m.weights[:, None] * bwd)
+    return out / m.areas[:, None]
+
+
+def test_discrete_tension_equals_the_add_at_scatter():
+    bent = perturbed_identity(s2, magnitude=0.2, seed=0)
+    cp1 = complex_projective(1)
+    for level in range(4):
+        mesh = icosphere(level)
+        for m in (sample_map(bent, level),
+                  sample_map(identity_map(rp2), level, antipodal_quotient=True),
+                  MeshMap(mesh, cp1, cp1.canonicalize(cp1_from_sphere(bent(mesh.vertices))))):
+            tau, ref = discrete_tension(m), _tension_by_add_at(m)
+            assert tau.dtype == ref.dtype and tau.tobytes() == ref.tobytes()
+
+
 def test_latitude_squash_tension_matches_finite_differences():
     F = latitude_squash()
     m = sample_map(F, 4)
@@ -234,6 +277,9 @@ def test_meshmap_csv_roundtrip(tmp_path):
     for wrong in (s2, complex_projective(1), real_projective(3)):
         with pytest.raises(GeometryError):
             meshmap_from_csv(pq, wrong)
+    pq.write_text(pq.read_text().replace("# level 2 ", "# level -1 ", 1))
+    with pytest.raises(GeometryError, match="integer resolution >= 0"):
+        meshmap_from_csv(pq, rp2)
 
 
 def test_flow_log_csv(tmp_path):
@@ -242,5 +288,5 @@ def test_flow_log_csv(tmp_path):
     path = tmp_path / "log.csv"
     write_flow_log(hist, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,energy,grad_norm,defect,step"
+    assert lines[0] == "iteration,energy,grad_norm,step"
     assert len(lines) == len(hist) + 1

@@ -72,6 +72,11 @@ def test_bound_validation_rejects_bad_input():
         BoundSpec("RPN_P", {"n": 3, "p": 2.0, "length": -1.0})
     with pytest.raises(GeometryError):
         BoundSpec("INFIMUM", {"N": 2.5, "area": np.pi})
+    for p in (float("nan"), float("inf"), None, "3", True):
+        with pytest.raises(GeometryError, match="finite real"):
+            BoundSpec("CPN_P", {"N": 2, "p": p, "area": np.pi})
+        with pytest.raises(GeometryError, match="finite real"):
+            BoundSpec("RPN_P", {"n": 3, "p": p, "length": np.pi})
 
 
 def test_corpus_energies_respect_their_bounds():

@@ -42,7 +42,6 @@ print()
 target = 1.5 * np.pi**2
 print(f"2-energy via plane averages on RP^3 (target {target:.6f}):")
 for planes in (16, 64):
-    avg = rp2_family_average(identity_map(real_projective(3)), K=planes,
-                             seed=2, resolution=4)
+    avg = rp2_family_average(identity_map(real_projective(3)), K=planes, seed=2)
     print(f"  identity        {planes:5d} planes average {avg:.6f}"
           f"  rel dev {abs(avg - target) / target:.1e}")

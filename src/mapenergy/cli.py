@@ -104,6 +104,10 @@ def _corpus_list(_args):
 
 
 def _flow(args):
+    if args.steps < 1:
+        raise UsageError(f"--steps must be an integer >= 1, got {args.steps}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be an integer >= 0, got {args.seed}")
     bent = perturbed_identity(sphere(2), magnitude=0.2, seed=args.seed)
     try:
         start = sample_map(bent, args.mesh_level)

@@ -255,8 +255,8 @@ def make_capped_theta(t):
     On representatives with nonnegative last coordinate: the polar cap
     that the conformal dilation maps onto the upper hemisphere is
     dilated, and the remaining collar is projected radially onto the
-    equator plane (pointwise fixed).  Continuous across both seams, the
-    identity at t = 1.
+    equator plane (pointwise fixed).  Lipschitz: continuous across both
+    seams but not differentiable on them.  The identity at t = 1.
     """
     if t < 1:
         raise GeometryError("dilations need t >= 1")
@@ -295,7 +295,7 @@ def make_capped_theta(t):
         _, f = M.canonicalize_with_factor(_raw_eval(xr))
         return f[..., None] * w
 
-    return MapObject(M, M, ev, differential=diff, smoothness="lipschitz", name=f"capped-theta-{t:g}")
+    return MapObject(M, M, ev, differential=diff, name=f"capped-theta-{t:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,21 +23,20 @@ from .maps import (
 )
 
 
+# trapezoid intervals over one period of a curve in `curve_length`
+CURVE_STEPS = 256
+
+
 @dataclass(frozen=True)
 class EnergyValue:
-    """A quadrature estimate of a map functional, with grid provenance.
-
-    The standard error is meaningful only for monte_carlo grids and is
-    None otherwise.  ``dropped_fraction`` is the quadrature mass lost to
-    nodes where the differential could not be evaluated; the surviving
-    mass is renormalized, and losing more than 1% raises a warning flag.
+    """A quadrature estimate of a map functional: the value, finite and
+    nonnegative, with its Monte Carlo standard error (None on other
+    grids), the fraction of quadrature mass dropped at nodes where the
+    differential could not be evaluated (the rest is renormalized), and
+    a warning when that fraction exceeds 1%.
     """
 
-    p: float
     value: float
-    scheme: str
-    resolution: int
-    seed: int
     stderr: float | None = None
     dropped_fraction: float = 0.0
     warning: str | None = None
@@ -92,12 +91,10 @@ def p_energy(F, grid, p=2.0, salt=0):
     G, ok = pullback_gram(F, grid.nodes, frames)
     dens = 0.5 * energy_density(G) ** (p / 2.0)
     value, stderr, dropped, warning = _integrate(grid, dens, ok, "p_energy")
-    return EnergyValue(
-        float(p), value, grid.scheme, grid.resolution, grid.seed, stderr, dropped, warning
-    )
+    return EnergyValue(value, stderr, dropped, warning)
 
 
-def croke_density(F, x, order=3):
+def croke_density(F, x):
     """Squared differential norm by averaging |dF(u)|^2 over unit directions.
 
     Rescales the unit-tangent quadrature average by dim / area(unit sphere)
@@ -105,7 +102,7 @@ def croke_density(F, x, order=3):
     the design integrates quadratics exactly.
     """
     M = F.domain
-    dirs, w = unit_tangent_quadrature(M, x, order=order)
+    dirs, w = unit_tangent_quadrature(M, x)
     dirs = np.moveaxis(dirs, 0, -2)
     cols, ok = differential_columns(F, x, dirs)
     if not np.all(ok):
@@ -115,24 +112,23 @@ def croke_density(F, x, order=3):
     return M.dim / sphere_volume(M.dim - 1) * avg
 
 
-def pullback_volume(F, grid, salt=0):
+def pullback_volume(F, grid):
     """Volume of the domain measured in the metric pulled back through F.
 
     Integrates sqrt(det G) of the pullback Gram matrix; images traversed
     with multiplicity count with multiplicity.
     """
-    frames = grid_frames(grid, salt=salt)
-    G, ok = pullback_gram(F, grid.nodes, frames)
+    G, ok = pullback_gram(F, grid.nodes, grid_frames(grid))
     dens = np.sqrt(np.prod(gram_eigenvalues(G), axis=-1))
     value, _, _, _ = _integrate(grid, dens, ok, "pullback_volume")
     return value
 
 
-def surface_area(F, grid, salt=0):
+def surface_area(F, grid):
     """Area swept by a map from a 2-dimensional domain (pullback volume)."""
     if F.domain.dim != 2:
         raise GeometryError("surface_area needs a 2-dimensional domain")
-    return pullback_volume(F, grid, salt=salt)
+    return pullback_volume(F, grid)
 
 
 def elementary_bound(p, n, vol_domain, pullback_vol):
@@ -148,7 +144,7 @@ def elementary_bound(p, n, vol_domain, pullback_vol):
     )
 
 
-def curve_length(F, curve, steps=256):
+def curve_length(F, curve):
     """Arc length of F composed with a closed parametrized curve.
 
     Composite trapezoid rule on the image speed |dF(curve')|; intervals
@@ -157,7 +153,7 @@ def curve_length(F, curve, steps=256):
     image points, so the result is always defined.
     """
     period = float(curve.period)
-    t = np.linspace(0.0, period, int(steps) + 1)
+    t = np.linspace(0.0, period, CURVE_STEPS + 1)
     x = curve.point(t)
     v = curve.velocity(t)
     cod = F.codomain

@@ -21,8 +21,9 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import MapObject, compose, differential_columns, frame_at, log_probes
+from .maps import DEFAULT_FD_STEP, MapObject, compose, differential_columns, frame_at, log_probes
 
+# the step of every second difference; read only by `_acceleration`
 SECOND_DIFF_STEP = 1e-3
 VARIATION_STEP = 1e-2
 TENSION_TOLERANCE = 1e-3
@@ -32,12 +33,13 @@ TENSION_TOLERANCE = 1e-3
 # second fundamental form
 
 
-def _acceleration(F, x, v, h):
+def _acceleration(F, x, v):
     """Intrinsic acceleration of t -> F(exp_x(t v)) at t = 0.
 
     Second difference through the codomain logarithm; exact (up to
     rounding) when the image curve is a geodesic.
     """
+    h = SECOND_DIFF_STEP
     vp, vm, ok = log_probes(F, x, v, h)
     if not np.all(ok):
         raise CutLocusError(
@@ -46,30 +48,30 @@ def _acceleration(F, x, v, h):
     return (vp + vm) / (h * h)
 
 
-def second_fundamental_form(F, x, v, w, h=SECOND_DIFF_STEP):
+def second_fundamental_form(F, x, v, w):
     """Second fundamental form of F at x evaluated on the pair (v, w).
 
     Computed as the geodesic acceleration of the pushed curve for the
     diagonal and polarized off the diagonal, so symmetry in (v, w) is
     exact by construction.
     """
-    plus = _acceleration(F, x, v + w, h)
-    minus = _acceleration(F, x, v - w, h)
+    plus = _acceleration(F, x, v + w)
+    minus = _acceleration(F, x, v - w)
     return 0.25 * (plus - minus)
 
 
-def tension(F, x, h=SECOND_DIFF_STEP, frame=None):
+def tension(F, x, frame=None):
     """Trace of the second fundamental form over an orthonormal frame.
 
     Vanishes exactly for harmonic maps; frame independent up to the
     finite-difference tolerance (any orthonormal frame may be passed).
     """
     fr = frame_at(F.domain, x) if frame is None else frame
-    acc = _acceleration(F, x[..., None, :], fr, h)
+    acc = _acceleration(F, x[..., None, :], fr)
     return np.sum(acc, axis=-2)
 
 
-def pluriharmonic_residual(F, x, h=SECOND_DIFF_STEP):
+def pluriharmonic_residual(F, x):
     """Sup over frame pairs of |alpha(J e_i, J e_j) + alpha(e_i, e_j)|.
 
     Zero for pluriharmonic maps out of complex projective space; the
@@ -83,8 +85,8 @@ def pluriharmonic_residual(F, x, h=SECOND_DIFF_STEP):
     for i in range(M.dim):
         for j in range(i, M.dim):
             ei, ej = fr[..., i, :], fr[..., j, :]
-            combo = (second_fundamental_form(F, x, 1j * ei, 1j * ej, h)
-                     + second_fundamental_form(F, x, ei, ej, h))
+            combo = (second_fundamental_form(F, x, 1j * ei, 1j * ej)
+                     + second_fundamental_form(F, x, ei, ej))
             best = np.maximum(best, F.codomain.norm(combo))
     return best
 
@@ -113,17 +115,17 @@ def hermitian_residual(F, x):
 # second variation of the energy
 
 
-def pushforward_field(F, vector_field, h=1e-4):
+def pushforward_field(F, vector_field):
     """Variation field x -> dF_x(V(x)) from a domain vector field V."""
 
     def push(x):
         v = vector_field(x)
         if F.differential is not None:
             return F.differential(x, v)
-        vp, vm, ok = log_probes(F, x, v, h)
+        vp, vm, ok = log_probes(F, x, v, DEFAULT_FD_STEP)
         if not np.all(ok):
             raise CutLocusError("pushforward probe crossed the cut locus")
-        return (vp - vm) / (2.0 * h)
+        return (vp - vm) / (2.0 * DEFAULT_FD_STEP)
 
     return push
 
@@ -164,10 +166,7 @@ def second_variation(F, W, grid, tau=VARIATION_STEP):
     _warn_if_not_harmonic(F, grid.nodes[:3])
 
     def energy_at(t):
-        Ft = MapObject(
-            F.domain, cod, lambda x: cod.exp(F(x), t * W(x)),
-            smoothness="smooth", name="varied",
-        )
+        Ft = MapObject(F.domain, cod, lambda x: cod.exp(F(x), t * W(x)), name="varied")
         return p_energy(Ft, grid, p=2.0)
 
     step, error = tau, None

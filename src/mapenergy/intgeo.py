@@ -26,6 +26,9 @@ from .manifolds import (
 from .maps import build_grid, compose, normalized_linear_map
 from .rand import make_rng
 
+# subdivision level of the RP^2 mesh in `rp2_family_average`
+PLANE_MESH_LEVEL = 4
+
 
 # ---------------------------------------------------------------------------
 # elements
@@ -94,10 +97,6 @@ class LineEmbedding:
     @property
     def codomain(self):
         return complex_projective(len(self.lift) - 1)
-
-    @property
-    def base(self):
-        return self.codomain.canonicalize(self.lift)
 
     @property
     def embedding(self):
@@ -212,7 +211,7 @@ def line_energy_spread(F, K=200, seed=0, line_resolution=4):
     return m, float(np.max(np.abs(vals - m)))
 
 
-def e1_geodesic_bound(F, K=200, seed=0, steps=256):
+def e1_geodesic_bound(F, K=200, seed=0):
     """Lower bound for the 1-energy from average image lengths of geodesics.
 
     sqrt(n) / (2 sigma(n-1)) times the weighted total image length; equals
@@ -222,16 +221,16 @@ def e1_geodesic_bound(F, K=200, seed=0, steps=256):
         raise GeometryError("the geodesic bound needs a real projective domain")
     n = F.domain.dim
     samples = sample_geodesics(n, K, seed)
-    total = sum(s.weight * curve_length(F, s.element, steps) for s in samples)
+    total = sum(s.weight * curve_length(F, s.element) for s in samples)
     return float(np.sqrt(n) / (2.0 * sphere_volume(n - 1)) * total)
 
 
-def rp2_family_average(F, K=64, seed=0, resolution=4):
+def rp2_family_average(F, K=64, seed=0):
     """Recover the 2-energy of a map of RP^n by averaging over planes."""
     if not isinstance(F.domain, RealProjective):
         raise GeometryError("the plane average needs a real projective domain")
     samples = sample_rp2_planes(F.domain.dim, K, seed)
-    grid = build_grid(real_projective(2), resolution, "mesh")
+    grid = build_grid(real_projective(2), PLANE_MESH_LEVEL, "mesh")
     total = 0.0
     for s in samples:
         total += s.weight * p_energy(compose(F, s.element), grid, p=2.0).value

@@ -56,10 +56,9 @@ def real_inner(u, v):
     return np.sum((u.conj() * v).real, axis=-1)
 
 
-def _pivot_factor(x, tol=_PIVOT_TOL):
-    """Unit scalar that makes the first coordinate of magnitude > tol real positive."""
-    mag = np.abs(x)
-    idx = np.argmax(mag > tol, axis=-1)
+def _pivot_factor(x):
+    """Unit scalar that makes the first coordinate of magnitude > _PIVOT_TOL real positive."""
+    idx = np.argmax(np.abs(x) > _PIVOT_TOL, axis=-1)
     pivot = np.take_along_axis(x, idx[..., None], axis=-1)[..., 0]
     if np.iscomplexobj(x):
         return pivot.conj() / np.abs(pivot)
@@ -256,10 +255,6 @@ class ComplexProjective(ModelManifold):
         r = np.abs(h)
         phase = np.where(r > 1e-300, h.conj() / np.where(r > 1e-300, r, 1.0), 1.0 + 0j)
         return np.clip(r, 0.0, 1.0), phase[..., None] * y
-
-    def complex_structure(self, x, v):
-        """Multiplication by i on horizontal lifts (the Kaehler J)."""
-        return 1j * v
 
     def random_isometry(self, rng):
         shape = (self.ambient_dim, self.ambient_dim)

@@ -8,7 +8,7 @@ Pullback Gram matrices, quadrature grids, and exact low-degree
 unit-tangent designs live here as well.
 
 A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
-once per (salt, unitary), read-only, and gone with the grid.
+once per salt, read-only, and gone with the grid.
 """
 
 import numbers
@@ -35,16 +35,12 @@ class MapObject:
     evaluator:    batch map of representatives, (..., amb_dom) -> (..., amb_cod)
     differential: optional analytic pushforward (x, v) -> w with matching
                   batch shapes; None means finite differences
-    smoothness:   'smooth' or 'lipschitz'; Lipschitz maps may fail to be
-                  differentiable on a null set, which biases quadrature
-                  estimates and is flagged downstream
     """
 
     domain: object
     codomain: object
     evaluator: object
     differential: object = None
-    smoothness: str = "smooth"
     name: str = ""
 
     def __call__(self, x):
@@ -75,32 +71,10 @@ def _real_orthonormalize(vecs):
     return out
 
 
-def unitary_frames(M, x, rng):
-    """Frames on a complex projective space of the form (u1, i u1, u2, i u2, ...)."""
-    if not isinstance(M, ComplexProjective):
-        raise GeometryError("unitary frames require a complex projective manifold")
-    N = M.N
-    shape = x.shape[:-1] + (N, x.shape[-1])
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    g = M.project_tangent(x[..., None, :], g)
-    # complex Gram-Schmidt
-    for i in range(N):
-        vi = g[..., i, :]
-        for j in range(i):
-            vj = g[..., j, :]
-            vi = vi - np.sum(vj.conj() * vi, axis=-1)[..., None] * vj
-        g[..., i, :] = vi / np.sqrt(real_inner(vi, vi))[..., None]
-    frame = np.empty(x.shape[:-1] + (2 * N, x.shape[-1]), dtype=complex)
-    frame[..., 0::2, :] = g
-    frame[..., 1::2, :] = 1j * g
-    return frame
-
-
-def frame_at(M, x, unitary=False):
+def frame_at(M, x):
     """Deterministic orthonormal frame at a single point."""
     xb = x[None] if x.ndim == 1 else x
-    rng = make_rng(0)
-    f = unitary_frames(M, xb, rng) if unitary else random_frames(M, xb, rng)
+    f = random_frames(M, xb, make_rng(0))
     return f[0] if x.ndim == 1 else f
 
 
@@ -133,9 +107,9 @@ def differential_columns(F, x, frames, h=DEFAULT_FD_STEP):
     return np.stack(cols, axis=-2), ok
 
 
-def pullback_gram(F, x, frames, h=DEFAULT_FD_STEP):
+def pullback_gram(F, x, frames):
     """Pullback Gram matrices G_ij = <dF e_i, dF e_j>, shape (..., dim, dim)."""
-    cols, ok = differential_columns(F, x, frames, h)
+    cols, ok = differential_columns(F, x, frames)
     G = real_inner(cols[..., :, None, :], cols[..., None, :, :])
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
     return G, ok
@@ -178,12 +152,17 @@ class QuadratureGrid:
 _LEAST_RESOLUTION = {"monte_carlo": 1, "mesh": 0}
 
 
+def is_integer(value):
+    """True for Python and numpy integers, False for bools and everything else."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def checked_resolution(scheme, resolution):
-    """`resolution` as an int; GeometryError unless an integer (not a bool) >= the scheme's least."""
+    """`resolution` as an int; GeometryError unless an integer >= the scheme's least."""
     if scheme not in _LEAST_RESOLUTION:
         raise GeometryError(f"unknown grid scheme {scheme!r}")
     least = _LEAST_RESOLUTION[scheme]
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral) or resolution < least:
+    if not is_integer(resolution) or resolution < least:
         raise GeometryError(f"a {scheme} grid needs an integer resolution >= {least}, got {resolution!r}")
     return int(resolution)
 
@@ -217,12 +196,11 @@ def _mesh_grid(M, level, seed):
     raise GeometryError(f"no mesh scheme for {M!r}")
 
 
-def grid_frames(grid, salt=0, unitary=False):
+def grid_frames(grid, salt=0):
     """Deterministic frames at the grid nodes, derived from the grid seed:
-    drawn once per (salt, unitary) and kept, read-only, on the grid."""
-    draw = unitary_frames if unitary else random_frames
-    return meshes.kept(grid.derived, (salt, bool(unitary)),
-                       lambda: draw(grid.manifold, grid.nodes, spawn(grid.seed, 1000 + salt)))
+    drawn once per salt and kept, read-only, on the grid."""
+    return meshes.kept(grid.derived, salt,
+                       lambda: random_frames(grid.manifold, grid.nodes, spawn(grid.seed, 1000 + salt)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +239,10 @@ def compose(outer, inner, name=""):
     if outer.differential is not None and inner.differential is not None:
         def diff(x, v):
             return outer.differential(inner(x), inner.differential(x, v))
-    smooth = "smooth" if outer.smoothness == inner.smoothness == "smooth" else "lipschitz"
     return MapObject(
         inner.domain, outer.codomain,
         lambda x: outer(inner(x)),
-        differential=diff, smoothness=smooth,
+        differential=diff,
         name=name or f"{outer.name}∘{inner.name}",
     )
 
@@ -316,27 +293,20 @@ def homothety_map(dom, cod, name="homothety"):
 # Exact unit-tangent designs (Croke-style direction averages)
 
 
-def _design_coefficients(d, order):
-    """Direction coefficients and weights on S^{d-1}, exact through `order`.
+def _design_coefficients(d):
+    """Direction coefficients and weights on S^{d-1}, exact through degree 3.
 
-    d = 2: equally spaced angles (exact through count-1);
+    d = 2: 6 equally spaced angles (exact through degree 5);
     d = 3: rotated icosahedron (a spherical 5-design);
     d >= 4: rotated cross-polytope (exact through degree 3).
     """
-    if order < 2:
-        order = 2
     if d == 2:
-        K = max(order + 1, 6)
-        t = 2 * np.pi * np.arange(K) / K
-        return np.stack([np.cos(t), np.sin(t)], axis=-1), np.full(K, 2 * np.pi / K)
+        t = 2 * np.pi * np.arange(6) / 6
+        return np.stack([np.cos(t), np.sin(t)], axis=-1), np.full(6, 2 * np.pi / 6)
     if d == 3:
-        if order > 5:
-            raise GeometryError("unit-tangent designs in dim 3 support order <= 5")
         ico = meshes.icosahedron()[0]
         q = _fixed_rotation(3)
         return ico @ q.T, np.full(12, sphere_volume(2) / 12.0)
-    if order > 3:
-        raise GeometryError("unit-tangent designs in dim >= 4 support order <= 3")
     q = _fixed_rotation(d)
     coeffs = np.concatenate([q, -q], axis=0)
     return coeffs, np.full(2 * d, sphere_volume(d - 1) / (2 * d))
@@ -348,11 +318,11 @@ def _fixed_rotation(d):
     return q * np.sign(np.diag(r))
 
 
-def unit_tangent_quadrature(M, x, order=3):
-    """Weighted unit-tangent directions at x, exact for polynomials of the
-    design's degree; weights sum to the area of the unit (dim-1)-sphere."""
+def unit_tangent_quadrature(M, x):
+    """Weighted unit-tangent directions at x, exact for polynomials through
+    degree 3; weights sum to the area of the unit (dim-1)-sphere."""
     frame = frame_at(M, x)
-    coeffs, w = _design_coefficients(M.dim, order)
+    coeffs, w = _design_coefficients(M.dim)
     dirs = np.einsum("jd,...da->j...a", coeffs, frame)
     return dirs, w
 

@@ -72,6 +72,7 @@ from .maps import (
     frame_at,
     homothety_map,
     identity_map,
+    is_integer,
     normalized_linear_map,
     pullback_gram,
 )
@@ -149,13 +150,11 @@ class BoundSpec:
                 f"got {tuple(sorted(self.params))}"
             )
         for key in ("N", "n"):
-            if key in self.params:
-                value = self.params[key]
-                if int(value) != value or int(value) < 1:
-                    raise GeometryError(f"{key} must be a positive integer")
+            if key in self.params and not (is_integer(self.params[key]) and self.params[key] >= 1):
+                raise GeometryError(f"{key} must be an integer >= 1, got {self.params[key]!r}")
         for key in ("area", "length", "systole"):
-            if key in self.params and not self.params[key] > 0:
-                raise GeometryError(f"{key} must be positive")
+            if key in self.params and not (_is_finite_real(self.params[key]) and self.params[key] > 0):
+                raise GeometryError(f"{key} must be a finite real > 0, got {self.params[key]!r}")
         if "p" in self.params:
             p, least = self.params["p"], {"CPN_P": 2, "RPN_P": 1}[self.tag]
             if not (_is_finite_real(p) and p >= least):
@@ -400,7 +399,7 @@ def _run_croke(seed, pairs):
         if k == 0:
             continue
         x = M.random_point(spawn(seed, index), size=(int(k),))
-        density = croke_density(F, x, order=3)
+        density = croke_density(F, x)
         gram, ok = pullback_gram(F, x, frame_at(M, x))
         if not np.all(ok):
             raise GeometryError("a probe point fell in the unreliable band")
@@ -458,8 +457,7 @@ def _run_line_formula(seed, lines):
 @_experiment("rp2-family", "planes", 64, 0.01)
 def _run_rp2_family(seed, planes):
     """Plane averages of restricted energies recover the 2-energy on RP^3."""
-    avg = rp2_family_average(identity_map(real_projective(3)), K=planes,
-                             seed=seed, resolution=4)
+    avg = rp2_family_average(identity_map(real_projective(3)), K=planes, seed=seed)
     worst = max(_relerr(avg, 1.5 * np.pi**2),
                 _relerr(rp2_family_mass(3), 0.75 * np.pi))
     return {"average": float(avg), "mass": rp2_family_mass(3)}, worst
@@ -680,8 +678,7 @@ def _run_flow(seed, level):
              reference=eval_bound(BoundSpec("RPN_P", {"n": 3, "p": 1.0, "length": np.pi})))
 def _run_e1_geodesic(seed, loops):
     """Geodesic image lengths bound the 1-energy, sharply for the identity."""
-    value = e1_geodesic_bound(identity_map(real_projective(3)), K=loops,
-                              seed=seed, steps=256)
+    value = e1_geodesic_bound(identity_map(real_projective(3)), K=loops, seed=seed)
     return {}, value
 
 
@@ -691,7 +688,7 @@ def _run_e1_geodesic(seed, loops):
 
 def _checked_integer(key, value, least):
     """The integer parameter `key` of a record, checked to be at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    if not is_integer(value) or value < least:
         raise UsageError(f"{key} must be an integer >= {least}, got {value!r}")
     return int(value)
 

@@ -91,8 +91,11 @@ def test_flow_subcommand_writes_a_log(tmp_path, capsys):
     assert "conformality defect" in capsys.readouterr().out
 
     refused = tmp_path / "refused.csv"
-    with pytest.raises(SystemExit) as info:
-        main(["flow", "--mesh-level", "-1", "--steps", "3", "--out", str(refused)])
-    assert info.value.code == 2
-    assert "--mesh-level" in capsys.readouterr().err
-    assert not refused.exists()
+    for flag, value in (("--mesh-level", "-1"), ("--steps", "-5"), ("--steps", "0"),
+                        ("--seed", "-1")):
+        argv = {"--mesh-level": "1", "--steps": "3", "--seed": "0", flag: value}
+        with pytest.raises(SystemExit) as info:
+            main(["flow", *(item for pair in argv.items() for item in pair), "--out", str(refused)])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not refused.exists()

@@ -73,7 +73,7 @@ def test_curve_differential_matches_finite_differences():
     z = cp1.random_point(make_rng(8), 25)
     fr = frame_at(cp1, z)
     exact, _ = differential_columns(F, z, fr)
-    F_fd = MapObject(F.domain, F.codomain, F.evaluator, None, "smooth", "fd")
+    F_fd = MapObject(F.domain, F.codomain, F.evaluator, None, "fd")
     approx, ok = differential_columns(F_fd, z, fr)
     assert np.all(ok)
     np.testing.assert_allclose(exact, approx, atol=1e-6)
@@ -248,7 +248,7 @@ def test_capped_theta_differential_matches_finite_differences():
     x = x[keep]
     fr = frame_at(M, x)
     exact, _ = differential_columns(F, x, fr)
-    F_fd = MapObject(F.domain, F.codomain, F.evaluator, None, "lipschitz", "fd")
+    F_fd = MapObject(F.domain, F.codomain, F.evaluator, None, "fd")
     approx, ok = differential_columns(F_fd, x, fr)
     assert np.all(ok)
     np.testing.assert_allclose(exact, approx, atol=1e-6)

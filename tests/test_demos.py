@@ -1,31 +1,37 @@
-"""The demo scripts import only names that mapenergy defines.
+"""The demo scripts use only names and keywords that mapenergy defines.
 
 The test run never executes `demos/`, so each script is parsed instead:
-a deleted or renamed public name then fails here, not in a reader's shell.
+a deleted or renamed public name, or a deleted keyword parameter, then
+fails here, not in a reader's shell.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-def _mapenergy_imports(path):
-    """(module, name) for every `from mapenergy... import name` in a script."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+def _mapenergy_imports(tree):
+    """(module, name, bound name) for every `from mapenergy... import name` in a script."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mapenergy":
             for alias in node.names:
-                yield node.module, alias.name
+                yield node.module, alias.name, alias.asname or alias.name
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def test_every_name_a_demo_imports_from_mapenergy_exists():
     assert len(DEMOS) >= 7
     missing = []
     for path in DEMOS:
-        found = list(_mapenergy_imports(path))
+        found = list(_mapenergy_imports(_parse(path)))
         assert found, f"{path.name} imports nothing from mapenergy"
-        for module, name in found:
+        for module, name, _ in found:
             try:
                 loaded = importlib.import_module(module)
             except ImportError:
@@ -34,3 +40,38 @@ def test_every_name_a_demo_imports_from_mapenergy_exists():
             if not hasattr(loaded, name):
                 missing.append(f"{path.name}: {module}.{name}")
     assert missing == []
+
+
+def _unknown_keywords(path):
+    """`file:line name(keyword=)` for each keyword that a call to a mapenergy
+    name passes and its signature lacks; callees taking **kwargs are skipped."""
+    tree = _parse(path)
+    callees = {}
+    for module, name, bound in _mapenergy_imports(tree):
+        obj = getattr(importlib.import_module(module), name, None)
+        if callable(obj):
+            callees[bound] = obj
+    unknown = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in callees):
+            continue
+        params = inspect.signature(callees[node.func.id]).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+            continue
+        for kw in node.keywords:
+            if kw.arg is not None and kw.arg not in params:
+                unknown.append(f"{path.name}:{node.lineno} {node.func.id}({kw.arg}=)")
+    return unknown
+
+
+def test_every_keyword_a_demo_passes_to_mapenergy_is_a_parameter():
+    unknown = [entry for path in DEMOS for entry in _unknown_keywords(path)]
+    assert unknown == []
+
+
+def test_the_keyword_check_flags_a_deleted_keyword(tmp_path):
+    script = tmp_path / "stale.py"
+    script.write_text("from mapenergy.maps import build_grid as grid\n"
+                      "grid(None, 4, scheme='mesh', order=3)\n")
+    assert _unknown_keywords(script) == ["stale.py:2 grid(order=)"]

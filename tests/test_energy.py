@@ -277,13 +277,13 @@ def test_integrate_all_failed_raises():
 
 def test_energy_value_rejects_negative():
     with pytest.raises(GeometryError):
-        EnergyValue(2.0, -1.0, "mesh", 4, 0)
+        EnergyValue(-1.0)
 
 
 def test_energy_value_rejects_non_finite():
     for value in (float("nan"), float("inf")):
         with pytest.raises(GeometryError):
-            EnergyValue(2.0, value, "mesh", 4, 0)
+            EnergyValue(value)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +341,9 @@ def test_curve_length_chord_fallback_on_jumps():
         pick = x[..., 0] >= x[..., 1]
         return np.where(pick[..., None], p, q)
 
-    F = MapObject(M, M, ev, smoothness="piecewise", name="two-level")
+    F = MapObject(M, M, ev, name="two-level")
     loop = _GreatLoop(M)
-    assert curve_length(F, loop, steps=256) == pytest.approx(np.pi, abs=1e-9)
+    assert curve_length(F, loop) == pytest.approx(np.pi, abs=1e-9)
 
 
 def test_curve_length_of_an_analytic_map_measures_no_chords(monkeypatch):

@@ -110,11 +110,11 @@ def test_second_form_cut_locus_raises():
         out[flip] = -p
         return out
 
-    F = MapObject(s2, s2, ev, smoothness="lipschitz", name="two-level")
+    F = MapObject(s2, s2, ev, name="two-level")
     x = s2.canonicalize(np.array([1e-5, 1.0, 0.0]))[None]
     v = np.array([[1.0, 0.0, 0.0]])
     with pytest.raises(CutLocusError):
-        second_fundamental_form(F, x, v, v, h=1e-3)
+        second_fundamental_form(F, x, v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_second_variation_halves_the_step_after_a_non_finite_energy(monkeypatch)
     def first_energy_not_finite(Ft, grid, p):
         calls.append(p)
         if len(calls) == 1:
-            return EnergyValue(p, float("nan"), grid.scheme, grid.resolution, grid.seed)
+            return EnergyValue(float("nan"))
         return p_energy(Ft, grid, p=p)
 
     monkeypatch.setattr(harmonic, "p_energy", first_energy_not_finite)

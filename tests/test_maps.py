@@ -29,7 +29,6 @@ from mapenergy.maps import (
     pullback_gram,
     random_frames,
     unit_tangent_quadrature,
-    unitary_frames,
 )
 
 
@@ -46,16 +45,6 @@ def test_random_frames_orthonormal():
             np.testing.assert_allclose(np.einsum("ka,kia->ki", x.conj(), fr), 0.0, atol=1e-12)
         else:
             np.testing.assert_allclose(np.einsum("ka,kia->ki", x, fr), 0.0, atol=1e-12)
-
-
-def test_unitary_frames_pairing():
-    M = complex_projective(2)
-    rng = make_rng(9)
-    x = M.random_point(rng, 10)
-    fr = unitary_frames(M, x, rng)
-    np.testing.assert_allclose(fr[:, 1::2], 1j * fr[:, 0::2], atol=1e-14)
-    G = np.einsum("kia,kja->kij", fr.conj(), fr).real
-    np.testing.assert_allclose(G, np.broadcast_to(np.eye(4), G.shape), atol=1e-12)
 
 
 def test_identity_gram_is_identity():
@@ -161,7 +150,7 @@ def test_double_cover_local_isometry():
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_unit_tangent_design_moments(d):
     # exact constants and second moments: int u_i u_j = delta_ij sigma(d-1)/d
-    coeffs, w = maps._design_coefficients(d, 3 if d != 3 else 5)
+    coeffs, w = maps._design_coefficients(d)
     sigma = sphere_volume(d - 1)
     np.testing.assert_allclose(w.sum(), sigma, rtol=1e-13)
     M2 = np.einsum("j,ja,jb->ab", w, coeffs, coeffs)
@@ -172,7 +161,7 @@ def test_unit_tangent_design_moments(d):
 def test_unit_tangent_quadrature_on_manifold():
     M = real_projective(3)
     x = M.random_point(make_rng(47))
-    dirs, w = unit_tangent_quadrature(M, x, order=3)
+    dirs, w = unit_tangent_quadrature(M, x)
     np.testing.assert_allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.einsum("ja,a->j", dirs, x), 0.0, atol=1e-12)
     np.testing.assert_allclose(w.sum(), sphere_volume(2), rtol=1e-13)
@@ -222,8 +211,6 @@ def test_grid_frames_are_drawn_once_per_salt_and_read_only():
         f[0, 0, 0] = 0.0
     other = grid_frames(g, salt=5)
     assert other is not f and not np.array_equal(other, f)
-    unitary = grid_frames(g, salt=4, unitary=True)
-    assert unitary is not f and grid_frames(g, salt=4, unitary=True) is unitary
 
 
 def test_hopf_chart_round_trip_and_isometry():

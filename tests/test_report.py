@@ -72,6 +72,21 @@ def test_bound_validation_rejects_bad_input():
         BoundSpec("RPN_P", {"n": 3, "p": 2.0, "length": -1.0})
     with pytest.raises(GeometryError):
         BoundSpec("INFIMUM", {"N": 2.5, "area": np.pi})
+    for N in (None, True, 2.0, 2.5, 0, -1, "2"):
+        with pytest.raises(GeometryError, match="integer >= 1"):
+            BoundSpec("INFIMUM", {"N": N, "area": np.pi})
+        with pytest.raises(GeometryError, match="integer >= 1"):
+            BoundSpec("RPN_P", {"n": N, "p": 2.0, "length": np.pi})
+    for value in (None, "x", True, float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(GeometryError, match="area must be a finite real"):
+            BoundSpec("INFIMUM", {"N": 2, "area": value})
+        with pytest.raises(GeometryError, match="length must be a finite real"):
+            BoundSpec("RPN_P", {"n": 3, "p": 2.0, "length": value})
+        with pytest.raises(GeometryError, match="systole must be a finite real"):
+            BoundSpec("PU", {"area": np.pi, "systole": value})
+    # numpy integers and reals are accepted as their Python values
+    assert eval_bound(BoundSpec("INFIMUM", {"N": np.int64(2), "area": np.float64(2.0)})) == \
+        eval_bound(BoundSpec("INFIMUM", {"N": 2, "area": 2.0}))
     for p in (float("nan"), float("inf"), None, "3", True):
         with pytest.raises(GeometryError, match="finite real"):
             BoundSpec("CPN_P", {"N": 2, "p": p, "area": np.pi})

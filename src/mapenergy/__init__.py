@@ -11,7 +11,7 @@ harmonic       Second fundamental form, tension, residuals, second variation.
 meshes         Icosphere meshes and the geometry each mesh keeps once derived.
 flow           Discrete Dirichlet energy and gradient flow on triangle meshes.
 report         Named verification experiments, bounds, CLI-facing reports.
-tables         The CSV layout shared by every table file.
+tables         The CSV writer behind the flow log and the report CSV twin.
 """
 
 from .rand import make_rng, spawn

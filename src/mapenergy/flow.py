@@ -197,24 +197,5 @@ def conformality_defect(m):
 # persistence
 
 
-def meshmap_to_csv(m, path):
-    rows = tables.float_columns(m.images)
-    cols = rows.shape[1]
-    meta = {"level": m.mesh.level, "quotient": int(m.antipodal_quotient),
-            "codomain": m.codomain.kind, "columns": cols}
-    tables.write_table(path, [([f"c{k}" for k in range(cols)], rows)], meta)
-
-
-def meshmap_from_csv(path, codomain):
-    """Read a MeshMap file; its codomain kind and column count must match `codomain`."""
-    meta, [(_, rows)] = tables.read_table(path)
-    cols = codomain.ambient_dim * (2 if codomain.dtype == np.complex128 else 1)
-    if (meta["codomain"], int(meta["columns"])) != (codomain.kind, cols):
-        raise GeometryError(f"{path} holds a map to a {meta['codomain']}, not to {codomain!r}")
-    return MeshMap(icosphere(checked_resolution("mesh", int(meta["level"]))), codomain,
-                   tables.from_float_columns(rows, codomain.dtype),
-                   antipodal_quotient=bool(int(meta["quotient"])))
-
-
 def write_flow_log(history, path):
-    tables.write_table(path, [(list(history[0]), [list(rec.values()) for rec in history])])
+    tables.write_table(path, list(history[0]), [list(rec.values()) for rec in history])

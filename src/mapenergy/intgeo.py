@@ -23,7 +23,7 @@ from .manifolds import (
     real_projective,
     sphere_volume,
 )
-from .maps import build_grid, compose, normalized_linear_map
+from .maps import build_grid, compose, is_integer, normalized_linear_map
 from .rand import make_rng
 
 # subdivision level of the RP^2 mesh in `rp2_family_average`
@@ -131,16 +131,25 @@ def rp2_family_mass(n):
     return n * sphere_volume(n) / (8.0 * np.pi)
 
 
+def _sample_count(K):
+    """`K` as an int; GeometryError unless an integer >= 1, since each of
+    the K samples carries mass / K."""
+    if not (is_integer(K) and K >= 1):
+        raise GeometryError(f"a sample count must be an integer >= 1, got {K!r}")
+    return int(K)
+
+
 def sample_geodesics(n, K, seed=0):
     """K closed geodesics from uniform unit tangents, exactly normalized."""
     if n < 2:
         raise GeometryError("geodesic sampling needs n >= 2")
     M = real_projective(n)
+    K = _sample_count(K)
     rng = make_rng(seed)
-    x = M.random_point(rng, int(K))
+    x = M.random_point(rng, K)
     u = M.random_unit_tangent(rng, x)
     w = geodesic_space_mass(n) / K
-    return [MeasureSample(GeodesicLoop(M, x[i], u[i]), w) for i in range(int(K))]
+    return [MeasureSample(GeodesicLoop(M, x[i], u[i]), w) for i in range(K)]
 
 
 def sample_lines(N, K, seed=0):
@@ -148,11 +157,12 @@ def sample_lines(N, K, seed=0):
     if N < 1:
         raise GeometryError("line sampling needs N >= 1")
     M = complex_projective(N)
+    K = _sample_count(K)
     rng = make_rng(seed)
-    x = M.random_point(rng, int(K))
+    x = M.random_point(rng, K)
     u = M.random_unit_tangent(rng, x)
     w = line_space_mass(N) / K
-    return [MeasureSample(LineEmbedding(x[i], u[i]), w) for i in range(int(K))]
+    return [MeasureSample(LineEmbedding(x[i], u[i]), w) for i in range(K)]
 
 
 def sample_rp2_planes(n, K, seed=0):
@@ -161,10 +171,11 @@ def sample_rp2_planes(n, K, seed=0):
         raise GeometryError("the plane family needs n >= 3")
     M = real_projective(n)
     rp2 = real_projective(2)
+    K = _sample_count(K)
     rng = make_rng(seed)
     w = rp2_family_mass(n) / K
     out = []
-    for i in range(int(K)):
+    for i in range(K):
         g = rng.standard_normal((M.ambient_dim, 3))
         q, _ = np.linalg.qr(g)
         emb = normalized_linear_map(rp2, M, q, name="plane")

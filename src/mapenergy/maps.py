@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import meshes, tables
+from . import meshes
 from .manifolds import (
     ComplexProjective,
     GeometryError,
@@ -136,7 +136,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
-    resolution: int
     seed: int = 0
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -181,7 +180,7 @@ def build_grid(M, resolution, scheme="monte_carlo", seed=0):
         return _mesh_grid(M, resolution, seed)
     nodes = M.random_point(make_rng(seed), resolution)
     w = np.full(resolution, M.volume / resolution)
-    return QuadratureGrid(M, nodes, w, scheme, resolution, seed)
+    return QuadratureGrid(M, nodes, w, scheme, seed)
 
 
 def _mesh_grid(M, level, seed):
@@ -189,10 +188,10 @@ def _mesh_grid(M, level, seed):
     areas = meshes.vertex_areas(mesh)
     if M.kind in ("sphere", "real_projective") and M.n == 2:
         nodes = M.canonicalize(mesh.vertices)
-        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh", level, seed)
+        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh", seed)
     if isinstance(M, ComplexProjective) and M.N == 1:
         nodes = M.canonicalize(cp1_from_sphere(mesh.vertices))
-        return QuadratureGrid(M, nodes, 0.25 * areas, "mesh", level, seed)
+        return QuadratureGrid(M, nodes, 0.25 * areas, "mesh", seed)
     raise GeometryError(f"no mesh scheme for {M!r}")
 
 
@@ -325,27 +324,3 @@ def unit_tangent_quadrature(M, x):
     coeffs, w = _design_coefficients(M.dim)
     dirs = np.einsum("jd,...da->j...a", coeffs, frame)
     return dirs, w
-
-
-# ---------------------------------------------------------------------------
-# Grid serialization
-
-
-def _node_columns(M):
-    if M.dtype == np.complex128:
-        return [f"{part}{i}" for i in range(M.ambient_dim) for part in ("re", "im")]
-    return [f"x{i}" for i in range(M.ambient_dim)]
-
-
-def grid_to_csv(grid, path):
-    """Table of node components (complex ones as re, im pairs) then weight."""
-    rows = np.column_stack([tables.float_columns(grid.nodes), grid.weights])
-    meta = {"scheme": grid.scheme, "resolution": grid.resolution, "seed": grid.seed}
-    tables.write_table(path, [(_node_columns(grid.manifold) + ["weight"], rows)], meta)
-
-
-def grid_from_csv(M, path):
-    meta, [(_, rows)] = tables.read_table(path)
-    nodes = tables.from_float_columns(rows[:, :-1], M.dtype)
-    return QuadratureGrid(M, nodes, rows[:, -1], meta["scheme"],
-                          int(meta["resolution"]), int(meta["seed"]))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tables
 from .manifolds import sphere
 
 # side products and determinants below this count as degenerate
@@ -29,7 +28,6 @@ DEGENERATE_GUARD = 1e-12
 class SphereMesh:
     vertices: np.ndarray  # (V, 3) unit
     triangles: np.ndarray  # (T, 3) int
-    level: int
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -88,7 +86,7 @@ def icosphere(level):
     v, f = icosahedron()
     for _ in range(level):
         v, f = _subdivide(v, f)
-    return SphereMesh(vertices=v, triangles=f, level=level)
+    return SphereMesh(vertices=v, triangles=f)
 
 
 def spherical_triangle_areas(vertices, triangles):
@@ -211,14 +209,3 @@ def flat_triangles(mesh):
     adjugate = np.stack([P[..., 1, 1], -P[..., 0, 1], -P[..., 1, 0], P[..., 0, 0]], axis=-1)
     inverses = adjugate.reshape(-1, 2, 2) / np.where(degenerate, 1.0, det)[:, None, None]
     return inverses, degenerate, spherical_triangle_areas(mesh.vertices, mesh.triangles)
-
-
-def mesh_to_csv(mesh, path):
-    meta = {"vertices": len(mesh.vertices), "triangles": len(mesh.triangles), "level": mesh.level}
-    blocks = [(["vx", "vy", "vz"], mesh.vertices), (["i", "j", "k"], mesh.triangles)]
-    tables.write_table(path, blocks, meta)
-
-
-def mesh_from_csv(path):
-    meta, [(_, verts), (_, tris)] = tables.read_table(path)
-    return SphereMesh(vertices=verts, triangles=tris.astype(int), level=int(meta["level"]))

@@ -69,6 +69,7 @@ from .manifolds import (
 )
 from .maps import (
     build_grid,
+    checked_resolution,
     frame_at,
     homothety_map,
     identity_map,
@@ -225,14 +226,14 @@ def systole_rp2(weight, level=4):
     ambient vectors (vectorized over the leading axis) or as a positive
     constant; it must be antipodally even so the metric descends to the
     projective plane.  Loops are searched on an icosahedral mesh of the
-    double cover at the given subdivision level: every chord between
-    vertices at most three hops apart becomes a graph edge weighted by
-    its geodesic length times the mean of sqrt(weight) at its endpoints,
-    and the systole is the least graph distance from a vertex to its
-    antipode.  Rerun with `level + 1` to gauge convergence; for the
+    double cover at subdivision level `level`, an integer >= 0: every
+    chord between vertices at most three hops apart becomes a graph edge
+    weighted by its geodesic length times the mean of sqrt(weight) at
+    its endpoints, and the systole is the least graph distance from a
+    vertex to its antipode.  Rerun with `level + 1` to gauge convergence; for the
     round metric the result is pi to well within one percent.
     """
-    mesh = icosphere(level)
+    mesh = icosphere(checked_resolution("mesh", level))
     perm = antipodal_permutation(mesh)
     mu = _conformal_weight(weight, mesh)
     if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
@@ -254,8 +255,9 @@ def systole_rp2(weight, level=4):
 
 
 def conformal_area_rp2(weight, level=5):
-    """Area of the metric weight * round on RP^2 by mesh quadrature."""
-    mesh = icosphere(level)
+    """Area of the metric weight * round on RP^2 by quadrature on the
+    icosphere of level `level`, an integer >= 0."""
+    mesh = icosphere(checked_resolution("mesh", level))
     return float(0.5 * np.sum(vertex_areas(mesh) * _conformal_weight(weight, mesh)))
 
 
@@ -317,10 +319,6 @@ class ExperimentReport:
                 for k, v in record.items()}
 
 
-def _from_dict(record):
-    return ExperimentReport(**{k: float("nan") if v is None else v for k, v in record.items()})
-
-
 def write_reports(reports, path):
     """Write reports as a JSON array plus a CSV twin (same stem)."""
     path = str(path)
@@ -333,13 +331,7 @@ def write_reports(reports, path):
                "tolerance", "tolerance_kind", "wall_time", "inputs"]
     rows = [[rec[c] if c != "inputs" else json.dumps(rec[c], sort_keys=True)
              for c in columns] for rec in payload]
-    tables.write_table(stem + ".csv", [(columns, rows)])
-
-
-def read_reports(path):
-    """Read back a JSON report array written by `write_reports`."""
-    with open(path) as fh:
-        return [_from_dict(rec) for rec in json.load(fh)]
+    tables.write_table(stem + ".csv", columns, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from mapenergy.manifolds import (
     complex_projective,
     real_projective,
     sphere,
-    sphere_volume,
 )
 from mapenergy.maps import (
     MapObject,

@@ -31,7 +31,6 @@ from mapenergy.manifolds import (
     CutLocusError,
     GeometryError,
     complex_projective,
-    real_projective,
     sphere,
     su_basis,
 )

@@ -139,6 +139,23 @@ def test_line_mass_and_determinism():
     assert sum(s.weight for s in a) == pytest.approx(line_space_mass(2), rel=1e-12)
 
 
+def test_samplers_take_an_integer_count_of_at_least_one():
+    # each of the K samples weighs mass / K, so only a whole K >= 1 keeps the total mass
+    for sample, dim, mass in ((sample_lines, 2, line_space_mass(2)),
+                              (sample_geodesics, 3, geodesic_space_mass(3)),
+                              (sample_rp2_planes, 3, rp2_family_mass(3))):
+        for K in (2.5, 2.0, 0, -1, True, None, "3"):
+            with pytest.raises(GeometryError, match="integer >= 1"):
+                sample(dim, K)
+        drawn = sample(dim, np.int64(3))
+        assert len(drawn) == 3
+        assert sum(s.weight for s in drawn) == pytest.approx(mass, rel=1e-12)
+    F = identity_map(complex_projective(2))
+    with pytest.raises(GeometryError, match="integer >= 1"):
+        line_energy_average(F, K=2.5)
+    assert line_energy_average(F, K=np.int64(3)) == line_energy_average(F, K=3)
+
+
 # ---------------------------------------------------------------------------
 # line-energy averaging
 

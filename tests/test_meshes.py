@@ -36,7 +36,7 @@ def test_antipodal_permutation_rejects_a_nudged_vertex():
     vertices = m.vertices.copy()
     vertices[7, 0] = np.nextafter(vertices[7, 0], 2.0)
     with pytest.raises(ValueError, match="antipodally symmetric"):
-        meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles, m.level))
+        meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles))
 
 
 def _cotangent_weights_by_edge_loop(mesh):
@@ -86,16 +86,6 @@ def test_discrete_identity_energy_close_to_area():
     np.testing.assert_allclose(energy, 4 * math.pi, rtol=1e-2)
 
 
-def test_mesh_csv_round_trip(tmp_path):
-    m = meshes.icosphere(1)
-    path = tmp_path / "mesh.csv"
-    meshes.mesh_to_csv(m, path)
-    back = meshes.mesh_from_csv(path)
-    np.testing.assert_array_equal(back.vertices, m.vertices)
-    np.testing.assert_array_equal(back.triangles, m.triangles)
-    assert back.level == 1
-
-
 def test_mesh_geometry_is_computed_once_and_read_only():
     m = meshes.icosphere(2)
     for derive in (meshes.cotangent_weights, meshes.vertex_areas,
@@ -107,20 +97,18 @@ def test_mesh_geometry_is_computed_once_and_read_only():
                 array[0] = array[0]
 
 
-def test_a_separately_built_mesh_gets_its_own_geometry(tmp_path):
+def test_a_separately_built_mesh_gets_its_own_geometry():
     m = meshes.icosphere(1)
-    path = tmp_path / "mesh.csv"
-    meshes.mesh_to_csv(m, path)
-    back = meshes.mesh_from_csv(path)
+    back = meshes.SphereMesh(m.vertices.copy(), m.triangles.copy())
     assert back != m and meshes.icosphere(1) is m
     for derive in (meshes.cotangent_weights, meshes.vertex_areas, meshes.antipodal_permutation):
         mine, theirs = derive(back), derive(m)
         assert mine is not theirs
         for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (mine, theirs))):
             assert a.tobytes() == b.tobytes()
-    # a mesh that shares level and triangles with a symmetric one is checked afresh
+    # a mesh that shares triangles with a symmetric one is checked afresh
     meshes.antipodal_permutation(m)
     vertices = m.vertices.copy()
     vertices[7, 0] = np.nextafter(vertices[7, 0], 2.0)
     with pytest.raises(ValueError, match="antipodally symmetric"):
-        meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles, m.level))
+        meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles))

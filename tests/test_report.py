@@ -7,6 +7,7 @@ from mapenergy import harmonic, report as report_module
 from mapenergy.energy import p_energy
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective
 from mapenergy.maps import build_grid
+from mapenergy.meshes import icosphere
 from mapenergy.constructions import (
     conic_curve,
     line_curve,
@@ -22,7 +23,6 @@ from mapenergy.report import (
     all_passed,
     conformal_area_rp2,
     eval_bound,
-    read_reports,
     run_experiment,
     run_suite,
     systole_rp2,
@@ -139,6 +139,17 @@ def test_systole_rejects_bad_weights():
         systole_rp2(lambda x: 1.0 + 0.5 * x[..., 0], level=2)  # odd part
     with pytest.raises(GeometryError):
         systole_rp2(lambda x: np.ones(3), level=2)  # wrong shape
+
+
+def test_systole_and_area_take_an_integer_level_of_at_least_zero():
+    cached = icosphere.cache_info().currsize
+    for level in (-1, 1.5, True, "2", None):
+        for estimate in (systole_rp2, conformal_area_rp2):
+            with pytest.raises(GeometryError, match="integer resolution >= 0"):
+                estimate(1.0, level=level)
+    assert icosphere.cache_info().currsize == cached
+    assert systole_rp2(1.0, level=np.int64(2)) == systole_rp2(1.0, level=2)
+    assert conformal_area_rp2(1.0, level=np.int64(2)) == conformal_area_rp2(1.0, level=2)
 
 
 def test_bumped_metric_has_positive_systolic_slack():
@@ -281,16 +292,7 @@ def test_report_files_roundtrip_with_a_csv_twin(tmp_path):
     ])
     target = tmp_path / "reports.json"
     write_reports(reports, target)
-    back = read_reports(target)
-    assert len(back) == 2
-    for a, b in zip(reports, back):
-        assert a.name == b.name
-        assert a.passed == b.passed
-        assert a.inputs == b.inputs
-        if np.isnan(a.estimate):
-            assert np.isnan(b.estimate)
-        else:
-            assert a.estimate == b.estimate
+    assert json.loads(target.read_text()) == [r.to_dict() for r in reports]
     twin = tmp_path / "reports.csv"
     lines = twin.read_text().strip().splitlines()
     assert lines[0].startswith("name,passed,estimate")

@@ -3,9 +3,10 @@
 Subcommands:
 
 ``verify <experiment>``  run one named experiment (or ``all``) and print
-                         the report; ``--out`` also writes the JSON
-                         array and its CSV twin.  Exit status is zero
-                         exactly when every report passed.
+                         the report; ``--out X.json`` also writes the
+                         JSON array there and its CSV twin to ``X.csv``.
+                         Exit status is zero exactly when every report
+                         passed.
 ``corpus list``          print the catalog of map keys, curve builders,
                          and experiment names.
 ``flow``                 run the discrete energy descent demo on a bent
@@ -40,7 +41,8 @@ def _build_parser():
     verify.add_argument("--resolution", type=int, default=None)
     verify.add_argument("--p", type=float, default=None, help="exponent (bounds-identity only)")
     verify.add_argument("--out", default=None,
-                        help="write the JSON report array (and CSV twin) here")
+                        help="write the JSON report array to this .json file "
+                             "and its CSV twin beside it")
     verify.add_argument("--config", default=None,
                         help="JSON file mapping experiment names to records")
 
@@ -66,6 +68,8 @@ def _load_config(path):
 
 
 def _verify(args):
+    if args.out is not None and not args.out.endswith(".json"):
+        raise UsageError(f"--out must name a .json file, got {args.out!r}")
     table = _load_config(args.config)
     overrides = {}
     if args.seed is not None:

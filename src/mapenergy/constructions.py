@@ -28,6 +28,7 @@ from .maps import (
     compose,
     homothety_map,
     identity_map,
+    is_finite_real,
     normalized_linear_map,
 )
 from .energy import p_energy
@@ -177,8 +178,8 @@ def make_projective_dilation(N, lam):
     Holomorphic for every lam > 0, the identity at lam = 1, and fixes
     the reference line pointwise.
     """
-    if lam <= 0:
-        raise GeometryError("dilation parameter must be positive")
+    if not (is_finite_real(lam) and lam > 0):
+        raise GeometryError(f"the dilation parameter must be a finite real > 0, got {lam!r}")
     scale = np.ones(N + 1, dtype=complex)
     scale[0] = scale[1] = lam
     M = complex_projective(N)
@@ -236,8 +237,8 @@ def make_theta(t):
     The identity at t = 1; as t grows the map concentrates the sphere
     into a shrinking polar cap, with conformal factor 2t / D(x).
     """
-    if t < 1:
-        raise GeometryError("dilations need t >= 1")
+    if not (is_finite_real(t) and t >= 1):
+        raise GeometryError(f"dilations need a finite real t >= 1, got {t!r}")
     S3 = sphere(3)
 
     def ev(x):
@@ -258,8 +259,8 @@ def make_capped_theta(t):
     equator plane (pointwise fixed).  Lipschitz: continuous across both
     seams but not differentiable on them.  The identity at t = 1.
     """
-    if t < 1:
-        raise GeometryError("dilations need t >= 1")
+    if not (is_finite_real(t) and t >= 1):
+        raise GeometryError(f"dilations need a finite real t >= 1, got {t!r}")
     M = real_projective(3)
     c = (t * t - 1.0) / (t * t + 1.0)
 
@@ -358,6 +359,10 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
     Smooth, deterministic in (seed, magnitude), homotopic to the
     identity by scaling the magnitude.
     """
+    if flavor not in ("generic", "squeeze"):
+        raise GeometryError(f"unknown perturbation flavor {flavor!r}")
+    if not is_finite_real(magnitude):
+        raise GeometryError(f"the perturbation magnitude must be a finite real, got {magnitude!r}")
     amb = M.ambient_dim
     rng = make_rng(seed)
     S = rng.standard_normal((amb, amb))
@@ -370,8 +375,6 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
         v = M.project_tangent(x, np.einsum("ij,...j->...i", S, x))
         if flavor == "squeeze":
             v = v * (np.abs(x[..., -1]) ** 2)[..., None]
-        elif flavor != "generic":
-            raise GeometryError(f"unknown perturbation flavor {flavor!r}")
         return v
 
     def ev(x):

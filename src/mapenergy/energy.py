@@ -18,6 +18,7 @@ from .maps import (
     energy_density,
     grid_frames,
     gram_eigenvalues,
+    is_finite_real,
     pullback_gram,
     unit_tangent_quadrature,
 )
@@ -30,10 +31,11 @@ CURVE_STEPS = 256
 @dataclass(frozen=True)
 class EnergyValue:
     """A quadrature estimate of a map functional: the value, finite and
-    nonnegative, with its Monte Carlo standard error (None on other
-    grids), the fraction of quadrature mass dropped at nodes where the
-    differential could not be evaluated (the rest is renormalized), and
-    a warning when that fraction exceeds 1%.
+    nonnegative, with its Monte Carlo standard error (finite and
+    nonnegative; None on other grids), the fraction in [0, 1] of
+    quadrature mass dropped at nodes where the differential could not be
+    evaluated (the rest is renormalized), and a warning when that
+    fraction exceeds 1%.
     """
 
     value: float
@@ -46,6 +48,10 @@ class EnergyValue:
             raise GeometryError(f"functional value {self.value} is not finite")
         if self.value < 0:
             raise GeometryError("functional values are nonnegative")
+        if self.stderr is not None and not (is_finite_real(self.stderr) and self.stderr >= 0):
+            raise GeometryError(f"a standard error is a finite real >= 0, got {self.stderr!r}")
+        if not (is_finite_real(self.dropped_fraction) and 0.0 <= self.dropped_fraction <= 1.0):
+            raise GeometryError(f"a dropped fraction lies in [0, 1], got {self.dropped_fraction!r}")
 
     def __float__(self):
         return float(self.value)
@@ -131,19 +137,6 @@ def surface_area(F, grid):
     return pullback_volume(F, grid)
 
 
-def elementary_bound(p, n, vol_domain, pullback_vol):
-    """Closed-form lower bound for the p-energy in terms of pullback volume.
-
-    n^{p/2} * V_pull^{p/n} / (2 * V_dom^{(p-n)/n}), valid for p >= n;
-    equality holds exactly when the differential is a homothety a.e.
-    """
-    if p < n:
-        raise GeometryError("the elementary energy bound needs p >= n")
-    return float(
-        n ** (p / 2.0) * pullback_vol ** (p / n) / (2.0 * vol_domain ** ((p - n) / n))
-    )
-
-
 def curve_length(F, curve):
     """Arc length of F composed with a closed parametrized curve.
 
@@ -157,15 +150,8 @@ def curve_length(F, curve):
     x = curve.point(t)
     v = curve.velocity(t)
     cod = F.codomain
-    if F.differential is not None:
-        push = F.differential(x, v)
-        speed = cod.norm(push)
-        ok = np.ones(len(t), dtype=bool)
-    else:
-        vn = F.domain.norm(v)
-        unit = v / np.where(vn > 0, vn, 1.0)[..., None]
-        cols, ok = differential_columns(F, x, unit[..., None, :])
-        speed = np.sqrt(real_inner(cols[..., 0, :], cols[..., 0, :])) * vn
+    cols, ok = differential_columns(F, x, v[..., None, :])
+    speed = cod.norm(cols[..., 0, :])
     dt = t[1] - t[0]
     lengths = 0.5 * dt * (speed[:-1] + speed[1:])
     failed = ~(ok[:-1] & ok[1:])

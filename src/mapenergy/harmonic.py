@@ -2,10 +2,9 @@
 
 Second fundamental form values, tension fields, pluriharmonicity and
 Hermitian-symmetry residuals, second variations of the Dirichlet energy,
-the Jacobi-field identity for symmetry directions, and line integrals of
-the fundamental 2-form.  Everything is chart-free: intrinsic
-accelerations come from second differences through the codomain
-logarithm, which is exact for geodesics and O(h^2) otherwise.
+and the Jacobi-field identity for symmetry directions.  Everything is
+chart-free: intrinsic accelerations come from second differences through
+the codomain logarithm, which is exact for geodesics and O(h^2) otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import DEFAULT_FD_STEP, MapObject, compose, differential_columns, frame_at, log_probes
+from .maps import MapObject, differential_columns, frame_at, log_probes
 
 # the step of every second difference; read only by `_acceleration`
 SECOND_DIFF_STEP = 1e-3
@@ -119,13 +118,10 @@ def pushforward_field(F, vector_field):
     """Variation field x -> dF_x(V(x)) from a domain vector field V."""
 
     def push(x):
-        v = vector_field(x)
-        if F.differential is not None:
-            return F.differential(x, v)
-        vp, vm, ok = log_probes(F, x, v, DEFAULT_FD_STEP)
+        cols, ok = differential_columns(F, x, vector_field(x)[..., None, :])
         if not np.all(ok):
             raise CutLocusError("pushforward probe crossed the cut locus")
-        return (vp - vm) / (2.0 * DEFAULT_FD_STEP)
+        return cols[..., 0, :]
 
     return push
 
@@ -220,33 +216,3 @@ def index_trace_over_symmetries(F, grid, basis):
     for a in basis:
         total += second_variation(F, symmetry_variation(F, a), grid)
     return total
-
-
-# ---------------------------------------------------------------------------
-# fundamental 2-form
-
-
-def fundamental_form_line_integral(F, line, grid):
-    """Integral over an embedded projective line of the 2-form g(dF J., dF .).
-
-    The grid lives on the projective-line parameter space; equals the
-    image area for holomorphic maps and is a homotopy invariant for
-    pluriharmonic ones (warned about otherwise).
-    """
-    G = compose(F, line.embedding)
-    z, w = grid.nodes, grid.weights
-    probe = line.embedding(z[:3])
-    res = float(np.max(pluriharmonic_residual(F, probe)))
-    if res > TENSION_TOLERANCE:
-        warnings.warn(
-            f"pluriharmonicity residual {res:.2e} above tolerance; "
-            "the line integral is not a homotopy invariant",
-            stacklevel=2,
-        )
-    fr = frame_at(G.domain, z)
-    j_dir = 1j * fr[..., 0:1, :]
-    cols, ok = differential_columns(G, z, j_dir)
-    if not np.all(ok):
-        raise CutLocusError("differential probe failed on the line grid")
-    density = real_inner(cols[..., 0, :], cols[..., 0, :])
-    return float(np.sum(w * density))

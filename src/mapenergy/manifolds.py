@@ -136,11 +136,6 @@ class ModelManifold:
         v = self.project_tangent(x, g)
         return v / _norm(v)[..., None]
 
-    def geodesic(self, x, v, t):
-        """Point at parameter t along the unit-speed-free geodesic exp_x(t v)."""
-        t = np.asarray(t, dtype=float)
-        return self.exp(x, t[..., None] * v)
-
 
 def _exp(x, v, r):
     """Great-circle exponential on the radius-r sphere of unit representatives."""
@@ -203,13 +198,6 @@ class Sphere(ModelManifold):
         q, r = np.linalg.qr(rng.standard_normal((self.ambient_dim, self.ambient_dim)))
         return q * np.sign(np.diag(r))
 
-    def apply_isometry(self, q, x):
-        return self.canonicalize(x @ q.T)
-
-    def killing_field(self, a, x):
-        """Value at x of the Killing field generated by the skew matrix a."""
-        return self.radius * np.einsum("ij,...j->...i", a, x)
-
 
 class RealProjective(Sphere):
     kind = "real_projective"
@@ -262,9 +250,6 @@ class ComplexProjective(ModelManifold):
         q, r = np.linalg.qr(g)
         d = np.diag(r)
         return q * (d.conj() / np.abs(d))
-
-    def apply_isometry(self, u, x):
-        return self.canonicalize(x @ u.T)
 
     def killing_field(self, a, x):
         """Horizontal value at x of the field generated by skew-Hermitian a."""

@@ -11,6 +11,7 @@ A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
 once per salt, read-only, and gone with the grid.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -154,6 +155,11 @@ _LEAST_RESOLUTION = {"monte_carlo": 1, "mesh": 0}
 def is_integer(value):
     """True for Python and numpy integers, False for bools and everything else."""
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def is_finite_real(value):
+    """True for finite Python and numpy reals, False for bools and everything else."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def checked_resolution(scheme, resolution):

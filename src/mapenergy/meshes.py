@@ -31,10 +31,6 @@ class SphereMesh:
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
-    def n_vertices(self):
-        return len(self.vertices)
-
-    @property
     def edges(self):
         return mesh_edges(self.triangles)
 

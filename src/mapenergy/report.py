@@ -19,7 +19,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-import numbers
 import time
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -73,6 +72,7 @@ from .maps import (
     frame_at,
     homothety_map,
     identity_map,
+    is_finite_real,
     is_integer,
     normalized_linear_map,
     pullback_gram,
@@ -154,16 +154,12 @@ class BoundSpec:
             if key in self.params and not (is_integer(self.params[key]) and self.params[key] >= 1):
                 raise GeometryError(f"{key} must be an integer >= 1, got {self.params[key]!r}")
         for key in ("area", "length", "systole"):
-            if key in self.params and not (_is_finite_real(self.params[key]) and self.params[key] > 0):
+            if key in self.params and not (is_finite_real(self.params[key]) and self.params[key] > 0):
                 raise GeometryError(f"{key} must be a finite real > 0, got {self.params[key]!r}")
         if "p" in self.params:
             p, least = self.params["p"], {"CPN_P": 2, "RPN_P": 1}[self.tag]
-            if not (_is_finite_real(p) and p >= least):
+            if not (is_finite_real(p) and p >= least):
                 raise GeometryError(f"the {self.tag} bound needs a finite real p >= {least}, got {p!r}")
-
-
-def _is_finite_real(value):
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def eval_bound(spec):
@@ -320,13 +316,16 @@ class ExperimentReport:
 
 
 def write_reports(reports, path):
-    """Write reports as a JSON array plus a CSV twin (same stem)."""
+    """Write reports as a JSON array to `path`, which ends in .json, plus
+    a CSV twin of the same stem."""
     path = str(path)
+    if not path.endswith(".json"):
+        raise UsageError(f"a report file name ends in .json, got {path!r}")
     payload = [r.to_dict() for r in reports]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    stem = path[: -len(".json")] if path.endswith(".json") else path
+    stem = path[: -len(".json")]
     columns = ["name", "passed", "estimate", "reference", "abs_error", "rel_error",
                "tolerance", "tolerance_kind", "wall_time", "inputs"]
     rows = [[rec[c] if c != "inputs" else json.dumps(rec[c], sort_keys=True)
@@ -357,11 +356,15 @@ def _experiment(name, unit, resolution, tolerance, kind="absolute", reference=0.
     return register
 
 
+# tolerance of the experiments exact up to rounding (worst error 5e-15 on seeds 0-59)
+EXACT = 1e-12
+
+
 def _relerr(value, reference):
     return abs(value - reference) / abs(reference)
 
 
-@_experiment("croke", "pairs", 1000, 1e-6)
+@_experiment("croke", "pairs", 1000, EXACT)
 def _run_croke(seed, pairs):
     """Spherical mean of |dF(u)|^2 against the trace of the pullback Gram."""
     pools = [
@@ -400,7 +403,7 @@ def _run_croke(seed, pairs):
     return {"order": 3}, worst
 
 
-@_experiment("bounds-identity", "nodes", 100000, 5e-3)
+@_experiment("bounds-identity", "nodes", 100000, EXACT)
 def _run_bounds_identity(seed, nodes, p=None):
     """Identity maps saturate the closed-form p-energy bounds."""
     if p is None:
@@ -446,7 +449,7 @@ def _run_line_formula(seed, lines):
     return {"averages": averages, "mass": line_space_mass(2)}, worst
 
 
-@_experiment("rp2-family", "planes", 64, 0.01)
+@_experiment("rp2-family", "planes", 64, EXACT)
 def _run_rp2_family(seed, planes):
     """Plane averages of restricted energies recover the 2-energy on RP^3."""
     avg = rp2_family_average(identity_map(real_projective(3)), K=planes, seed=seed)
@@ -486,7 +489,7 @@ def _run_squeeze(seed, nodes):
     return inputs, values[-1]
 
 
-@_experiment("theta", "nodes", 30000, 5e-3, "relative", reference=3.0 * np.pi**2)
+@_experiment("theta", "nodes", 30000, EXACT, "relative", reference=3.0 * np.pi**2)
 def _run_theta(seed, nodes):
     """Conformal dilations of the 3-sphere lower the projective energy."""
     grid = build_grid(sphere(3), nodes, "monte_carlo", seed=seed + 5)
@@ -666,7 +669,7 @@ def _run_flow(seed, level):
     return inputs, energies[-1]
 
 
-@_experiment("e1-geodesic", "loops", 400, 0.01, "relative",
+@_experiment("e1-geodesic", "loops", 400, EXACT, "relative",
              reference=eval_bound(BoundSpec("RPN_P", {"n": 3, "p": 1.0, "length": np.pi})))
 def _run_e1_geodesic(seed, loops):
     """Geodesic image lengths bound the 1-energy, sharply for the identity."""
@@ -703,7 +706,7 @@ def _parsed(config):
     if p is not None:
         if "p" not in inspect.signature(experiment.run).parameters:
             raise UsageError(f"{name} does not read p")
-        if not _is_finite_real(p):
+        if not is_finite_real(p):
             raise UsageError(f"p must be a finite real number, got {p!r}")
         p = float(p)
     if cfg:
@@ -741,18 +744,8 @@ def run_experiment(config):
 
 
 def run_suite(configs):
-    """Run several experiments: a list of records or a name -> record map.
-
-    Every record is checked before the first one runs.
-    """
-    if isinstance(configs, dict):
-        configs = [{"name": name, **(record or {})}
-                   for name, record in configs.items()]
-    configs = list(configs)
+    """Run a list of experiment records, checking every record before the
+    first one runs."""
     for record in configs:
         _parsed(record)
     return [run_experiment(record) for record in configs]
-
-
-def all_passed(reports):
-    return all(r.passed for r in reports)

@@ -27,6 +27,17 @@ def test_verify_writes_report_and_twin(tmp_path, capsys):
     assert (tmp_path / "croke.csv").exists()
 
 
+@pytest.mark.parametrize("name", ["r.csv", "r", "r.json.txt"])
+def test_verify_out_must_end_in_json(tmp_path, capsys, name):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "croke", "--resolution", "50", "--out", str(tmp_path / name)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert ".json" in captured.err
+    assert "croke" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_unknown_experiment_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "does-not-exist"])

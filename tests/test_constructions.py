@@ -115,6 +115,22 @@ def test_dilation_rejects_nonpositive_parameter():
         make_projective_dilation(2, -2.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_theta(float("nan")),
+    lambda: make_theta(float("inf")),
+    lambda: make_theta(True),
+    lambda: make_capped_theta(float("nan")),
+    lambda: make_projective_dilation(2, float("nan")),
+    lambda: make_projective_dilation(2, float("inf")),
+    lambda: perturbed_identity(sphere(2), magnitude=float("nan")),
+    lambda: perturbed_identity(sphere(2), magnitude=float("inf")),
+], ids=["theta-nan", "theta-inf", "theta-bool", "capped-theta-nan", "dilation-nan",
+        "dilation-inf", "perturbed-nan", "perturbed-inf"])
+def test_constructors_reject_non_finite_parameters(build):
+    with pytest.raises(GeometryError):
+        build()
+
+
 def test_dilation_energy_is_constant_pi_squared():
     # degree-1 holomorphic maps all carry the identity energy
     M = complex_projective(2)
@@ -339,7 +355,5 @@ def test_squeeze_flavor_fixes_reference_line():
 
 
 def test_perturbed_identity_unknown_flavor():
-    M = complex_projective(2)
-    F = perturbed_identity(M, flavor="swirl")
     with pytest.raises(GeometryError):
-        F(M.random_point(make_rng(29), 2))
+        perturbed_identity(complex_projective(2), flavor="swirl")

@@ -18,7 +18,6 @@ from mapenergy.energy import (
     EnergyValue,
     croke_density,
     curve_length,
-    elementary_bound,
     p_energy,
     pullback_volume,
     surface_area,
@@ -173,17 +172,9 @@ def test_surface_area_rejects_wrong_dimension():
 
 
 # ---------------------------------------------------------------------------
-# elementary lower bound
-
-
-def test_elementary_bound_closed_forms():
-    four_pi = 4.0 * np.pi
-    assert elementary_bound(2, 2, four_pi, four_pi) == pytest.approx(four_pi)
-    assert elementary_bound(4, 2, four_pi, four_pi) == pytest.approx(8.0 * np.pi)
-    half_pi2 = np.pi**2 / 2.0
-    assert elementary_bound(4, 4, half_pi2, half_pi2) == pytest.approx(4.0 * np.pi**2)
-    with pytest.raises(GeometryError):
-        elementary_bound(1, 2, four_pi, four_pi)
+# Hoelder lower bound: on an n-dimensional domain with p >= n,
+# E_p >= n^{p/2} V_pull^{p/n} / (2 V_dom^{(p-n)/n}), with equality when dF
+# is a homothety a.e.  The tests below take n = 2.
 
 
 def _stretch_map():
@@ -197,7 +188,7 @@ def test_lower_bound_sandwich():
         vol_pull = pullback_volume(F, grid)
         for p in (2.0, 3.0, 4.0):
             E = p_energy(F, grid, p=p)
-            bound = elementary_bound(p, 2, grid.total_mass, vol_pull)
+            bound = 2 ** (p / 2) * vol_pull ** (p / 2) / (2 * grid.total_mass ** ((p - 2) / 2))
             assert E.value >= bound - 1e-6 * max(1.0, bound)
 
 
@@ -206,7 +197,7 @@ def test_lower_bound_equality_for_homothety():
     F = homothety_map(sphere(2), sphere(2, 1.7))
     E = p_energy(F, grid, p=4.0)
     vol_pull = pullback_volume(F, grid)
-    bound = elementary_bound(4, 2, grid.total_mass, vol_pull)
+    bound = 2 ** 2 * vol_pull ** 2 / (2 * grid.total_mass)
     assert E.value == pytest.approx(bound, rel=1e-9)
 
 
@@ -283,6 +274,15 @@ def test_energy_value_rejects_non_finite():
     for value in (float("nan"), float("inf")):
         with pytest.raises(GeometryError):
             EnergyValue(value)
+
+
+def test_energy_value_checks_its_error_and_dropped_fraction():
+    for stderr, dropped in ((float("nan"), 0.0), (float("inf"), 0.0), (-1e-3, 0.0),
+                            (None, 7.0), (None, -0.1), (None, float("nan")), (0.1, True)):
+        with pytest.raises(GeometryError):
+            EnergyValue(2.0, stderr, dropped)
+    for stderr, dropped in ((None, 0.0), (0.0, 1.0), (np.float64(0.3), np.float64(0.5))):
+        assert EnergyValue(2.0, stderr, dropped).dropped_fraction == dropped
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,13 @@ from mapenergy.constructions import (
     make_projective_dilation,
     make_rational_curve,
     perturbed_identity,
-    reference_line,
     standard_maps,
     veronese_curve,
 )
 from mapenergy import harmonic
-from mapenergy.energy import EnergyValue, p_energy, surface_area
+from mapenergy.energy import EnergyValue, p_energy
 from mapenergy.harmonic import (
     VARIATION_STEP,
-    fundamental_form_line_integral,
     hermitian_residual,
     index_trace_over_symmetries,
     jacobi_identity_check,
@@ -34,7 +32,7 @@ from mapenergy.manifolds import (
     sphere,
     su_basis,
 )
-from mapenergy.maps import MapObject, build_grid, compose, frame_at, identity_map
+from mapenergy.maps import MapObject, build_grid, frame_at, identity_map
 from mapenergy.rand import make_rng
 
 
@@ -302,28 +300,3 @@ def test_symmetry_trace_vanishes():
         assert abs(index_trace_over_symmetries(F, grid, basis)) < 1e-3 * scale
     C = _constant_map(cp1, np.array([1.0, 0.0], dtype=complex))
     assert index_trace_over_symmetries(C, grid, basis) == pytest.approx(0.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# fundamental 2-form line integrals
-
-
-def test_fundamental_form_integral_equals_line_area():
-    cp2 = complex_projective(2)
-    grid = build_grid(complex_projective(1), 4, "mesh")
-    line = reference_line(2)
-    for F in (identity_map(cp2), make_projective_dilation(2, 2.0)):
-        val = fundamental_form_line_integral(F, line, grid)
-        assert val == pytest.approx(np.pi, rel=5e-3)
-        area = surface_area(compose(F, line.embedding), grid)
-        assert val == pytest.approx(area, rel=1e-9)
-    C = _constant_map(cp2, np.array([1.0, 0.0, 0.0], dtype=complex))
-    assert fundamental_form_line_integral(C, line, grid) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fundamental_form_integral_warns_off_corpus():
-    cp2 = complex_projective(2)
-    grid = build_grid(complex_projective(1), 3, "mesh")
-    P = perturbed_identity(cp2, magnitude=0.2, seed=0)
-    with pytest.warns(UserWarning):
-        fundamental_form_line_integral(P, reference_line(2), grid)

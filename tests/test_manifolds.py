@@ -160,7 +160,7 @@ def test_distance_isometry_invariance(M):
     y = M.random_point(rng, 300)
     q = M.random_isometry(rng)
     d0 = M.distance(x, y)
-    d1 = M.distance(M.apply_isometry(q, x), M.apply_isometry(q, y))
+    d1 = M.distance(M.canonicalize(x @ q.T), M.canonicalize(y @ q.T))
     np.testing.assert_allclose(d1, d0, atol=1e-12)
 
 
@@ -186,7 +186,7 @@ def test_geodesic_unit_speed():
         x = M.random_point(rng)
         v = M.random_unit_tangent(rng, x)
         h = 1e-3
-        d = M.distance(M.geodesic(x, v, h), M.geodesic(x, v, 2 * h))
+        d = M.distance(M.exp(x, h * v), M.exp(x, 2 * h * v))
         np.testing.assert_allclose(d, h, rtol=1e-9)
 
 
@@ -211,17 +211,6 @@ def test_lie_algebra_bases():
             np.testing.assert_allclose(np.trace(a), 0.0, atol=1e-15)
         G = np.array([[np.trace(a @ b.conj().T).real for b in B] for a in B])
         np.testing.assert_allclose(G, np.eye(len(B)), atol=1e-14)
-
-
-def test_killing_field_vanishes_on_axis():
-    s2 = sphere(2)
-    a = np.zeros((3, 3))
-    a[0, 1], a[1, 0] = -1.0, 1.0  # rotation about the z-axis? no: about e2? fixes e2
-    axis = np.array([0.0, 0.0, 1.0])
-    np.testing.assert_allclose(s2.killing_field(a, axis), 0.0, atol=1e-15)
-    # generic point moves
-    p = np.array([1.0, 0.0, 0.0])
-    assert np.linalg.norm(s2.killing_field(a, p)) > 0.5
 
 
 def _killing_derivative_fd(cp, a, z, w, h=1e-4):
@@ -305,7 +294,7 @@ def test_outputs_are_canonical_and_canonicalize_is_idempotent(case, seed):
     c = M.canonicalize(y)
     np.testing.assert_array_equal(M.canonicalize(c), c)
     rng = make_rng(seed)
-    for p in (M.random_point(rng, 3), M.apply_isometry(M.random_isometry(rng), x),
+    for p in (M.random_point(rng, 3), M.canonicalize(x @ M.random_isometry(rng).T),
               M.exp(x, M.random_unit_tangent(rng, x))):
         np.testing.assert_array_equal(M.canonicalize(p), p)
 
@@ -326,5 +315,5 @@ def test_quotient_distance_is_the_nearer_lift(case):
 def test_distance_is_invariant_under_random_isometries(case, seed):
     M, x, y = case
     q = M.random_isometry(make_rng(seed))
-    moved = M.distance(M.apply_isometry(q, x), M.apply_isometry(q, y))
+    moved = M.distance(M.canonicalize(x @ q.T), M.canonicalize(y @ q.T))
     np.testing.assert_allclose(moved, M.distance(x, y), atol=1e-12 * M.radius)

@@ -9,7 +9,7 @@ from mapenergy import meshes
 def test_icosphere_counts():
     for level, nv in [(0, 12), (1, 42), (2, 162), (3, 642), (4, 2562)]:
         m = meshes.icosphere(level)
-        assert m.n_vertices == nv
+        assert len(m.vertices) == nv
         assert len(m.triangles) == 20 * 4**level
         np.testing.assert_allclose(np.linalg.norm(m.vertices, axis=-1), 1.0, atol=1e-14)
 
@@ -26,8 +26,8 @@ def test_antipodal_symmetry():
     for level in range(6):
         m = meshes.icosphere(level)
         perm = meshes.antipodal_permutation(m)
-        assert np.all(perm[perm] == np.arange(m.n_vertices))
-        assert np.all(perm != np.arange(m.n_vertices))
+        assert np.all(perm[perm] == np.arange(len(m.vertices)))
+        assert np.all(perm != np.arange(len(m.vertices)))
         assert np.all(m.vertices[perm] == -m.vertices)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mapenergy import harmonic, report as report_module
-from mapenergy.energy import p_energy
+from mapenergy.energy import EnergyValue, p_energy
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective
 from mapenergy.maps import build_grid
 from mapenergy.meshes import icosphere
@@ -20,7 +20,6 @@ from mapenergy.report import (
     BoundSpec,
     ExperimentReport,
     UsageError,
-    all_passed,
     conformal_area_rp2,
     eval_bound,
     run_experiment,
@@ -276,13 +275,40 @@ def test_cheap_experiments_pass_at_reduced_resolution():
     ])
     for report in reports:
         assert report.passed, (report.name, report.inputs.get("error"))
-    assert all_passed(reports)
+    assert all(r.passed for r in reports)
 
 
-def test_suite_accepts_name_to_record_maps():
-    reports = run_suite({"croke": {"resolution": 120}, "e1-geodesic": None})
-    assert [r.name for r in reports] == ["croke", "e1-geodesic"]
-    assert all_passed(reports)
+def _mutate(patch, name, factor):
+    """Scale one factor of the named experiment's estimate by `factor`."""
+    if name == "bounds-identity":
+        cpn = report_module._BOUNDS["CPN_P"]
+        patch.setitem(report_module._BOUNDS, "CPN_P", lambda N, p, area: factor * cpn(N, p, area))
+    elif name == "theta":
+        energy = report_module.p_energy
+        patch.setattr(report_module, "p_energy",
+                      lambda *args, **kw: EnergyValue(factor * energy(*args, **kw).value))
+    else:
+        target = {"croke": "croke_density", "rp2-family": "rp2_family_average",
+                  "e1-geodesic": "e1_geodesic_bound"}[name]
+        original = getattr(report_module, target)
+        patch.setattr(report_module, target, lambda *args, **kw: factor * original(*args, **kw))
+
+
+@pytest.mark.parametrize("name, resolution", [
+    ("bounds-identity", 200), ("croke", 90), ("rp2-family", 16), ("e1-geodesic", 64),
+    ("theta", 4000),
+])
+def test_exact_experiments_fail_under_a_small_mutation(monkeypatch, name, resolution):
+    # these five are exact up to rounding, so their tolerance is 1e-12 and
+    # a relative mutation of 1e-3 or of 1e-9 must fail the report
+    record = {"name": name, "resolution": resolution}
+    assert run_experiment(record).passed
+    for factor in (1.001, 1.0 + 1e-9):
+        with monkeypatch.context() as patch:
+            _mutate(patch, name, factor)
+            report = run_experiment(record)
+        assert "error" not in report.inputs, report.inputs["error"]
+        assert not report.passed, (name, factor, report.estimate)
 
 
 def test_report_files_roundtrip_with_a_csv_twin(tmp_path):
@@ -299,3 +325,6 @@ def test_report_files_roundtrip_with_a_csv_twin(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("croke,True")
     assert lines[2].startswith("bounds-identity,False")
+    with pytest.raises(UsageError):
+        write_reports(reports, tmp_path / "other.csv")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["reports.csv", "reports.json"]

@@ -64,6 +64,12 @@ def _load_config(path):
         table = json.load(fh)
     if not isinstance(table, dict):
         raise UsageError("the config file must map experiment names to records")
+    for name, record in table.items():
+        if name not in EXPERIMENTS:
+            raise UsageError(f"the config file names unknown experiment {name!r}; known names: "
+                             + ", ".join(sorted(EXPERIMENTS)))
+        if not isinstance(record, dict):
+            raise UsageError(f"the config record of {name!r} must be a JSON object, got {record!r}")
     return table
 
 
@@ -82,7 +88,7 @@ def _verify(args):
         names = sorted(EXPERIMENTS)
     else:
         names = [args.experiment]
-    configs = [{"name": n, **(table.get(n) or {}), **overrides} for n in names]
+    configs = [{"name": n, **table.get(n, {}), **overrides} for n in names]
     reports = run_suite(configs)
     for report in reports:
         state = "pass" if report.passed else "FAIL"

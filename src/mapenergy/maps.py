@@ -9,10 +9,18 @@ unit-tangent designs live here as well.
 
 A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
 once per salt, read-only, and gone with the grid.
+
+Frames, differential columns and pullback Gram matrices of a batch of at
+least 16,384 nodes are computed in 8,192-node blocks on a thread pool as
+wide as the CPUs the process may use.  Every step is per node, so the
+numbers are bit-identical to one serial pass; there is no option.
 """
 
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +35,50 @@ from .manifolds import (
 from .rand import make_rng, spawn
 
 DEFAULT_FD_STEP = 1e-4
+
+# nodes per block of a batch split across CPUs by `_by_node_chunks`
+NODE_BLOCK = 8192
+
+# the block pool of each process id: a forked child makes its own
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool():
+    pid = os.getpid()
+    with _POOLS_LOCK:
+        if pid not in _POOLS:
+            _POOLS.clear()
+            _POOLS[pid] = ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0)),
+                                             thread_name_prefix="mapenergy-block")
+        return _POOLS[pid]
+
+
+def _by_node_chunks(fn, x, *arrays):
+    """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis on a
+    thread pool when that axis holds at least two blocks and the process
+    may use more than one CPU; the results (an array or a tuple of
+    arrays) are concatenated along that axis.
+
+    `fn` must act on each node alone, so that blocks change no number.
+    It runs on pool threads, so it must call no name that
+    perfbench/tracing.py wraps (its tracer keeps one span stack per
+    process), and it must pass at most one block to this helper: a
+    single block runs inline, while a larger batch would wait on a pool
+    whose threads may all be waiting on it.
+    """
+    n = len(x)
+    if n < 2 * NODE_BLOCK or len(os.sched_getaffinity(0)) < 2:
+        return fn(x, *arrays)
+
+    def block(start):
+        stop = start + NODE_BLOCK
+        return fn(x[start:stop], *(a[start:stop] for a in arrays))
+
+    parts = list(_pool().map(block, range(0, n, NODE_BLOCK)))
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -55,8 +107,8 @@ def random_frames(M, x, rng):
     g = rng.standard_normal(shape)
     if M.is_complex or np.iscomplexobj(x):
         g = g + 1j * rng.standard_normal(shape)
-    g = M.project_tangent(x[..., None, :], g)
-    return _real_orthonormalize(g)
+    return _by_node_chunks(lambda xb, gb: _real_orthonormalize(M.project_tangent(xb[..., None, :], gb)),
+                           x, g)
 
 
 def _real_orthonormalize(vecs):
@@ -95,6 +147,10 @@ def differential_columns(F, x, frames, h=DEFAULT_FD_STEP):
     Uses the analytic differential when available, else central
     differences through the codomain logarithm.
     """
+    return _by_node_chunks(lambda xb, fb: _columns(F, xb, fb, h), x, frames)
+
+
+def _columns(F, x, frames, h):
     if F.differential is not None:
         xb = np.broadcast_to(x[..., None, :], frames.shape[:-1] + (x.shape[-1],))
         return F.differential(xb, frames), np.ones(x.shape[:-1], dtype=bool)
@@ -111,9 +167,12 @@ def differential_columns(F, x, frames, h=DEFAULT_FD_STEP):
 def pullback_gram(F, x, frames):
     """Pullback Gram matrices G_ij = <dF e_i, dF e_j>, shape (..., dim, dim)."""
     cols, ok = differential_columns(F, x, frames)
+    return _by_node_chunks(_gram, cols), ok
+
+
+def _gram(cols):
     G = real_inner(cols[..., :, None, :], cols[..., None, :, :])
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
-    return G, ok
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def gram_eigenvalues(G):

@@ -91,6 +91,26 @@ def test_config_file_feeds_parameters_and_flags_override(tmp_path, capsys):
     assert record["inputs"]["seed"] == 4
 
 
+@pytest.mark.parametrize("table, message", [
+    ({"crok": {"seed": 5}}, "unknown experiment 'crok'"),
+    ({"croke": {"seed": 5}, "all": {}}, "unknown experiment 'all'"),
+    ({"croke": [1, 2]}, "must be a JSON object"),
+    ({"croke": None}, "must be a JSON object"),
+    ({"theta": 3}, "must be a JSON object"),
+])
+def test_config_names_experiments_and_maps_them_to_objects(monkeypatch, tmp_path, capsys,
+                                                           table, message):
+    ran = []
+    monkeypatch.setattr("mapenergy.cli.run_suite", lambda configs: ran.append(configs))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(table))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "croke", "--config", str(config)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
+
+
 def test_flow_subcommand_writes_a_log(tmp_path, capsys):
     log = tmp_path / "log.csv"
     code = main(["flow", "--mesh-level", "2", "--steps", "60",

@@ -1,9 +1,17 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mapenergy import make_rng
+from mapenergy import energy, make_rng
+from mapenergy.constructions import make_projective_dilation, make_theta, perturbed_identity
 from mapenergy.manifolds import (
     GeometryError,
     complex_projective,
@@ -19,6 +27,7 @@ from mapenergy.maps import (
     cp1_to_sphere,
     differential_columns,
     energy_density,
+    gram_eigenvalues,
     grid_frames,
     homothety_map,
     identity_map,
@@ -237,3 +246,197 @@ def test_compose_chains_differentials():
     C_fd = maps.MapObject(M, M, C.evaluator)
     cols_f, _ = differential_columns(C_fd, x, fr)
     np.testing.assert_allclose(cols_a, cols_f, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Batches in node blocks on the thread pool
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# three blocks: two full ones and a partial one
+BLOCKED_NODES = 2 * maps.NODE_BLOCK + 3616
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Takes the blocked path as on two CPUs; lists each use of the pool."""
+    monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0, 1})
+    uses = []
+    pool = maps._pool
+    monkeypatch.setattr(maps, "_pool", lambda: uses.append(os.getpid()) or pool())
+    return uses
+
+
+def _single_blocks(fn, n):
+    """fn(start, stop) over the node blocks of n nodes, each a single-block call,
+    concatenated along the node axis."""
+    parts = [fn(s, s + maps.NODE_BLOCK) for s in range(0, n, maps.NODE_BLOCK)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _in_a_child(fn, timeout=120.0):
+    """Exit status of a forked child that runs fn() and exits 0 when it returns
+    True; a child still running after `timeout` seconds is killed."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if fn() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.05)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail(f"the child did not finish in {timeout} s")
+
+
+def _blocked_case(name):
+    if name == "fd-squeeze":
+        M = complex_projective(2)
+        return compose(perturbed_identity(M, 0.2, "squeeze"), make_projective_dilation(2, 1.5))
+    if name == "dilation":
+        return make_projective_dilation(2, 2.0)
+    if name == "theta":
+        return make_theta(4.0)
+    return identity_map(real_projective(3))
+
+
+@pytest.mark.parametrize("name", ["fd-squeeze", "dilation", "theta", "identity-rp3"])
+def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
+    F = _blocked_case(name)
+    assert (F.differential is None) == (name == "fd-squeeze")
+    grid = build_grid(F.domain, BLOCKED_NODES, seed=3)
+    x, fr = grid.nodes, grid_frames(grid)
+    n = len(grid)
+
+    cols, ok = differential_columns(F, x, fr)
+    want_cols, want_ok = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(cols, want_cols) and np.array_equal(ok, want_ok)
+
+    G, ok = pullback_gram(F, x, fr)
+    want_G, want_ok = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(G, want_G) and np.array_equal(ok, want_ok)
+
+    for p in (2.0, 3.0):
+        got = energy.p_energy(F, grid, p=p)
+        value, stderr, _, _ = energy._integrate(
+            grid, 0.5 * energy_density(want_G) ** (p / 2.0), want_ok, "p_energy")
+        assert (got.value, got.stderr) == (value, stderr)
+
+    volume = energy._integrate(grid, np.sqrt(np.prod(gram_eigenvalues(want_G), axis=-1)),
+                               want_ok, "pullback_volume")[0]
+    assert energy.pullback_volume(F, grid) == volume
+    assert pooled
+
+
+@pytest.mark.parametrize("M", [complex_projective(2), real_projective(3), sphere(3)],
+                         ids=["cp2", "rp3", "s3"])
+def test_blocked_random_frames_equal_one_serial_pass(pooled, M):
+    x = M.random_point(make_rng(1), BLOCKED_NODES)
+    got = random_frames(M, x, make_rng(5))
+    rng = make_rng(5)
+    shape = x.shape[:-1] + (M.dim, x.shape[-1])
+    g = rng.standard_normal(shape)
+    if M.is_complex:
+        g = g + 1j * rng.standard_normal(shape)
+    want = maps._real_orthonormalize(M.project_tangent(x[..., None, :], g))
+    assert np.array_equal(got, want)
+    assert pooled
+
+
+def test_an_error_in_a_later_block_propagates_from_p_energy(pooled):
+    M = sphere(2)
+    grid = build_grid(M, BLOCKED_NODES, seed=4)
+    marked = grid.nodes[-1]
+
+    def ev(x):
+        if np.any(np.all(x == marked, axis=-1)):
+            raise GeometryError("the marked node")
+        return x
+
+    with pytest.raises(GeometryError, match="the marked node"):
+        energy.p_energy(maps.MapObject(M, M, ev), grid)
+    assert pooled
+
+
+def test_a_differential_that_calls_differential_columns_finishes(pooled):
+    # each worker passes its one block on, which runs inline; a larger
+    # batch would wait on the pool whose threads are all busy with it
+    M = complex_projective(2)
+    inner = maps.MapObject(M, M, lambda x: x)
+
+    def diff(x, v):
+        return differential_columns(inner, x[..., 0, :], v)[0]
+
+    F = maps.MapObject(M, M, lambda x: x, differential=diff)
+    grid = build_grid(M, BLOCKED_NODES, seed=5)
+    x, fr = grid.nodes, grid_frames(grid)
+
+    def nested_equals_direct():
+        before = len(pooled)
+        nested, direct = differential_columns(F, x, fr)[0], differential_columns(inner, x, fr)[0]
+        # one pool use each for the two whole batches, none for the blocks
+        return np.array_equal(nested, direct) and len(pooled) == before + 2
+
+    assert _in_a_child(nested_equals_direct) == 0
+
+
+def test_a_forked_child_makes_its_own_pool(pooled):
+    F = make_projective_dilation(2, 2.0)
+    M = F.domain
+    want = energy.p_energy(F, build_grid(M, BLOCKED_NODES, seed=6))
+    assert os.getpid() in maps._POOLS
+
+    def child_energy_equals_the_parents():
+        return energy.p_energy(F, build_grid(M, BLOCKED_NODES, seed=6)) == want
+
+    assert _in_a_child(child_energy_equals_the_parents) == 0
+
+
+def test_concurrent_first_callers_share_one_pool(monkeypatch):
+    def slow_executor(**kwargs):
+        # widens the window between looking for the pool and storing it
+        time.sleep(1e-3)
+        return executor(**kwargs)
+
+    executor = maps.ThreadPoolExecutor
+    monkeypatch.setattr(maps, "ThreadPoolExecutor", slow_executor)
+    callers = 4
+    barrier = threading.Barrier(callers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(maps, "_POOLS", {})
+            got = []
+
+            def call():
+                barrier.wait(timeout=60)
+                got.append(maps._pool())
+
+            threads = [threading.Thread(target=call) for _ in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            # a lost update hands two callers different pools
+            assert len(got) == callers and len({id(pool) for pool in got}) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_importing_mapenergy_starts_no_thread():
+    # a pool made at import would be copied into every fork without its threads
+    code = "import threading, mapenergy; print(threading.active_count())"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "1"

@@ -18,7 +18,9 @@ from .intgeo import LineEmbedding
 from .manifolds import (
     ComplexProjective,
     GeometryError,
+    _dot,
     complex_projective,
+    real_inner,
     real_projective,
     sphere,
 )
@@ -357,7 +359,7 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
     the squared modulus of the last coordinate, so it vanishes on the
     reference line (and on the equator plane in the real case).
     Smooth, deterministic in (seed, magnitude), homotopic to the
-    identity by scaling the magnitude.
+    identity by scaling the magnitude.  Its differential is analytic.
     """
     if flavor not in ("generic", "squeeze"):
         raise GeometryError(f"unknown perturbation flavor {flavor!r}")
@@ -380,4 +382,33 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
     def ev(x):
         return M.exp(x, magnitude * field(x))
 
-    return MapObject(M, M, ev, name=f"perturbed-{flavor}-{magnitude:g}")
+    def diff(x, u):
+        # v = m s P_x(Sx) with dP = P_x(Su) - <u,Sx> x - <x,Sx> u and, for
+        # the squeeze, s = |x_N|^2 with ds = 2 Re(conj(x_N) u_N)
+        Sx = np.einsum("ij,...j->...i", S, x)
+        P = M.project_tangent(x, Sx)
+        dP = (M.project_tangent(x, np.einsum("ij,...j->...i", S, u))
+              - _dot(u, Sx)[..., None] * x - _dot(x, Sx)[..., None] * u)
+        if flavor == "squeeze":
+            s = np.abs(x[..., -1:]) ** 2
+            dP = 2.0 * (x[..., -1:].conj() * u[..., -1:]).real * P + s * dP
+            P = P * s
+        v, dv = magnitude * P, magnitude * dP
+        # y = cos(theta) x + sin(theta) e with e = v / |v| and theta = |v| / r,
+        # differentiated through e so that small theta loses no digits
+        r = M.radius
+        theta = M.norm(v)[..., None] / r
+        small = theta < 1e-300
+        t = np.where(small, 1.0, theta)
+        sinc = np.where(small, 1.0, np.sin(t) / t) / r
+        e = v / (t * r)
+        dtheta = np.where(small, 0.0, real_inner(e, dv)[..., None] / r)
+        cos, sin = np.cos(theta), np.sin(theta)
+        y = cos * x + sinc * v
+        dy = cos * u + sinc * dv + dtheta * ((cos - r * sinc) * e - sin * x)
+        n = M.norm(y)[..., None]
+        _, f = M.canonicalize_with_factor(y / n)
+        return f[..., None] * M.project_tangent(y / n, dy / n)
+
+    return MapObject(M, M, ev, differential=diff, name=f"perturbed-{flavor}-{magnitude:g}")
+

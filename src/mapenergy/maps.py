@@ -10,9 +10,17 @@ unit-tangent designs live here as well.
 A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
 once per salt, read-only, and gone with the grid.
 
+An analytic differential takes the base point once per node: it is
+called as ``differential(x, v)`` with ``x`` of shape ``(..., 1, amb_dom)``
+and the vectors ``v`` of shape ``(..., dim, amb_dom)``, and it must
+broadcast the one base against the ``dim`` vectors, so that work on the
+base point is done once per node, not once per vector.
+
 Frames, differential columns and pullback Gram matrices of a batch of at
-least 16,384 nodes are computed in 8,192-node blocks on a thread pool as
-wide as the CPUs the process may use.  Every step is per node, so the
+least 8,192 nodes are computed in 4,096-node blocks, which bounds the
+temporaries of an analytic differential.  The blocks run on a thread
+pool as wide as the CPUs the process may use when it may use more than
+one, and one after another otherwise.  Every step is per node, so the
 numbers are bit-identical to one serial pass; there is no option.
 """
 
@@ -36,8 +44,8 @@ from .rand import make_rng, spawn
 
 DEFAULT_FD_STEP = 1e-4
 
-# nodes per block of a batch split across CPUs by `_by_node_chunks`
-NODE_BLOCK = 8192
+# nodes per block of a batch split by `_by_node_chunks`
+NODE_BLOCK = 4096
 
 # the block pool of each process id: a forked child makes its own
 _POOLS = {}
@@ -55,10 +63,12 @@ def _pool():
 
 
 def _by_node_chunks(fn, x, *arrays):
-    """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis on a
-    thread pool when that axis holds at least two blocks and the process
-    may use more than one CPU; the results (an array or a tuple of
-    arrays) are concatenated along that axis.
+    """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis when
+    that axis holds at least two blocks; the results (an array or a tuple
+    of arrays) are concatenated along that axis.  The blocks run on a
+    thread pool when the process may use more than one CPU, and one after
+    another otherwise, so a block's temporaries bound the memory of a
+    large batch on any CPU count.
 
     `fn` must act on each node alone, so that blocks change no number.
     It runs on pool threads, so it must call no name that
@@ -68,14 +78,16 @@ def _by_node_chunks(fn, x, *arrays):
     whose threads may all be waiting on it.
     """
     n = len(x)
-    if n < 2 * NODE_BLOCK or len(os.sched_getaffinity(0)) < 2:
+    if n < 2 * NODE_BLOCK:
         return fn(x, *arrays)
 
     def block(start):
         stop = start + NODE_BLOCK
         return fn(x[start:stop], *(a[start:stop] for a in arrays))
 
-    parts = list(_pool().map(block, range(0, n, NODE_BLOCK)))
+    starts = range(0, n, NODE_BLOCK)
+    parts = list(_pool().map(block, starts) if len(os.sched_getaffinity(0)) > 1
+                 else map(block, starts))
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(column) for column in zip(*parts))
     return np.concatenate(parts)
@@ -86,8 +98,11 @@ class MapObject:
     """Map between model manifolds.
 
     evaluator:    batch map of representatives, (..., amb_dom) -> (..., amb_cod)
-    differential: optional analytic pushforward (x, v) -> w with matching
-                  batch shapes; None means finite differences
+    differential: optional analytic pushforward (x, v) -> w; the base x
+                  broadcasts against the vectors v, (..., 1, amb_dom) against
+                  (..., dim, amb_dom) when called for differential columns,
+                  and w has the broadcast batch shape; None means finite
+                  differences
     """
 
     domain: object
@@ -152,8 +167,7 @@ def differential_columns(F, x, frames, h=DEFAULT_FD_STEP):
 
 def _columns(F, x, frames, h):
     if F.differential is not None:
-        xb = np.broadcast_to(x[..., None, :], frames.shape[:-1] + (x.shape[-1],))
-        return F.differential(xb, frames), np.ones(x.shape[:-1], dtype=bool)
+        return F.differential(x[..., None, :], frames), np.ones(x.shape[:-1], dtype=bool)
     y0 = F(x)
     cols = []
     ok = np.ones(x.shape[:-1], dtype=bool)

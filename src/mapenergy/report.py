@@ -466,7 +466,9 @@ def _run_squeeze(seed, nodes):
     Composing with stronger and stronger dilations drives the 2-energy
     down to pi times the energy of the restriction to the fixed line;
     the run checks the terminal value against that target and insists
-    the sequence decreases within three combined standard errors.
+    the sequence decreases within three combined standard errors.  The
+    perturbation vanishes on the line, so the restriction is the line's
+    identity, whose energy must be pi up to rounding.
     """
     F = perturbed_identity(complex_projective(2), magnitude=0.2,
                            flavor="squeeze", seed=seed)
@@ -474,6 +476,8 @@ def _run_squeeze(seed, nodes):
                       seed=seed + 3)
     lambdas = (1.0, 2.0, 4.0, 8.0, 16.0)
     energies, restricted = squeeze_limit(F, grid, lambdas)
+    if not _relerr(restricted, np.pi) <= EXACT:
+        raise GeometryError(f"the restricted energy {restricted!r} is not the line's pi")
     values = [ev.value for ev in energies]
     errors = [ev.stderr or 0.0 for ev in energies]
     for k in range(len(values) - 1):

@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 from mapenergy import energy, make_rng
-from mapenergy.constructions import make_projective_dilation, make_theta, perturbed_identity
+from mapenergy.constructions import (
+    conjugation_map,
+    make_capped_theta,
+    make_projective_dilation,
+    make_rational_curve,
+    make_theta,
+    perturbed_identity,
+    random_curve,
+    reference_line,
+    standard_maps,
+)
 from mapenergy.manifolds import (
     GeometryError,
     complex_projective,
@@ -249,6 +259,86 @@ def test_compose_chains_differentials():
 
 
 # ---------------------------------------------------------------------------
+# The differential contract: one base point per node
+
+
+def _analytic_case(name):
+    cp2 = complex_projective(2)
+    line = reference_line(2).embedding
+    squeeze = perturbed_identity(cp2, 0.2, "squeeze", seed=1)
+    return {
+        "identity-cp2": lambda: identity_map(cp2),
+        "identity-rp3": lambda: identity_map(real_projective(3)),
+        "stretch-s2": lambda: normalized_linear_map(sphere(2), sphere(2), np.diag([1.0, 1.3, 0.8])),
+        "homothety": lambda: homothety_map(sphere(2), sphere(2, 1.7)),
+        "dilation": lambda: make_projective_dilation(2, 2.0),
+        "curve": lambda: make_rational_curve(random_curve(2, 3, seed=1)),
+        "theta": lambda: make_theta(4.0),
+        "capped-theta": lambda: make_capped_theta(2.0),
+        "conjugation": lambda: conjugation_map(2),
+        "inclusion-rp": lambda: standard_maps("inclusion_rp", k=2, n=3),
+        "inclusion-cp": lambda: standard_maps("inclusion_cp", k=1, N=2),
+        "compose": lambda: compose(conjugation_map(2), make_projective_dilation(2, 2.0)),
+        "perturbed-generic-s2": lambda: perturbed_identity(sphere(2, 1.7), 0.2, seed=1),
+        "perturbed-generic-rp3": lambda: perturbed_identity(real_projective(3), 0.2, seed=1),
+        "perturbed-squeeze-cp2": lambda: squeeze,
+        "squeeze-after-dilation": lambda: compose(squeeze, make_projective_dilation(2, 4.0)),
+        "squeeze-on-line": lambda: compose(squeeze, line),
+    }[name]()
+
+
+ANALYTIC_CASES = [
+    "identity-cp2", "identity-rp3", "stretch-s2", "homothety", "dilation", "curve", "theta",
+    "capped-theta", "conjugation", "inclusion-rp", "inclusion-cp", "compose",
+    "perturbed-generic-s2", "perturbed-generic-rp3", "perturbed-squeeze-cp2",
+    "squeeze-after-dilation", "squeeze-on-line",
+]
+
+
+@pytest.mark.parametrize("name", ANALYTIC_CASES)
+def test_a_per_node_base_gives_the_broadcast_base_columns_bit_for_bit(name):
+    F = _analytic_case(name)
+    M = F.domain
+    x = M.random_point(make_rng(61), 40)
+    fr = random_frames(M, x, make_rng(62))
+    broadcast = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
+    per_node = F.differential(x[:, None, :], fr)
+    assert per_node.shape == broadcast.shape == fr.shape[:-1] + (F.codomain.ambient_dim,)
+    assert np.array_equal(per_node, broadcast)
+    cols, ok = differential_columns(F, x, fr)
+    assert ok.all() and np.array_equal(cols, per_node)
+
+
+@pytest.mark.parametrize("M", [sphere(2), sphere(2, 1.7), real_projective(2), real_projective(3),
+                               complex_projective(1), complex_projective(2)],
+                         ids=["s2", "s2r1.7", "rp2", "rp3", "cp1", "cp2"])
+@pytest.mark.parametrize("flavor", ["generic", "squeeze"])
+def test_perturbed_identity_differential_matches_finite_differences(M, flavor):
+    F = perturbed_identity(M, 0.2, flavor, seed=1)
+    x = M.random_point(make_rng(63), 200)
+    fr = random_frames(M, x, make_rng(64))
+    exact, _ = differential_columns(F, x, fr)
+    fd, ok = differential_columns(maps.MapObject(M, M, F.evaluator), x, fr)
+    assert ok.all()
+    np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-7)
+
+
+def test_squeeze_perturbation_differential_is_the_identity_on_the_reference_line():
+    # the field and its first derivative vanish on the line, so the pushforward
+    # takes the theta -> 0 branch and returns the frame vector itself
+    M = complex_projective(2)
+    F = perturbed_identity(M, 0.2, "squeeze", seed=1)
+    line = reference_line(2).embedding
+    grid = build_grid(complex_projective(1), 3, "mesh")
+    x = line(grid.nodes)
+    fr, _ = differential_columns(line, grid.nodes, grid_frames(grid))
+    cols, ok = differential_columns(F, x, fr)
+    want, _ = differential_columns(identity_map(M), x, fr)
+    assert ok.all()
+    np.testing.assert_allclose(cols, want, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # Batches in node blocks on the thread pool
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -300,7 +390,8 @@ def _in_a_child(fn, timeout=120.0):
 def _blocked_case(name):
     if name == "fd-squeeze":
         M = complex_projective(2)
-        return compose(perturbed_identity(M, 0.2, "squeeze"), make_projective_dilation(2, 1.5))
+        F = compose(perturbed_identity(M, 0.2, "squeeze"), make_projective_dilation(2, 1.5))
+        return maps.MapObject(M, M, F.evaluator, differential=None)
     if name == "dilation":
         return make_projective_dilation(2, 2.0)
     if name == "theta":
@@ -334,6 +425,30 @@ def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
                                want_ok, "pullback_volume")[0]
     assert energy.pullback_volume(F, grid) == volume
     assert pooled
+
+
+def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
+    monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(maps, "_POOLS", {})
+    dilation = make_projective_dilation(2, 2.0)
+    seen = []
+
+    def diff(x, v):
+        seen.append(len(x))
+        return dilation.differential(x, v)
+
+    F = maps.MapObject(dilation.domain, dilation.codomain, dilation.evaluator, differential=diff)
+    grid = build_grid(F.domain, BLOCKED_NODES, seed=3)
+    x, fr = grid.nodes, grid_frames(grid)
+    n = len(grid)
+    cols, ok = differential_columns(F, x, fr)
+    assert seen == [maps.NODE_BLOCK, maps.NODE_BLOCK, n - 2 * maps.NODE_BLOCK]
+    want_cols, want_ok = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(cols, want_cols) and np.array_equal(ok, want_ok)
+    G, ok = pullback_gram(F, x, fr)
+    want_G, want_ok = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(G, want_G) and np.array_equal(ok, want_ok)
+    assert maps._POOLS == {}
 
 
 @pytest.mark.parametrize("M", [complex_projective(2), real_projective(3), sphere(3)],

@@ -311,6 +311,28 @@ def test_exact_experiments_fail_under_a_small_mutation(monkeypatch, name, resolu
         assert not report.passed, (name, factor, report.estimate)
 
 
+def test_squeeze_fails_when_the_restricted_energy_leaves_pi(monkeypatch):
+    # the restriction to the reference line is that line's identity, energy pi
+    record = {"name": "squeeze", "resolution": 20000}
+    assert run_experiment(record).passed
+    squeeze_limit = report_module.squeeze_limit
+
+    def mutated(*args, **kw):
+        energies, restricted = squeeze_limit(*args, **kw)
+        return energies, restricted * (1.0 + 1e-9)
+
+    monkeypatch.setattr(report_module, "squeeze_limit", mutated)
+    report = run_experiment(record)
+    assert not report.passed
+    assert "restricted energy" in report.inputs["error"]
+
+
+def test_holomorphic_corpus_passes_on_seeds_0_to_59():
+    failed = [seed for seed in range(60)
+              if not run_experiment({"name": "holomorphic-corpus", "seed": seed}).passed]
+    assert failed == []
+
+
 def test_report_files_roundtrip_with_a_csv_twin(tmp_path):
     reports = run_suite([
         {"name": "croke", "resolution": 150},

@@ -4,7 +4,10 @@ Every metric on RP^2 satisfies area >= (2 / pi) * systole^2, with
 equality exactly for the round metric.  The package estimates systoles
 of conformal metrics mu * round by a shortest-path search on a chord
 graph over the icosahedral mesh of the double cover: a noncontractible
-loop downstairs is a path between antipodes upstairs.  The round metric
+loop downstairs is a path between antipodes upstairs.  The antipodal map
+is an automorphism of that graph, so each search need only reach half
+the best loop found so far plus one chord: the loop from v to -v is
+closed at its midpoint u as d(v, u) + d(v, -u).  The round metric
 must land on equality; an even conformal bump concentrated along one
 axis leaves the shortest loop (the great circle avoiding the bump)
 untouched while inflating the area, producing strictly positive slack.

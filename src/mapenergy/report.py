@@ -204,30 +204,28 @@ def _chord_graph(mesh):
 
 
 def _conformal_weight(weight, mesh):
-    """A positive conformal weight, callable or constant, at the mesh vertices."""
+    """A finite positive conformal weight, callable or constant, at the mesh vertices."""
     n = len(mesh.vertices)
     mu = (np.asarray(weight(mesh.vertices), dtype=float) if callable(weight)
           else np.full(n, float(weight)))
     if mu.shape != (n,):
         raise GeometryError("weight must produce one value per vertex")
-    if not np.all(mu > 0):
-        raise GeometryError("the conformal weight must be positive")
+    if not np.all(np.isfinite(mu) & (mu > 0)):
+        raise GeometryError("the conformal weight must be finite and positive")
     return mu
 
 
-def systole_rp2(weight, level=4):
-    """Shortest noncontractible loop of the metric weight * round on RP^2.
+# source rows per batched Dijkstra of the systole search
+_SOURCE_BATCH = 256
 
-    `weight` is a positive conformal factor, given as a callable on unit
-    ambient vectors (vectorized over the leading axis) or as a positive
-    constant; it must be antipodally even so the metric descends to the
-    projective plane.  Loops are searched on an icosahedral mesh of the
-    double cover at subdivision level `level`, an integer >= 0: every
-    chord between vertices at most three hops apart becomes a graph edge
-    weighted by its geodesic length times the mean of sqrt(weight) at
-    its endpoints, and the systole is the least graph distance from a
-    vertex to its antipode.  Rerun with `level + 1` to gauge convergence; for the
-    round metric the result is pi to well within one percent.
+
+def _systole_graph(weight, level):
+    """The chord graph of the metric weight * round on the icosphere of
+    level `level`, as a symmetric CSR matrix, and the antipodal
+    permutation of its vertices.
+
+    Edge costs come from the even part of the weight, so the antipodal
+    map is an exact automorphism of the graph.
     """
     mesh = icosphere(checked_resolution("mesh", level))
     perm = antipodal_permutation(mesh)
@@ -235,16 +233,48 @@ def systole_rp2(weight, level=4):
     if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
         raise GeometryError("the conformal weight must be antipodally even")
     pairs, lengths = _chord_graph(mesh)
-    root = np.sqrt(mu)
+    root = np.sqrt(0.5 * (mu + mu[perm]))
     costs = lengths * 0.5 * (root[pairs[:, 0]] + root[pairs[:, 1]])
     n = len(mesh.vertices)
     graph = sparse.csr_matrix((costs, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
-    sources = np.flatnonzero(np.arange(n) < perm)
-    best = np.inf
-    for start in range(0, len(sources), 512):
-        idx = sources[start : start + 512]
-        dist = dijkstra(graph, directed=False, indices=idx)
-        best = min(best, float(np.min(dist[np.arange(len(idx)), perm[idx]])))
+    return graph + graph.T, perm
+
+
+def systole_rp2(weight, level=4):
+    """Shortest noncontractible loop of the metric weight * round on RP^2.
+
+    `weight` is a finite positive conformal factor, given as a callable
+    on unit ambient vectors (vectorized over the leading axis) or as a
+    constant; it must be antipodally even so the metric descends to the
+    projective plane.  Loops are searched on an icosahedral mesh of the
+    double cover at subdivision level `level`, an integer >= 0: every
+    chord between vertices at most three hops apart becomes a graph edge
+    weighted by its geodesic length times the mean of sqrt(weight) at
+    its endpoints, and the systole is the least graph distance d(v, -v)
+    from a vertex to its antipode, over one vertex v of each antipodal
+    pair.  Rerun with `level + 1` to gauge convergence; for the round
+    metric the result is pi to well within one percent.
+
+    Each search from v stops at reach = best / 2 + c, with `best` the
+    least loop found so far and c the longest edge cost.  This is exact:
+    the antipodal map is a graph automorphism, so d(v, -u) = d(u, -v);
+    a shortest path from v to -v of length L <= best has a vertex u with
+    d(v, u) <= L / 2 and d(u, -v) <= L / 2 + c, both within reach, and
+    d(v, u) + d(v, -u) = L, while no u gives less than d(v, -v).  So
+    the least of d(v, u) + d(v, -u) over the u within reach is d(v, -v)
+    whenever d(v, -v) <= best, and never below it otherwise.
+    """
+    graph, perm = _systole_graph(weight, level)
+    sources = np.flatnonzero(np.arange(len(perm)) < perm)
+    longest = float(np.max(graph.data))
+    best = float(dijkstra(graph, indices=sources[:1])[0, perm[sources[0]]])
+    for start in range(1, len(sources), _SOURCE_BATCH):
+        idx = sources[start : start + _SOURCE_BATCH]
+        # padded so that rounding cannot push a witness past the limit
+        reach = (0.5 * best + longest) * (1.0 + 1e-12)
+        dist = dijkstra(graph, indices=idx, limit=reach)
+        dist += dist[:, perm]
+        best = min(best, float(np.min(dist)))
     if not np.isfinite(best):
         raise GeometryError("the mesh graph is disconnected")
     return best

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.csgraph import dijkstra
 
 from mapenergy import harmonic, report as report_module
 from mapenergy.energy import EnergyValue, p_energy
-from mapenergy.manifolds import GeometryError, complex_projective, real_projective
+from mapenergy.manifolds import GeometryError, complex_projective, real_projective, sphere
 from mapenergy.maps import build_grid
-from mapenergy.meshes import icosphere
+from mapenergy.meshes import antipodal_permutation, icosphere
+from mapenergy.rand import make_rng
 from mapenergy.constructions import (
     conic_curve,
     line_curve,
@@ -138,6 +141,65 @@ def test_systole_rejects_bad_weights():
         systole_rp2(lambda x: 1.0 + 0.5 * x[..., 0], level=2)  # odd part
     with pytest.raises(GeometryError):
         systole_rp2(lambda x: np.ones(3), level=2)  # wrong shape
+
+
+@pytest.mark.parametrize("estimate", [systole_rp2, conformal_area_rp2])
+@pytest.mark.parametrize("weight", [
+    np.inf,
+    float("inf"),
+    np.nan,
+    lambda x: np.where(np.abs(x[..., 0]) > 0.99, np.inf, 1.0),  # infinite near the poles
+])
+def test_systole_and_area_reject_weights_that_are_not_finite(estimate, weight):
+    with pytest.raises(GeometryError, match="finite and positive"):
+        estimate(weight, level=2)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_systole_graph_is_exactly_antipodally_symmetric(level):
+    def nearly_even(x):
+        # odd part 1e-12, inside the evenness check's 1e-10
+        return 1.0 + 0.5 * x[..., 0] ** 2 + 1e-12 * x[..., 1]
+
+    for weight in (1.0, nearly_even):
+        graph, perm = report_module._systole_graph(weight, level)
+        permuted = graph[perm][:, perm]
+        assert permuted.nnz == graph.nnz
+        assert (permuted != graph).nnz == 0
+
+
+def _full_search_systole(weight, level):
+    """The least d(v, -v), by a full-radius search from one vertex of
+    every antipodal pair, on the chord graph built here from scratch."""
+    mesh = icosphere(level)
+    perm = antipodal_permutation(mesh)
+    mu = weight(mesh.vertices) if callable(weight) else np.full(len(perm), float(weight))
+    pairs, lengths = report_module._chord_graph(mesh)
+    root = np.sqrt(mu)
+    costs = lengths * 0.5 * (root[pairs[:, 0]] + root[pairs[:, 1]])
+    graph = sparse.csr_matrix((costs, (pairs[:, 0], pairs[:, 1])), shape=(len(perm), len(perm)))
+    sources = np.flatnonzero(np.arange(len(perm)) < perm)
+    dist = dijkstra(graph, directed=False, indices=sources)
+    return float(np.min(dist[np.arange(len(sources)), perm[sources]]))
+
+
+def _rotated_bump(seed):
+    rotation = sphere(2).random_isometry(make_rng(seed))
+    return lambda x: 1.0 + 0.5 * (x @ rotation.T)[..., 0] ** 2
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_half_radius_systole_matches_the_full_search(level):
+    weights = {
+        "round": 1.0,
+        "constant 4": 4.0,
+        "bump": lambda x: 1.0 + 0.5 * x[..., 0] ** 2,
+        "quartic": lambda x: 1.0 + x[..., 0] ** 4 + 0.3 * x[..., 1] ** 2,
+        **{f"rotated bump {seed}": _rotated_bump(seed) for seed in (0, 1, 2)},
+    }
+    for label, weight in weights.items():
+        expected = _full_search_systole(weight, level)
+        assert abs(systole_rp2(weight, level=level) - expected) <= 4 * np.spacing(expected), label
 
 
 def test_systole_and_area_take_an_integer_level_of_at_least_zero():

@@ -1,8 +1,9 @@
 """Scalar functionals of smooth maps: energies, volumes, areas, and lengths.
 
-Every functional integrates a pointwise density built from the pullback
-Gram matrix of the map over a quadrature grid.  Monte Carlo grids carry a
-standard error; mesh grids are deterministic.
+Every functional integrates a pointwise density of the map's differential
+over a quadrature grid: energies read |dF|^2 from the differential's
+columns, volumes integrate sqrt(det G) of the pullback Gram matrix G.
+Monte Carlo grids carry a standard error; mesh grids are deterministic.
 """
 
 from __future__ import annotations
@@ -88,14 +89,16 @@ def _integrate(grid, density, ok, label):
 def p_energy(F, grid, p=2.0, salt=0):
     """The p-energy of a map: half the integral of |dF|^p over the domain.
 
-    |dF|^2 at a node is the trace of the pullback Gram matrix in a
-    deterministic orthonormal frame.  Returns an EnergyValue.
+    |dF|^2 at a node is the sum of the squared lengths of the
+    differential's columns on a deterministic orthonormal frame, the
+    trace of the pullback Gram matrix, which is not built.  `p` is a
+    finite real >= 1, checked before any node is evaluated.  Returns an
+    EnergyValue.
     """
-    if p < 1.0:
-        raise GeometryError("p-energy is defined for p >= 1")
-    frames = grid_frames(grid, salt=salt)
-    G, ok = pullback_gram(F, grid.nodes, frames)
-    dens = 0.5 * energy_density(G) ** (p / 2.0)
+    if not (is_finite_real(p) and p >= 1.0):
+        raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
+    cols, ok = differential_columns(F, grid.nodes, grid_frames(grid, salt=salt))
+    dens = 0.5 * energy_density(cols) ** (p / 2.0)
     value, stderr, dropped, warning = _integrate(grid, dens, ok, "p_energy")
     return EnergyValue(value, stderr, dropped, warning)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .manifolds import GeometryError, real_projective, sphere
+from .manifolds import GeometryError, _norm, real_projective, sphere
 from .maps import checked_resolution
 from .meshes import (
     DEGENERATE_GUARD,
@@ -65,11 +65,11 @@ class MeshMap:
         if abs(float(np.sum(self.areas)) - target) > 1e-3 * target:
             raise GeometryError("vertex areas do not sum to the domain area")
         canon = self.codomain.canonicalize(self.images)
-        if np.max(np.linalg.norm(canon - self.images, axis=-1)) > 1e-10:
+        if np.max(_norm(canon - self.images)) > 1e-10:
             raise GeometryError("images must be canonical points of the codomain")
         if self.antipodal_quotient:
             perm = antipodal_permutation(self.mesh)
-            mism = np.linalg.norm(self.images - self.images[perm], axis=-1)
+            mism = _norm(self.images - self.images[perm])
             if np.max(mism) > 1e-10:
                 raise GeometryError(
                     "quotient mesh maps need antipodally equal images"

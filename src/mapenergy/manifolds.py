@@ -14,7 +14,10 @@ Points live on the unit sphere of an ambient real or complex vector space:
   lifts.
 
 All operations broadcast over leading batch axes; the ambient coordinate
-axis is always the last one.
+axis is always the last one.  Sums over that short axis are slice adds
+from left to right onto 0.0 (`_sum_last`), which is the order in which
+numpy's `np.sum` adds fewer than 8 reals or 1-3 complex numbers, so
+they give its numbers bit for bit without its per-node reduction loop.
 """
 
 import math
@@ -42,18 +45,31 @@ def sphere_volume(n, r=1.0):
     return math.exp(log_sigma) * r**n
 
 
+def _sum_last(a):
+    """np.sum(a, axis=-1) as slice adds, in numpy's order for a short last axis.
+
+    The start 0.0 + a[..., 0] is numpy's identity start, so signed zeros
+    agree too, and it keeps the memory order of the slice, as np.sum's
+    result does; later sums (einsum in `croke_density`) depend on it.
+    """
+    s = a[..., 0] + 0.0
+    for k in range(1, a.shape[-1]):
+        s += a[..., k]
+    return s
+
+
 def _norm(v):
-    return np.sqrt(np.sum((v * v.conj()).real, axis=-1))
+    return np.sqrt(_sum_last((v * v.conj()).real))
 
 
 def _dot(u, v):
     """Hermitian inner product, conjugating the first slot."""
-    return np.sum(u.conj() * v, axis=-1)
+    return _sum_last(u.conj() * v)
 
 
 def real_inner(u, v):
     """Riemannian inner product of tangent vectors (real part of the ambient one)."""
-    return np.sum((u.conj() * v).real, axis=-1)
+    return _sum_last((u.conj() * v).real)
 
 
 def _pivot_factor(x):
@@ -185,14 +201,14 @@ class Sphere(ModelManifold):
 
     def _fold(self, x, y):
         """<x, y'> and the representative y' of y nearest x: y, or +-y on the quotient."""
-        c = np.sum(x * y, axis=-1)
+        c = _sum_last(x * y)
         if self.sheets == 2:
             c, y = np.abs(c), np.where(c >= 0, 1.0, -1.0)[..., None] * y
         return np.clip(c, -1.0, 1.0), y
 
     def project_tangent(self, x, u):
         u = u.real if np.iscomplexobj(u) else u
-        return u - np.sum(x * u, axis=-1)[..., None] * x
+        return u - _sum_last(x * u)[..., None] * x
 
     def random_isometry(self, rng):
         q, r = np.linalg.qr(rng.standard_normal((self.ambient_dim, self.ambient_dim)))

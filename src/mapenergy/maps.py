@@ -4,8 +4,10 @@ A :class:`MapObject` bundles a batch evaluator with an optional analytic
 differential.  When no analytic differential is present, directional
 derivatives are central differences pushed through the codomain
 logarithm, which keeps every computed vector an honest tangent vector.
-Pullback Gram matrices, quadrature grids, and exact low-degree
-unit-tangent designs live here as well.
+The energy density |dF|^2 is read from the differential's columns; the
+pullback Gram matrix is built only for volumes and for the Croke check.
+Quadrature grids and exact low-degree unit-tangent designs live here as
+well.
 
 A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
 once per salt, read-only, and gone with the grid.
@@ -16,12 +18,13 @@ and the vectors ``v`` of shape ``(..., dim, amb_dom)``, and it must
 broadcast the one base against the ``dim`` vectors, so that work on the
 base point is done once per node, not once per vector.
 
-Frames, differential columns and pullback Gram matrices of a batch of at
-least 8,192 nodes are computed in 4,096-node blocks, which bounds the
-temporaries of an analytic differential.  The blocks run on a thread
-pool as wide as the CPUs the process may use when it may use more than
-one, and one after another otherwise.  Every step is per node, so the
-numbers are bit-identical to one serial pass; there is no option.
+Frames, differential columns, energy densities and pullback Gram
+matrices of a batch of at least 8,192 nodes are computed in 4,096-node
+blocks, which bounds the temporaries of an analytic differential.  The
+blocks run on a thread pool as wide as the CPUs the process may use when
+it may use more than one, and one after another otherwise.  Every step
+is per node, so the numbers are bit-identical to one serial pass; there
+is no option.
 """
 
 import math
@@ -37,6 +40,7 @@ from . import meshes
 from .manifolds import (
     ComplexProjective,
     GeometryError,
+    _norm,
     real_inner,
     sphere_volume,
 )
@@ -185,8 +189,8 @@ def pullback_gram(F, x, frames):
 
 
 def _gram(cols):
-    G = real_inner(cols[..., :, None, :], cols[..., None, :, :])
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+    # exactly symmetric: G_ij and G_ji multiply the same pairs in one order
+    return real_inner(cols[..., :, None, :], cols[..., None, :, :])
 
 
 def gram_eigenvalues(G):
@@ -195,9 +199,11 @@ def gram_eigenvalues(G):
     return np.maximum(w, 0.0)
 
 
-def energy_density(G):
-    """Squared differential norm: trace of the pullback Gram matrix."""
-    return np.trace(G, axis1=-2, axis2=-1)
+def energy_density(cols):
+    """Squared differential norm |dF|^2 per node from the differential
+    columns (..., dim, amb): the sum of <dF e_i, dF e_i>, which is the
+    trace of the pullback Gram matrix bit for bit, without building it."""
+    return _by_node_chunks(lambda c: np.sum(real_inner(c, c), axis=-1), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +342,14 @@ def normalized_linear_map(dom, cod, A, name=""):
 
     def ev(x):
         y = np.einsum("ij,...j->...i", A, x)
-        n = np.linalg.norm(y, axis=-1, keepdims=True)
+        n = _norm(y)[..., None]
         if np.any(n < 1e-12):
             raise GeometryError("linear map vanishes on a representative")
         return cod.canonicalize(y / n)
 
     def diff(x, v):
         y = np.einsum("ij,...j->...i", A, x)
-        n = np.linalg.norm(y, axis=-1, keepdims=True)
+        n = _norm(y)[..., None]
         yc, f = cod.canonicalize_with_factor(y / n)
         w = cod.project_tangent(y / n, np.einsum("ij,...j->...i", A, v) / n)
         return f[..., None] * w

@@ -44,9 +44,13 @@ from mapenergy.maps import (
 
 
 def test_energy_density_arithmetic():
-    assert energy_density(np.eye(4)) == pytest.approx(4.0)
+    # rows are the differential's columns dF e_i; the density is the sum of their squared lengths
+    assert energy_density(np.eye(4)) == 4.0
     assert energy_density(np.zeros((3, 3))) == 0.0
-    assert energy_density(np.diag([9.0, 16.0])) == pytest.approx(25.0)
+    assert energy_density(np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])) == 25.0
+    assert energy_density(np.array([[3j, 4.0], [1.0 - 1j, 0.0]])) == 27.0
+    batch = np.array([[[1.0, 2.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, -3.0]]])
+    assert np.array_equal(energy_density(batch), [9.0, 9.0])
 
 
 def test_p2_identity_cp2():
@@ -81,6 +85,21 @@ def test_p_energy_rejects_small_p():
         p_energy(identity_map(M), grid, p=0.5)
 
 
+@pytest.mark.parametrize("p", [True, float("nan"), float("inf"), 0.5, "2"], ids=repr)
+def test_p_energy_checks_p_before_any_node_is_evaluated(p):
+    M = sphere(2)
+    grid = build_grid(M, 3, "mesh")
+    calls = []
+
+    def ev(x):
+        calls.append(len(x))
+        return x
+
+    with pytest.raises(GeometryError, match="finite real p >= 1"):
+        p_energy(MapObject(M, M, ev), grid, p=p)
+    assert calls == [] and grid.derived == {}
+
+
 def test_identity_energy_general_exponent():
     # identity on CP^N has constant |dF|^2 = 2N, so E_p = (2N)^{p/2} Vol / 2
     M = complex_projective(2)
@@ -113,7 +132,7 @@ def test_croke_matches_trace_on_cp1():
 
     G, _ = pullback_gram(F, x, frame_at(dom, x))
     np.testing.assert_allclose(
-        croke_density(F, x), energy_density(G), rtol=1e-6, atol=1e-9
+        croke_density(F, x), np.trace(G, axis1=-2, axis2=-1), rtol=1e-6, atol=1e-9
     )
 
 

@@ -9,6 +9,7 @@ from mapenergy import make_rng
 from mapenergy.manifolds import (
     CUT_GUARD,
     CutLocusError,
+    _sum_last,
     complex_projective,
     real_projective,
     sphere,
@@ -236,6 +237,35 @@ def test_killing_derivative_matches_fd_oracle():
             analytic = cp.killing_derivative(a, z, w)
             fd = _killing_derivative_fd(cp, a, z, w)
             np.testing.assert_allclose(analytic, fd, atol=1e-6)
+
+
+def _sum_last_inputs(length, dtype):
+    """Arrays with a last axis of `length`: C-ordered, the real part of a
+    complex array, a moveaxis-ed view and a broadcast product, each with
+    magnitudes over 30 decades and a row of signed zeros."""
+    rng = make_rng(length)
+
+    def draw(shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-15, 15, size=shape)
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal(shape)
+        a[0] = -0.0
+        return a
+
+    c = draw((6, 5, length))
+    yield "C-ordered", c
+    yield "real part", c.astype(complex).real
+    yield "moveaxis", np.moveaxis(c, 0, -2)
+    yield "broadcast", draw((6, 1, length)) * draw((1, 5, length))
+
+
+@pytest.mark.parametrize("length, dtype", [(k, float) for k in range(1, 8)]
+                         + [(k, complex) for k in range(1, 4)])
+def test_sum_last_is_numpys_short_axis_sum_bit_for_bit(length, dtype):
+    for label, a in _sum_last_inputs(length, dtype):
+        got, want = _sum_last(a), np.sum(a, axis=-1)
+        assert got.dtype == want.dtype and got.strides == want.strides, label
+        assert got.tobytes() == want.tobytes(), label
 
 
 def test_random_point_determinism():

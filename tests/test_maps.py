@@ -36,7 +36,6 @@ from mapenergy.maps import (
     cp1_from_sphere,
     cp1_to_sphere,
     differential_columns,
-    energy_density,
     gram_eigenvalues,
     grid_frames,
     homothety_map,
@@ -71,7 +70,7 @@ def test_identity_gram_is_identity():
         G, ok = pullback_gram(identity_map(M), x, fr)
         assert ok.all()
         np.testing.assert_allclose(G, np.broadcast_to(np.eye(M.dim), G.shape), atol=1e-12)
-        np.testing.assert_allclose(energy_density(G), M.dim, atol=1e-12)
+        np.testing.assert_allclose(np.trace(G, axis1=-2, axis2=-1), M.dim, atol=1e-12)
 
 
 def test_finite_difference_matches_analytic_o_h2():
@@ -118,7 +117,8 @@ def test_frame_independence_of_gram_invariants():
     f2 = random_frames(M, x, make_rng(2))
     G1, _ = pullback_gram(F, x, f1)
     G2, _ = pullback_gram(F, x, f2)
-    np.testing.assert_allclose(energy_density(G1), energy_density(G2), atol=1e-8)
+    np.testing.assert_allclose(np.trace(G1, axis1=-2, axis2=-1), np.trace(G2, axis1=-2, axis2=-1),
+                               atol=1e-8)
     np.testing.assert_allclose(np.linalg.det(G1), np.linalg.det(G2), atol=1e-8)
 
 
@@ -387,23 +387,32 @@ def _in_a_child(fn, timeout=120.0):
     pytest.fail(f"the child did not finish in {timeout} s")
 
 
+BLOCKED_CASES = ["fd-squeeze", "dilation", "theta", "identity-rp3"]
+
+
 def _blocked_case(name):
+    """A map and a grid on its domain: BLOCKED_NODES Monte Carlo nodes, or for
+    "line" the one-block CP^1 mesh under a line of CP^2 that line averages use."""
+    if name == "line":
+        F = compose(make_projective_dilation(2, 4.0), reference_line(2).embedding)
+        return F, build_grid(F.domain, 3, "mesh")
     if name == "fd-squeeze":
         M = complex_projective(2)
-        F = compose(perturbed_identity(M, 0.2, "squeeze"), make_projective_dilation(2, 1.5))
-        return maps.MapObject(M, M, F.evaluator, differential=None)
-    if name == "dilation":
-        return make_projective_dilation(2, 2.0)
-    if name == "theta":
-        return make_theta(4.0)
-    return identity_map(real_projective(3))
+        squeeze = compose(perturbed_identity(M, 0.2, "squeeze"), make_projective_dilation(2, 1.5))
+        F = maps.MapObject(M, M, squeeze.evaluator, differential=None)
+    elif name == "dilation":
+        F = make_projective_dilation(2, 2.0)
+    elif name == "theta":
+        F = make_theta(4.0)
+    else:
+        F = identity_map(real_projective(3))
+    return F, build_grid(F.domain, BLOCKED_NODES, seed=3)
 
 
-@pytest.mark.parametrize("name", ["fd-squeeze", "dilation", "theta", "identity-rp3"])
+@pytest.mark.parametrize("name", BLOCKED_CASES + ["line"])
 def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
-    F = _blocked_case(name)
+    F, grid = _blocked_case(name)
     assert (F.differential is None) == (name == "fd-squeeze")
-    grid = build_grid(F.domain, BLOCKED_NODES, seed=3)
     x, fr = grid.nodes, grid_frames(grid)
     n = len(grid)
 
@@ -418,13 +427,20 @@ def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
     for p in (2.0, 3.0):
         got = energy.p_energy(F, grid, p=p)
         value, stderr, _, _ = energy._integrate(
-            grid, 0.5 * energy_density(want_G) ** (p / 2.0), want_ok, "p_energy")
+            grid, 0.5 * np.trace(want_G, axis1=-2, axis2=-1) ** (p / 2.0), want_ok, "p_energy")
         assert (got.value, got.stderr) == (value, stderr)
 
     volume = energy._integrate(grid, np.sqrt(np.prod(gram_eigenvalues(want_G), axis=-1)),
                                want_ok, "pullback_volume")[0]
     assert energy.pullback_volume(F, grid) == volume
-    assert pooled
+    assert bool(pooled) == (n >= 2 * maps.NODE_BLOCK)
+
+
+@pytest.mark.parametrize("name", BLOCKED_CASES)
+def test_pullback_gram_is_exactly_symmetric(name):
+    F, grid = _blocked_case(name)
+    G, _ = pullback_gram(F, grid.nodes, grid_frames(grid))
+    assert np.array_equal(G, np.swapaxes(G, -1, -2))
 
 
 def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):

@@ -86,18 +86,18 @@ def _integrate(grid, density, ok, label):
     return value, stderr, dropped, warning
 
 
-def p_energy(F, grid, p=2.0, salt=0):
+def p_energy(F, grid, p=2.0):
     """The p-energy of a map: half the integral of |dF|^p over the domain.
 
     |dF|^2 at a node is the sum of the squared lengths of the
-    differential's columns on a deterministic orthonormal frame, the
-    trace of the pullback Gram matrix, which is not built.  `p` is a
+    differential's columns on the grid's reflection frame (`grid_frames`),
+    the trace of the pullback Gram matrix, which is not built.  `p` is a
     finite real >= 1, checked before any node is evaluated.  Returns an
     EnergyValue.
     """
     if not (is_finite_real(p) and p >= 1.0):
         raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
-    cols, ok = differential_columns(F, grid.nodes, grid_frames(grid, salt=salt))
+    cols, ok = differential_columns(F, grid.nodes, grid_frames(grid))
     dens = 0.5 * energy_density(cols) ** (p / 2.0)
     value, stderr, dropped, warning = _integrate(grid, dens, ok, "p_energy")
     return EnergyValue(value, stderr, dropped, warning)

@@ -21,7 +21,7 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import MapObject, differential_columns, frame_at, log_probes
+from .maps import MapObject, differential_columns, log_probes, tangent_frames
 
 # the coarse step of every second difference; read only by `_acceleration`
 SECOND_DIFF_STEP = 1e-3
@@ -72,7 +72,7 @@ def tension(F, x, frame=None):
     Vanishes exactly for harmonic maps; frame independent up to the
     finite-difference tolerance (any orthonormal frame may be passed).
     """
-    fr = frame_at(F.domain, x) if frame is None else frame
+    fr = tangent_frames(F.domain, x) if frame is None else frame
     acc = _acceleration(F, x[..., None, :], fr)
     return np.sum(acc, axis=-2)
 
@@ -86,7 +86,7 @@ def pluriharmonic_residual(F, x):
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("pluriharmonicity needs a complex projective domain")
-    fr = frame_at(M, x)
+    fr = tangent_frames(M, x)
     best = np.zeros(x.shape[:-1])
     for i in range(M.dim):
         for j in range(i, M.dim):
@@ -107,7 +107,7 @@ def hermitian_residual(F, x):
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("Hermitian symmetry needs a complex projective domain")
-    fr = frame_at(M, x)
+    fr = tangent_frames(M, x)
     c0, ok0 = differential_columns(F, x, fr)
     cJ, okJ = differential_columns(F, x, 1j * fr)
     if not np.all(ok0 & okJ):
@@ -201,7 +201,7 @@ def jacobi_identity_check(F, generator, grid):
 
     M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
     w_vals = W(x)
-    fr = frame_at(M, x)
+    fr = tangent_frames(M, x)
     total = np.zeros_like(w_vals)
     for i in range(M.dim):
         ei = fr[..., i, :]

@@ -5,12 +5,14 @@ differential.  When no analytic differential is present, directional
 derivatives are central differences pushed through the codomain
 logarithm, which keeps every computed vector an honest tangent vector.
 The energy density |dF|^2 is read from the differential's columns; the
-pullback Gram matrix is built only for volumes and for the Croke check.
+pullback Gram matrix is built only for volumes.
 Quadrature grids and exact low-degree unit-tangent designs live here as
 well.
 
-A `QuadratureGrid` owns the frames `grid_frames` derives from it: drawn
-once per salt, read-only, and gone with the grid.
+Tangent frames come from one Householder reflection per node, with no
+random draw: the energy density is a trace, so any orthonormal frame
+gives it.  A `QuadratureGrid` owns the frames `grid_frames` derives from
+it: built once, read-only, and gone with the grid.
 
 An analytic differential takes the base point once per node: it is
 called as ``differential(x, v)`` with ``x`` of shape ``(..., 1, amb_dom)``
@@ -44,7 +46,7 @@ from .manifolds import (
     real_inner,
     sphere_volume,
 )
-from .rand import make_rng, spawn
+from .rand import make_rng
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -119,35 +121,32 @@ class MapObject:
         return self.evaluator(x)
 
 
-def random_frames(M, x, rng):
-    """Orthonormal tangent frames at a batch of points, shape (..., dim, ambient)."""
-    d = M.dim
-    shape = x.shape[:-1] + (d, x.shape[-1])
-    g = rng.standard_normal(shape)
-    if M.is_complex or np.iscomplexobj(x):
-        g = g + 1j * rng.standard_normal(shape)
-    return _by_node_chunks(lambda xb, gb: _real_orthonormalize(M.project_tangent(xb[..., None, :], gb)),
-                           x, g)
+def tangent_frames(M, x):
+    """Orthonormal tangent frames at points (..., amb), shape (..., dim, amb).
+
+    With k the index of the largest |x_k| and w = x + (x_k/|x_k|) e_k, the
+    Householder reflection H = I - w w* / (1 + |x_k|) sends x to a
+    multiple of e_k, so its columns H e_j, j != k, are orthonormal and
+    orthogonal to x.  They are the frame; on CP^N it is followed by i
+    times each of them, which spans the rest of the horizontal space.
+    """
+    return _by_node_chunks(lambda xb: _reflection_frames(M, xb), x)
 
 
-def _real_orthonormalize(vecs):
-    """Gram-Schmidt rows of (..., d, amb) for the real inner product."""
-    d = vecs.shape[-2]
-    out = np.array(vecs, copy=True)
-    for i in range(d):
-        vi = out[..., i, :]
-        for j in range(i):
-            vj = out[..., j, :]
-            vi = vi - real_inner(vj, vi)[..., None] * vj
-        out[..., i, :] = vi / np.sqrt(real_inner(vi, vi))[..., None]
-    return out
-
-
-def frame_at(M, x):
-    """Deterministic orthonormal frame at a single point."""
-    xb = x[None] if x.ndim == 1 else x
-    f = random_frames(M, xb, make_rng(0))
-    return f[0] if x.ndim == 1 else f
+def _reflection_frames(M, x):
+    amb = x.shape[-1]
+    k = np.argmax(np.abs(x), axis=-1)[..., None]
+    xk = np.take_along_axis(x, k, axis=-1)
+    a = np.abs(xk)
+    w = np.where(np.arange(amb) == k, x + xk / a, x)
+    # the indices j != k in increasing order; w_j = x_j there, so
+    # H e_j = e_j - w conj(x_j) / (1 + |x_k|)
+    j = np.arange(amb - 1) + (np.arange(amb - 1) >= k)
+    c = np.take_along_axis(x, j, axis=-1).conj() / (1.0 + a)
+    frames = (j[..., None] == np.arange(amb)) - c[..., None] * w[..., None, :]
+    if M.is_complex:
+        return np.concatenate([frames, 1j * frames], axis=-2)
+    return frames
 
 
 def log_probes(F, x, v, h, y0=None):
@@ -216,7 +215,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
-    seed: int = 0
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -262,29 +260,27 @@ def build_grid(M, resolution, scheme="monte_carlo", seed=0):
     """
     resolution = checked_resolution(scheme, resolution)
     if scheme == "mesh":
-        return _mesh_grid(M, resolution, seed)
+        return _mesh_grid(M, resolution)
     nodes = M.random_point(make_rng(seed), resolution)
     w = np.full(resolution, M.volume / resolution)
-    return QuadratureGrid(M, nodes, w, scheme, seed)
+    return QuadratureGrid(M, nodes, w, scheme)
 
 
-def _mesh_grid(M, level, seed):
+def _mesh_grid(M, level):
     mesh = meshes.icosphere(level)
     areas = meshes.vertex_areas(mesh)
     if M.kind in ("sphere", "real_projective") and M.n == 2:
         nodes = M.canonicalize(mesh.vertices)
-        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh", seed)
+        return QuadratureGrid(M, nodes, areas * M.radius**2 / M.sheets, "mesh")
     if isinstance(M, ComplexProjective) and M.N == 1:
         nodes = M.canonicalize(cp1_from_sphere(mesh.vertices))
-        return QuadratureGrid(M, nodes, 0.25 * areas, "mesh", seed)
+        return QuadratureGrid(M, nodes, 0.25 * areas, "mesh")
     raise GeometryError(f"no mesh scheme for {M!r}")
 
 
-def grid_frames(grid, salt=0):
-    """Deterministic frames at the grid nodes, derived from the grid seed:
-    drawn once per salt and kept, read-only, on the grid."""
-    return meshes.kept(grid.derived, salt,
-                       lambda: random_frames(grid.manifold, grid.nodes, spawn(grid.seed, 1000 + salt)))
+def grid_frames(grid):
+    """`tangent_frames` at the grid nodes, built once and kept, read-only, on the grid."""
+    return meshes.kept(grid.derived, "frames", lambda: tangent_frames(grid.manifold, grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +401,7 @@ def _fixed_rotation(d):
 def unit_tangent_quadrature(M, x):
     """Weighted unit-tangent directions at x, exact for polynomials through
     degree 3; weights sum to the area of the unit (dim-1)-sphere."""
-    frame = frame_at(M, x)
+    frame = tangent_frames(M, x)
     coeffs, w = _design_coefficients(M.dim)
     dirs = np.einsum("jd,...da->j...a", coeffs, frame)
     return dirs, w

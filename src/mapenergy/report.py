@@ -69,13 +69,14 @@ from .manifolds import (
 from .maps import (
     build_grid,
     checked_resolution,
-    frame_at,
+    differential_columns,
+    energy_density,
     homothety_map,
     identity_map,
     is_finite_real,
     is_integer,
     normalized_linear_map,
-    pullback_gram,
+    tangent_frames,
 )
 from .meshes import antipodal_permutation, icosphere, vertex_areas
 from .rand import spawn
@@ -425,10 +426,10 @@ def _run_croke(seed, pairs):
             continue
         x = M.random_point(spawn(seed, index), size=(int(k),))
         density = croke_density(F, x)
-        gram, ok = pullback_gram(F, x, frame_at(M, x))
+        cols, ok = differential_columns(F, x, tangent_frames(M, x))
         if not np.all(ok):
             raise GeometryError("a probe point fell in the unreliable band")
-        trace = np.real(np.trace(gram, axis1=-2, axis2=-1))
+        trace = energy_density(cols)
         worst = max(worst, float(np.max(np.abs(density - trace) / np.abs(trace))))
     return {"order": 3}, worst
 

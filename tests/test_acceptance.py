@@ -26,9 +26,9 @@ from mapenergy.maps import (
     build_grid,
     compose,
     differential_columns,
-    frame_at,
     identity_map,
     normalized_linear_map,
+    tangent_frames,
 )
 from mapenergy.rand import make_rng
 from mapenergy.report import BoundSpec, eval_bound, run_experiment
@@ -192,7 +192,7 @@ def test_criterion_12_structural_property_suite():
     cp1 = complex_projective(1)
     F = make_rational_curve(veronese_curve())
     x = cp1.random_point(make_rng(6), (10,))
-    fr = frame_at(cp1, x)
+    fr = tangent_frames(cp1, x)
     q = np.linalg.qr(make_rng(7).standard_normal((2, 2)))[0]
     mixed = np.einsum("ij,...ja->...ia", q, fr)
     frame_dev = float(np.max(np.abs(tension(F, x, frame=fr)
@@ -219,7 +219,7 @@ def test_criterion_12_structural_property_suite():
 
     # symmetry of the second-order geodesic deviation form
     y = cp1.random_point(make_rng(10), (8,))
-    fy = frame_at(cp1, y)
+    fy = tangent_frames(cp1, y)
     a_vw = second_fundamental_form(base, y, fy[..., 0, :], fy[..., 1, :])
     a_wv = second_fundamental_form(base, y, fy[..., 1, :], fy[..., 0, :])
     sym_dev = float(np.max(np.abs(a_vw - a_wv)))
@@ -232,7 +232,7 @@ def test_criterion_12_structural_property_suite():
     smooth = make_theta(2.0)
     bare = MapObject(s3, s3, smooth.evaluator, name="bare")
     z = s3.random_point(make_rng(11), (30,))
-    fz = frame_at(s3, z)
+    fz = tangent_frames(s3, z)
     exact, _ = differential_columns(smooth, z, fz)
     coarse, _ = differential_columns(bare, z, fz, h=2e-3)
     fine, _ = differential_columns(bare, z, fz, h=1e-3)

@@ -28,9 +28,9 @@ from mapenergy.maps import (
     MapObject,
     build_grid,
     differential_columns,
-    frame_at,
     identity_map,
     pullback_gram,
+    tangent_frames,
 )
 from mapenergy.rand import make_rng
 
@@ -71,7 +71,7 @@ def test_curve_differential_matches_finite_differences():
     F = make_rational_curve(random_curve(2, 3, seed=4))
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(8), 25)
-    fr = frame_at(cp1, z)
+    fr = tangent_frames(cp1, z)
     exact, _ = differential_columns(F, z, fr)
     F_fd = MapObject(F.domain, F.codomain, F.evaluator, None, "fd")
     approx, ok = differential_columns(F_fd, z, fr)
@@ -217,7 +217,7 @@ def test_theta_is_conformal():
     S3 = sphere(3)
     x = S3.random_point(make_rng(19), 30)
     F = make_theta(4.0)
-    G, _ = pullback_gram(F, x, frame_at(S3, x))
+    G, _ = pullback_gram(F, x, tangent_frames(S3, x))
     ev = np.linalg.eigvalsh(G)
     assert np.max(ev[..., -1] - ev[..., 0]) < 1e-6
 
@@ -262,7 +262,7 @@ def test_capped_theta_differential_matches_finite_differences():
     # stay away from the two seams where the map is only Lipschitz
     keep = (np.abs(np.abs(x[..., 3]) - c) > 1e-2) & (np.abs(x[..., 3]) > 1e-2)
     x = x[keep]
-    fr = frame_at(M, x)
+    fr = tangent_frames(M, x)
     exact, _ = differential_columns(F, x, fr)
     F_fd = MapObject(F.domain, F.codomain, F.evaluator, None, "fd")
     approx, ok = differential_columns(F_fd, x, fr)
@@ -288,7 +288,7 @@ def test_inclusion_cp_is_isometric():
     assert p_energy(F, grid, p=2.0).value == pytest.approx(np.pi, rel=1e-9)
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(24), 15)
-    G, _ = pullback_gram(F, z, frame_at(cp1, z))
+    G, _ = pullback_gram(F, z, tangent_frames(cp1, z))
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
 
@@ -317,7 +317,7 @@ def test_conjugation_is_isometric():
     M = complex_projective(2)
     F = conjugation_map(2)
     z = M.random_point(make_rng(25), 15)
-    G, _ = pullback_gram(F, z, frame_at(M, z))
+    G, _ = pullback_gram(F, z, tangent_frames(M, z))
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(4), G.shape), atol=1e-10)
     # antiholomorphic: dF(iv) = -i dF(v)
     v = M.random_unit_tangent(make_rng(26), z)

@@ -32,7 +32,7 @@ from mapenergy.manifolds import (
     sphere,
     su_basis,
 )
-from mapenergy.maps import MapObject, build_grid, frame_at, identity_map
+from mapenergy.maps import MapObject, build_grid, identity_map, tangent_frames
 from mapenergy.rand import make_rng
 
 
@@ -52,7 +52,7 @@ def test_second_form_symmetric_and_typed():
     cp1, cp2 = complex_projective(1), complex_projective(2)
     F = make_rational_curve(veronese_curve())
     x = cp1.random_point(make_rng(1), 20)
-    fr = frame_at(cp1, x)
+    fr = tangent_frames(cp1, x)
     v, w = fr[..., 0, :], fr[..., 1, :]
     a = second_fundamental_form(F, x, v, w)
     b = second_fundamental_form(F, x, w, v)
@@ -65,7 +65,7 @@ def test_inclusion_is_totally_geodesic():
     F = standard_maps("inclusion_cp", k=1, N=2)
     cp1 = complex_projective(1)
     x = cp1.random_point(make_rng(2), 100)
-    fr = frame_at(cp1, x)
+    fr = tangent_frames(cp1, x)
     worst = 0.0
     for i in range(2):
         for j in range(2):
@@ -78,7 +78,7 @@ def test_double_cover_is_totally_geodesic():
     F = standard_maps("double_cover")
     s2 = sphere(2)
     x = s2.random_point(make_rng(3), 100)
-    fr = frame_at(s2, x)
+    fr = tangent_frames(s2, x)
     worst = 0.0
     for i in range(2):
         s = second_fundamental_form(F, x, fr[..., i, :], fr[..., i, :])
@@ -89,7 +89,7 @@ def test_double_cover_is_totally_geodesic():
 def test_sampled_line_embeddings_are_totally_geodesic():
     cp1 = complex_projective(1)
     x = cp1.random_point(make_rng(4), 20)
-    fr = frame_at(cp1, x)
+    fr = tangent_frames(cp1, x)
     for sample in sample_lines(2, 5, seed=5):
         F = sample.element.embedding
         for i in range(2):
@@ -135,7 +135,7 @@ def test_tension_is_frame_independent():
     cp1 = complex_projective(1)
     F = make_rational_curve(conic_curve())
     x = cp1.random_point(make_rng(8), 10)
-    fr = frame_at(cp1, x)
+    fr = tangent_frames(cp1, x)
     q = np.linalg.qr(make_rng(9).standard_normal((2, 2)))[0]
     mixed = np.einsum("ij,...ja->...ia", q, fr)
     t1 = tension(F, x, frame=fr)

@@ -30,10 +30,10 @@ from mapenergy.maps import (
     MapObject,
     build_grid,
     compose,
-    frame_at,
     identity_map,
     normalized_linear_map,
     pullback_gram,
+    tangent_frames,
 )
 
 
@@ -98,7 +98,7 @@ def test_line_embedding_is_isometric():
     for s in sample_lines(2, 3, seed=5):
         emb = s.element.embedding
         x = cp1.random_point(rng, 20)
-        G, _ = pullback_gram(emb, x, frame_at(cp1, x))
+        G, _ = pullback_gram(emb, x, tangent_frames(cp1, x))
         np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-8)
 
 
@@ -113,7 +113,7 @@ def test_line_through_point_and_direction():
     assert np.linalg.norm(line.embedding(origin) - M.canonicalize(x)) < 1e-12
     # the pushed-forward tangent plane contains u and i*u; expand in the
     # real-orthonormal frame with real coefficients
-    fr = frame_at(cp1, origin)
+    fr = tangent_frames(cp1, origin)
     cols = line.embedding.differential(np.broadcast_to(origin, fr.shape), fr)
     for target in (u, 1j * u):
         coeff = np.array([np.sum((c.conj() * target).real) for c in cols])
@@ -263,7 +263,7 @@ def test_plane_embeddings_isometric():
     rng = make_rng(27)
     for s in sample_rp2_planes(3, 3, seed=27):
         x = rp2.random_point(rng, 10)
-        G, _ = pullback_gram(s.element, x, frame_at(rp2, x))
+        G, _ = pullback_gram(s.element, x, tangent_frames(rp2, x))
         np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
 

@@ -42,31 +42,51 @@ from mapenergy.maps import (
     identity_map,
     normalized_linear_map,
     pullback_gram,
-    random_frames,
+    tangent_frames,
     unit_tangent_quadrature,
 )
 
 
-def test_random_frames_orthonormal():
+def _hard_points(M):
+    """Unit vectors where the reflection's pivot is hard: +-e_k, ties
+    |x_0| = |x_1|, a negative largest coordinate, and on CP^N the same
+    with phased largest coordinates."""
+    amb = M.ambient_dim
+    tie = np.zeros((2, amb))
+    tie[:, :2] = [[1.0, 1.0], [1.0, -1.0]]
+    negative = np.full(amb, 0.3)
+    negative[-1] = -0.9
+    points = np.concatenate([np.eye(amb), -np.eye(amb), tie, negative[None]])
+    points /= np.linalg.norm(points, axis=-1, keepdims=True)
+    if not M.is_complex:
+        return points
+    phased_tie = np.zeros(amb, dtype=complex)
+    phased_tie[:2] = [1.0, 1j]
+    return np.concatenate([points, 1j * points, np.exp(0.7j) * points,
+                           phased_tie[None] / math.sqrt(2.0)])
+
+
+def test_tangent_frames_orthonormal_and_horizontal():
     rng = make_rng(3)
-    for M in (sphere(3), real_projective(2), complex_projective(2)):
-        x = M.random_point(rng, 40)
-        fr = random_frames(M, x, rng)
-        assert fr.shape == (40, M.dim, M.ambient_dim)
+    for M in (sphere(3), real_projective(2), real_projective(3),
+              complex_projective(1), complex_projective(2), complex_projective(3)):
+        x = np.concatenate([M.random_point(rng, 2000), _hard_points(M)])
+        fr = tangent_frames(M, x)
+        assert fr.shape == (len(x), M.dim, M.ambient_dim)
         G = np.einsum("kia,kja->kij", fr.conj(), fr).real
-        np.testing.assert_allclose(G, np.broadcast_to(np.eye(M.dim), G.shape), atol=1e-12)
-        # tangency
-        if M.kind == "complex_projective":
-            np.testing.assert_allclose(np.einsum("ka,kia->ki", x.conj(), fr), 0.0, atol=1e-12)
-        else:
-            np.testing.assert_allclose(np.einsum("ka,kia->ki", x, fr), 0.0, atol=1e-12)
+        np.testing.assert_allclose(G, np.broadcast_to(np.eye(M.dim), G.shape), rtol=0, atol=1e-15)
+        # tangent to the sphere; on CP^N horizontal, orthogonal to the complex span of x
+        np.testing.assert_allclose(np.einsum("ka,kia->ki", x.conj(), fr), 0.0, rtol=0, atol=1e-15)
+        single = tangent_frames(M, x[0])
+        assert single.shape == (M.dim, M.ambient_dim)
+        np.testing.assert_allclose(single, fr[0], rtol=0, atol=1e-15)
 
 
 def test_identity_gram_is_identity():
     for M in (sphere(2), real_projective(3), complex_projective(2)):
         rng = make_rng(17)
         x = M.random_point(rng, 25)
-        fr = random_frames(M, x, rng)
+        fr = tangent_frames(M, x)
         G, ok = pullback_gram(identity_map(M), x, fr)
         assert ok.all()
         np.testing.assert_allclose(G, np.broadcast_to(np.eye(M.dim), G.shape), atol=1e-12)
@@ -80,7 +100,7 @@ def test_finite_difference_matches_analytic_o_h2():
     F = normalized_linear_map(M, M, A)
     rng = make_rng(5)
     x = M.random_point(rng, 20)
-    fr = random_frames(M, x, rng)
+    fr = tangent_frames(M, x)
     exact = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
     F_fd = maps.MapObject(M, M, F.evaluator)
     hs = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
@@ -99,7 +119,7 @@ def test_fd_matches_analytic_on_complex_projective():
     A = np.diag([2.0, 1.0 + 0.5j, 0.7])
     F = normalized_linear_map(M, M, A)
     x = M.random_point(rng, 15)
-    fr = random_frames(M, x, rng)
+    fr = tangent_frames(M, x)
     exact = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
     F_fd = maps.MapObject(M, M, F.evaluator)
     cols, ok = differential_columns(F_fd, x, fr, h=1e-4)
@@ -113,8 +133,9 @@ def test_frame_independence_of_gram_invariants():
     F = normalized_linear_map(M, M, A)
     rng = make_rng(23)
     x = M.random_point(rng, 30)
-    f1 = random_frames(M, x, make_rng(1))
-    f2 = random_frames(M, x, make_rng(2))
+    f1 = tangent_frames(M, x)
+    q, _ = np.linalg.qr(make_rng(2).standard_normal((M.dim, M.dim)))
+    f2 = np.einsum("ij,kja->kia", q, f1)
     G1, _ = pullback_gram(F, x, f1)
     G2, _ = pullback_gram(F, x, f2)
     np.testing.assert_allclose(np.trace(G1, axis1=-2, axis2=-1), np.trace(G2, axis1=-2, axis2=-1),
@@ -128,7 +149,7 @@ def test_homothety_distance_ratio_oracle():
     rng = make_rng(31)
     M = F.domain
     x = M.random_point(rng, 10)
-    fr = random_frames(M, x, rng)
+    fr = tangent_frames(M, x)
     G, _ = pullback_gram(F, x, fr)
     np.testing.assert_allclose(np.sqrt(maps.gram_eigenvalues(G)), 2.0, atol=1e-6)
     # homothety sends geodesics to geodesics, so the ratio is exact for any
@@ -145,7 +166,7 @@ def test_inclusion_is_isometric():
     F = normalized_linear_map(real_projective(2), real_projective(3), A)
     rng = make_rng(37)
     x = F.domain.random_point(rng, 10)
-    fr = random_frames(F.domain, x, rng)
+    fr = tangent_frames(F.domain, x)
     G, _ = pullback_gram(F, x, fr)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
@@ -158,7 +179,7 @@ def test_double_cover_local_isometry():
     y = s2.random_point(rng, 50)
     d = s2.distance(x, y)
     np.testing.assert_allclose(rp2.distance(F(x), F(y)), np.minimum(d, math.pi - d), atol=1e-12)
-    fr = random_frames(s2, x, rng)
+    fr = tangent_frames(s2, x)
     G, _ = pullback_gram(F, x, fr)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
@@ -213,19 +234,19 @@ def test_grid_determinism_and_frames():
     g1 = build_grid(M, 100, seed=9)
     g2 = build_grid(M, 100, seed=9)
     np.testing.assert_array_equal(g1.nodes, g2.nodes)
-    f1 = grid_frames(g1, salt=4)
-    f2 = grid_frames(g2, salt=4)
+    f1 = grid_frames(g1)
+    f2 = grid_frames(g2)
+    assert f1 is not f2
     np.testing.assert_array_equal(f1, f2)
 
 
-def test_grid_frames_are_drawn_once_per_salt_and_read_only():
+def test_grid_frames_are_kept_once_per_grid_and_read_only():
     g = build_grid(complex_projective(2), 50, seed=9)
-    f = grid_frames(g, salt=4)
-    assert grid_frames(g, salt=4) is f
+    f = grid_frames(g)
+    assert grid_frames(g) is f
     with pytest.raises(ValueError):
         f[0, 0, 0] = 0.0
-    other = grid_frames(g, salt=5)
-    assert other is not f and not np.array_equal(other, f)
+    np.testing.assert_array_equal(f, tangent_frames(g.manifold, g.nodes))
 
 
 def test_hopf_chart_round_trip_and_isometry():
@@ -251,7 +272,7 @@ def test_compose_chains_differentials():
     assert C.differential is not None
     rng = make_rng(59)
     x = M.random_point(rng, 8)
-    fr = random_frames(M, x, rng)
+    fr = tangent_frames(M, x)
     cols_a = C.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
     C_fd = maps.MapObject(M, M, C.evaluator)
     cols_f, _ = differential_columns(C_fd, x, fr)
@@ -300,7 +321,7 @@ def test_a_per_node_base_gives_the_broadcast_base_columns_bit_for_bit(name):
     F = _analytic_case(name)
     M = F.domain
     x = M.random_point(make_rng(61), 40)
-    fr = random_frames(M, x, make_rng(62))
+    fr = tangent_frames(M, x)
     broadcast = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
     per_node = F.differential(x[:, None, :], fr)
     assert per_node.shape == broadcast.shape == fr.shape[:-1] + (F.codomain.ambient_dim,)
@@ -316,7 +337,7 @@ def test_a_per_node_base_gives_the_broadcast_base_columns_bit_for_bit(name):
 def test_perturbed_identity_differential_matches_finite_differences(M, flavor):
     F = perturbed_identity(M, 0.2, flavor, seed=1)
     x = M.random_point(make_rng(63), 200)
-    fr = random_frames(M, x, make_rng(64))
+    fr = tangent_frames(M, x)
     exact, _ = differential_columns(F, x, fr)
     fd, ok = differential_columns(maps.MapObject(M, M, F.evaluator), x, fr)
     assert ok.all()
@@ -469,16 +490,9 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
 
 @pytest.mark.parametrize("M", [complex_projective(2), real_projective(3), sphere(3)],
                          ids=["cp2", "rp3", "s3"])
-def test_blocked_random_frames_equal_one_serial_pass(pooled, M):
+def test_blocked_tangent_frames_equal_one_serial_pass(pooled, M):
     x = M.random_point(make_rng(1), BLOCKED_NODES)
-    got = random_frames(M, x, make_rng(5))
-    rng = make_rng(5)
-    shape = x.shape[:-1] + (M.dim, x.shape[-1])
-    g = rng.standard_normal(shape)
-    if M.is_complex:
-        g = g + 1j * rng.standard_normal(shape)
-    want = maps._real_orthonormalize(M.project_tangent(x[..., None, :], g))
-    assert np.array_equal(got, want)
+    assert np.array_equal(tangent_frames(M, x), maps._reflection_frames(M, x))
     assert pooled
 
 

@@ -2,11 +2,14 @@
 
 A random smooth perturbation of the identity of the 2-sphere is sampled
 onto a subdivided icosahedral mesh; the graph Dirichlet energy with
-intrinsic cotangent weights is then driven downhill along the discrete
-tension field with an adaptive step.  The energy must fall monotonically
-toward the round value 4 pi, and the conformality defect -- an
-area-weighted measure of how far each triangle's image is from a
-similarity of the source triangle -- collapses alongside it.
+intrinsic cotangent weights is then driven downhill with an adaptive
+step along its H^1 gradient: the discrete tension field smoothed by one
+sparse solve with the vertex areas plus the cotangent Laplacian, which
+takes about ten iterations where a step along the tension itself takes
+hundreds.  The energy must fall monotonically toward the round value
+4 pi, and the conformality defect -- an area-weighted measure of how far
+each triangle's image is from a similarity of the source triangle --
+collapses alongside it.
 
 Writes the per-iteration log to flow_descent_log.csv, with the columns
 iteration, energy, grad_norm (the largest tension norm before the step)

@@ -92,8 +92,8 @@ class ModelManifold:
 
     The sphere, its quotient and CP^N share exp, log and distance: each
     keeps unit representatives on the sphere of `radius`, and its
-    `_fold(x, y)` gives the representative y' of y nearest x with c =
-    <x, y'>.
+    `_gauge(x, y)` gives c = <x, g y> and the unit scalar g for which
+    g y is the representative of y nearest x.
     """
 
     kind = "abstract"
@@ -124,6 +124,16 @@ class ModelManifold:
         if not np.all(ok):
             raise CutLocusError("log requested at or beyond the cut locus")
         return v
+
+    def _fold(self, x, y):
+        """<x, y'> and the representative y' = g y of y nearest x."""
+        c, g = self._gauge(x, y)
+        return np.clip(c, -1.0, 1.0), y if g is None else g[..., None] * y
+
+    def gauge(self, x, y):
+        """The unit scalars g for which g y is the representative of y nearest x."""
+        c, g = self._gauge(x, y)
+        return np.ones_like(c) if g is None else g
 
     def log_masked(self, x, y):
         """Logarithm with a validity mask instead of an exception."""
@@ -199,12 +209,12 @@ class Sphere(ModelManifold):
     def __repr__(self):
         return f"Sphere(n={self.n}, r={self.radius})"
 
-    def _fold(self, x, y):
-        """<x, y'> and the representative y' of y nearest x: y, or +-y on the quotient."""
+    def _gauge(self, x, y):
+        """<x, g y> and g: 1 (as None), or +-1 on the quotient."""
         c = _sum_last(x * y)
         if self.sheets == 2:
-            c, y = np.abs(c), np.where(c >= 0, 1.0, -1.0)[..., None] * y
-        return np.clip(c, -1.0, 1.0), y
+            return np.abs(c), np.where(c >= 0, 1.0, -1.0)
+        return c, None
 
     def project_tangent(self, x, u):
         u = u.real if np.iscomplexobj(u) else u
@@ -253,12 +263,11 @@ class ComplexProjective(ModelManifold):
         u = u.astype(np.complex128, copy=False)
         return u - _dot(x, u)[..., None] * x
 
-    def _fold(self, x, y):
-        """|<x, y>| and the representative of y with <x, y> real nonnegative."""
+    def _gauge(self, x, y):
+        """|<x, y>| and the phase g that makes <x, g y> real nonnegative."""
         h = _dot(x, y)
         r = np.abs(h)
-        phase = np.where(r > 1e-300, h.conj() / np.where(r > 1e-300, r, 1.0), 1.0 + 0j)
-        return np.clip(r, 0.0, 1.0), phase[..., None] * y
+        return r, np.where(r > 1e-300, h.conj() / np.where(r > 1e-300, r, 1.0), 1.0 + 0j)
 
     def random_isometry(self, rng):
         shape = (self.ambient_dim, self.ambient_dim)

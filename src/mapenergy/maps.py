@@ -29,6 +29,7 @@ is per node, so the numbers are bit-identical to one serial pass; there
 is no option.
 """
 
+import collections
 import math
 import numbers
 import os
@@ -68,13 +69,32 @@ def _pool():
         return _POOLS[pid]
 
 
+def _pooled(block, starts, workers):
+    """block(start) for each start, in order, run on the pool at most
+    `workers` blocks ahead of the caller; blocks left unstarted when the
+    caller stops are cancelled."""
+    pool, pending = _pool(), collections.deque()
+    try:
+        for start in starts:
+            pending.append(pool.submit(block, start))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _by_node_chunks(fn, x, *arrays):
     """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis when
     that axis holds at least two blocks; the results (an array or a tuple
-    of arrays) are concatenated along that axis.  The blocks run on a
-    thread pool when the process may use more than one CPU, and one after
-    another otherwise, so a block's temporaries bound the memory of a
-    large batch on any CPU count.
+    of arrays) are copied, in order as they arrive, into outputs
+    allocated from the first block's result.  The blocks run on a
+    thread pool, at most one block per worker ahead of that copy, when
+    the process may use more than one CPU, and one after another
+    otherwise.  So a block's temporaries bound the memory of a large
+    batch on any CPU count, and the outputs are not held twice.
 
     `fn` must act on each node alone, so that blocks change no number.
     It runs on pool threads, so it must call no name that
@@ -92,11 +112,17 @@ def _by_node_chunks(fn, x, *arrays):
         return fn(x[start:stop], *(a[start:stop] for a in arrays))
 
     starts = range(0, n, NODE_BLOCK)
-    parts = list(_pool().map(block, starts) if len(os.sched_getaffinity(0)) > 1
-                 else map(block, starts))
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    return np.concatenate(parts)
+    workers = len(os.sched_getaffinity(0))
+    parts = _pooled(block, starts, workers) if workers > 1 else map(block, starts)
+    outputs = None
+    for start, part in zip(starts, parts):
+        single = not isinstance(part, tuple)
+        part = (part,) if single else part
+        if outputs is None:
+            outputs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
+        for out, p in zip(outputs, part):
+            out[start:start + len(p)] = p
+    return outputs[0] if single else outputs
 
 
 @dataclass

@@ -9,6 +9,7 @@ from mapenergy.flow import (
     discrete_energy,
     discrete_tension,
     flow_minimize,
+    h1_direction,
     sample_map,
     write_flow_log,
 )
@@ -157,6 +158,96 @@ def test_flow_quotient_preserves_symmetry():
     mf, hist = flow_minimize(m0, step=0.25, iters=500, grad_tol=1e-3)
     assert hist[-1]["energy"] <= hist[0]["energy"]
     assert hist[-1]["energy"] == pytest.approx(2.0 * np.pi, rel=0.01)
+
+
+def _h1_cases():
+    """A bent S^2 map, a bent map of the RP^2 quotient and a CP^1-valued map, at level 3."""
+    bent = perturbed_identity(s2, magnitude=0.2, seed=0)
+    cp1 = complex_projective(1)
+    mesh = icosphere(3)
+    return {
+        "s2": sample_map(bent, 3),
+        "rp2": sample_map(perturbed_identity(rp2, 0.2, seed=0), 3, antipodal_quotient=True),
+        "cp1": MeshMap(mesh, cp1, cp1.canonicalize(cp1_from_sphere(bent(mesh.vertices)))),
+    }
+
+
+H1_CASES = ["s2", "rp2", "cp1"]
+
+
+@pytest.mark.parametrize("name", H1_CASES)
+def test_h1_flow_converges_in_a_few_iterations(name):
+    # a step along the tension itself needs 195, 195 and 171 iterations on these maps
+    m0 = _h1_cases()[name]
+    mf, hist = flow_minimize(m0, step=0.25, iters=4000, grad_tol=2e-4)
+    assert len(hist) - 1 <= 20
+    assert float(np.max(m0.codomain.norm(discrete_tension(mf)))) < 2e-4
+    energies = [rec["energy"] for rec in hist]
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("name", H1_CASES)
+def test_h1_direction_is_tangent_and_descends(name):
+    m = _h1_cases()[name]
+    tau = discrete_tension(m)
+    d = h1_direction(m, tau)
+    # <F_i, d_i> vanishes: its real part on spheres, all of it (horizontality) on CP^1
+    assert float(np.max(np.abs(np.sum(m.images.conj() * d, axis=-1)))) < 1e-14
+    # first variation of the energy along d is -sum_i a_i Re<tau_i, d_i>
+    slope = float(np.sum(m.areas * np.sum((tau.conj() * d).real, axis=-1)))
+    assert slope > 0
+    E0 = discrete_energy(m)
+    for t in (1e-3, 1e-2):
+        assert discrete_energy(m.with_images(m.codomain.exp(m.images, t * d))) < E0
+
+
+@pytest.mark.parametrize("name", H1_CASES)
+def test_h1_direction_is_covariant_under_codomain_isometries(name):
+    # canonical representatives of the moved images differ from the moved
+    # representatives by signs (RP^2) or phases (CP^1), which the gauge absorbs
+    m = _h1_cases()[name]
+    M = m.codomain
+    Q = M.random_isometry(make_rng(11))
+    moved, f = M.canonicalize_with_factor(m.images @ Q.T)
+    if name != "s2":
+        assert np.max(np.abs(f - 1.0)) > 1.0  # some representatives flip
+    m_moved = m.with_images(moved)
+    tau = discrete_tension(m)
+    d = h1_direction(m, tau)
+    d_moved = h1_direction(m_moved, discrete_tension(m_moved))
+    np.testing.assert_allclose(d_moved, f[:, None] * (d @ Q.T), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+BAD_FLOW_INPUTS = [
+    {"step": float("nan")}, {"step": float("inf")}, {"step": -1.0}, {"step": 0.0},
+    {"step": True}, {"step": "0.25"}, {"step": None},
+    {"iters": 2.5}, {"iters": -3}, {"iters": True}, {"iters": "10"},
+    {"grad_tol": float("nan")}, {"grad_tol": float("inf")}, {"grad_tol": -1e-6},
+    {"grad_tol": True}, {"grad_tol": None},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_FLOW_INPUTS, ids=repr)
+def test_flow_rejects_bad_inputs_before_any_work(monkeypatch, bad):
+    m0 = sample_map(perturbed_identity(s2, magnitude=0.2, seed=1), 2)
+    calls = []
+    monkeypatch.setattr(flow, "discrete_energy", lambda m: calls.append(m) or 0.0)
+    monkeypatch.setattr(flow, "discrete_tension", lambda m: calls.append(m) or 0.0)
+    with pytest.raises(GeometryError):
+        flow_minimize(m0, **bad)
+    assert calls == []
+
+
+def test_flow_accepts_the_edge_values():
+    m0 = sample_map(perturbed_identity(s2, magnitude=0.2, seed=1), 2)
+    _, hist = flow_minimize(m0, iters=0)
+    assert len(hist) == 1
+    _, hist = flow_minimize(m0, step=np.float64(0.25), iters=np.int64(2), grad_tol=0)
+    assert len(hist) == 3
 
 
 # ---------------------------------------------------------------------------

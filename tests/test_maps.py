@@ -496,6 +496,25 @@ def test_blocked_tangent_frames_equal_one_serial_pass(pooled, M):
     assert pooled
 
 
+def test_the_pool_runs_at_most_one_block_per_worker_ahead():
+    started = []
+
+    def block(start):
+        started.append(start)
+        if start == 50:
+            raise GeometryError("block 50")
+        return start
+
+    for k, value in enumerate(maps._pooled(block, range(20), 2)):
+        assert value == k
+        assert len(started) <= k + 3
+    started.clear()
+    with pytest.raises(GeometryError, match="block 50"):
+        list(maps._pooled(block, range(50, 70), 2))
+    # blocks 51 and 52 were submitted; the rest were never
+    assert len(started) <= 3
+
+
 def test_an_error_in_a_later_block_propagates_from_p_energy(pooled):
     M = sphere(2)
     grid = build_grid(M, BLOCKED_NODES, seed=4)

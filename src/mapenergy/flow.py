@@ -15,7 +15,11 @@ computes; callers measure `conformality_defect` of the maps they keep.
 The domain geometry belongs to the mesh: MeshMaps and
 `conformality_defect` read cotangent weights, vertex areas, the antipodal
 permutation and flattened domain triangles from `meshes`, which derives
-each once per mesh, read-only.  Only the image half is computed here.
+each once per mesh, read-only.  The factor of the gauge-free H^1 matrix
+is mesh geometry too, kept on the mesh: S^n, RP^n (through a sign lift
+on the mesh's spanning tree) and the antipodal quotient all solve with
+it, and only CP^N phases factor per iteration.  Only the image half is
+computed here.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from .meshes import (
     cotangent_weights,
     flat_triangles,
     icosphere,
+    kept,
     plant_triangles,
+    spanning_tree,
     triangle_sides,
     vertex_areas,
 )
@@ -134,17 +140,68 @@ def h1_direction(m, tau):
     cotangent weights, and g_ij is the unit scalar (1, +-1 or a phase)
     for which g_ij F_j is the representative of F_j nearest F_i.  The
     solution is projected to the tangent (horizontal) space at each image.
+
+    P_1 = A + L (g = 1) depends only on the mesh, and its `splu` factor
+    is kept on the mesh.  On S^n it is P.  On RP^n the signs usually lift
+    to vertex signs, g_ij = s_i s_j, so P = S P_1 S and d = S P_1^-1 S A tau.
+    The antipodal quotient halves A and L alike, so P_1 and the whole
+    mesh's A solve the same system.  Phases on CP^N, and signs with no
+    lift, factor P afresh on every call.  Sign flips and halvings are
+    exact, so every path gives the numbers of a fresh factor of P.
     """
-    i, j = m.pairs.T
-    n = len(m.images)
-    off = -m.weights * m.codomain.gauge(m.images[i], m.images[j])
-    diagonal = m.areas + np.bincount(m.pairs.ravel(), np.repeat(m.weights, 2), n)
+    M = m.codomain
+    if M.kind == "sphere":
+        s = 1.0
+    else:
+        g = M.gauge(m.images[m.pairs[:, 0]], m.images[m.pairs[:, 1]])
+        s = None if M.is_complex else _sign_lift(m, g)
+    if s is None:
+        d = splu(_h1_matrix(m.pairs, m.weights, m.areas, g)).solve(m.areas[:, None] * tau)
+    else:
+        # the quotient halves A and L alike, and doubling both back is exact
+        whole = 2.0 if m.antipodal_quotient else 1.0
+        d = s * _h1_factor(m, whole).solve(s * ((whole * m.areas)[:, None] * tau))
+    return M.project_tangent(m.images, d)
+
+
+def _h1_matrix(pairs, weights, areas, gauge):
+    """P = A + L_g as a CSC matrix; g_ji = conj(g_ij) makes it Hermitian positive definite."""
+    i, j = pairs.T
+    n = len(areas)
+    off = -weights * gauge
+    diagonal = areas + np.bincount(pairs.ravel(), np.repeat(weights, 2), n)
     rows = np.concatenate([np.arange(n), i, j])
     cols = np.concatenate([np.arange(n), j, i])
-    # g_ji = conj(g_ij), so P is Hermitian positive definite
-    P = sparse.csc_matrix((np.concatenate([diagonal, off, off.conj()]), (rows, cols)), (n, n))
-    d = splu(P).solve(m.areas[:, None] * tau)
-    return m.codomain.project_tangent(m.images, d)
+    return sparse.csc_matrix((np.concatenate([diagonal, off, off.conj()]), (rows, cols)), (n, n))
+
+
+def _h1_factor(m, whole):
+    """The `splu` factor of P_1 = A + L on the whole sphere mesh of m, kept on the mesh.
+
+    `whole` (2 on the antipodal quotient, else 1) scales m's areas and
+    weights back to those of the whole mesh.
+    """
+    def factor():
+        return splu(_h1_matrix(m.pairs, whole * m.weights, whole * m.areas, 1.0))
+    return kept(m.mesh.derived, "h1_factor", factor)
+
+
+def _sign_lift(m, g):
+    """Vertex signs s, as a column, with s_i s_j = g_ij on every edge of m; or None.
+
+    s_v is the product of g along the mesh's spanning tree from v to its
+    root, gathered by pointer jumping.  The lift fails exactly when some
+    cycle of edges, such as a triangle, has sign product -1.
+    """
+    parent, edge = spanning_tree(m.mesh)
+    # s[v] is the product of g along the tree path from v up to up[v]
+    s = np.where(edge < 0, 1.0, g[edge])
+    up = parent
+    while np.any(up[up] != up):
+        s = s * s[up]
+        up = up[up]
+    i, j = m.pairs.T
+    return s[:, None] if np.array_equal(s[i] * s[j], g) else None
 
 
 def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
@@ -163,7 +220,10 @@ def flow_minimize(m, step=0.25, iters=200, grad_tol=GRADIENT_TOLERANCE):
     nearest representatives; without it, canonical representatives that
     flip sign (RP^n) or phase (CP^N) between neighbours would couple
     through the Laplacian as if far apart.  P is Hermitian positive
-    definite, so Re<A tau, d> > 0 and d is a descent direction.
+    definite, so Re<A tau, d> > 0 and d is a descent direction.  The
+    mesh keeps one factor of the gauge-free matrix, so flows on S^n, on
+    RP^n and on the antipodal quotient factor nothing after the first
+    flow on a mesh; a CP^N flow factors once per iteration.
 
     `step` must be a finite real > 0, `iters` an integer >= 0 and
     `grad_tol` a finite real >= 0.  Returns the final MeshMap and a

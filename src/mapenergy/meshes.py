@@ -5,11 +5,12 @@ so every level keeps the exact antipodal symmetry of the icosahedron;
 vertex quadrature weights come from spherical triangle areas and sum to
 4*pi up to roundoff.
 
-A `SphereMesh` owns the arrays derived from it (cotangent weights,
-vertex areas, the antipodal permutation, flattened triangles): each is
-computed on the first call for a mesh object, kept on it and returned
-read-only.  Meshes compare by identity, and `icosphere` keeps one mesh
-per level.
+A `SphereMesh` owns what is derived from it (cotangent weights,
+vertex areas, the antipodal permutation, flattened triangles, a
+spanning tree, and the flow's factored H^1 matrix): each is computed on
+the first call for a mesh object, kept on it and, where it is an array,
+returned read-only.  Meshes compare by identity, and `icosphere` keeps
+one mesh per level.
 """
 
 import functools
@@ -17,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .manifolds import sphere
 
@@ -96,11 +99,17 @@ def spherical_triangle_areas(vertices, triangles):
 
 
 def kept(cache, key, derive):
-    """`cache[key]`, set to the read-only arrays of `derive()` on first use."""
+    """`cache[key]`, set to `derive()` on first use.
+
+    The value is an array, a tuple, or an object that is not an array
+    (such as a sparse factor); each array in it is made read-only, and
+    other objects are kept as they are.
+    """
     if key not in cache:
         value = derive()
-        for array in value if isinstance(value, tuple) else (value,):
-            array.flags.writeable = False
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
         cache[key] = value
     return cache[key]
 
@@ -158,6 +167,29 @@ def cotangent_weights(mesh):
     pairs, index = np.unique(sides, axis=0, return_inverse=True)
     # each edge borders two triangles, and a sum of two terms has no order to depend on
     return pairs, np.bincount(index.reshape(-1), weights=0.5 * cots, minlength=len(pairs))
+
+
+@_derived
+def spanning_tree(mesh):
+    """(parent, edge) of a breadth-first spanning tree from vertex 0.
+
+    `parent[v]` is the predecessor of v and `edge[v]` the index, among
+    `mesh.edges` (the pairs of `cotangent_weights`), of the edge
+    {v, parent[v]}.  A root (vertex 0, and any vertex it does not reach)
+    is its own parent, with edge -1.
+    """
+    pairs = mesh.edges
+    n = len(mesh.vertices)
+    graph = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), (n, n))
+    parent = breadth_first_order(graph, 0, directed=False, return_predecessors=True)[1]
+    vertex = np.arange(n)
+    root = parent < 0
+    parent[root] = vertex[root]
+    # pairs are sorted and unique, so each edge's key min * n + max is found by bisection
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    lo, hi = np.minimum(vertex, parent), np.maximum(vertex, parent)
+    edge = np.where(root, -1, np.searchsorted(keys, lo * n + hi))
+    return parent, edge
 
 
 @_derived

@@ -14,7 +14,7 @@ import pytest
 
 from mapenergy.constructions import make_rational_curve, make_theta, veronese_curve
 from mapenergy.harmonic import second_fundamental_form, tension
-from mapenergy.intgeo import line_space_mass, rp2_family_mass
+from mapenergy.intgeo import line_energy_average, line_space_mass, rp2_family_mass
 from mapenergy.energy import p_energy
 from mapenergy.manifolds import (
     complex_projective,
@@ -94,6 +94,21 @@ def test_criterion_04_line_averages_recover_the_energy():
     _verdict(4, "line-average", report.passed,
              f"averages {averages} vs {np.pi**2:.6f} (tolerance 1%)")
     assert report.passed
+
+
+def test_cp3_identity_pins_every_factorial():
+    # at N <= 2, N! = N and (N-1)! = 1, so only N >= 3 tells these formulas
+    # from ones that drop a factorial; E_2 of the identity of CP^3 is pi^3 / 2
+    M = complex_projective(3)
+    grid = build_grid(M, 2000, "monte_carlo", seed=3)
+    for p, literal in ((2.0, np.pi**3 / 2), (3.0, np.pi**3 * np.sqrt(6) / 2), (4.0, 3 * np.pi**3)):
+        assert p_energy(identity_map(M), grid, p=p).value == pytest.approx(literal, rel=1e-12)
+        bound = eval_bound(BoundSpec("CPN_P", {"N": 3, "p": p, "area": np.pi}))
+        assert bound == pytest.approx(literal, rel=1e-12)
+    assert eval_bound(BoundSpec("INFIMUM", {"N": 3, "area": np.pi})) == pytest.approx(np.pi**3 / 2, rel=1e-12)
+    assert line_space_mass(3) == pytest.approx(np.pi**4 / 12, rel=1e-12)
+    average = line_energy_average(identity_map(M), K=200, line_resolution=3)
+    assert average == pytest.approx(np.pi**3 / 2, rel=1e-12)
 
 
 def test_criterion_05_plane_averages_recover_the_energy():

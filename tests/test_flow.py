@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
 from mapenergy.constructions import perturbed_identity, standard_maps
 from mapenergy.energy import p_energy
@@ -201,21 +203,80 @@ def test_h1_direction_is_tangent_and_descends(name):
         assert discrete_energy(m.with_images(m.codomain.exp(m.images, t * d))) < E0
 
 
+def _moved(m):
+    """m moved by a seeded isometry Q of its codomain, Q, and the unit
+    scalars that canonicalize the moved representatives."""
+    Q = m.codomain.random_isometry(make_rng(11))
+    moved, f = m.codomain.canonicalize_with_factor(m.images @ Q.T)
+    return m.with_images(moved), Q, f
+
+
 @pytest.mark.parametrize("name", H1_CASES)
 def test_h1_direction_is_covariant_under_codomain_isometries(name):
     # canonical representatives of the moved images differ from the moved
     # representatives by signs (RP^2) or phases (CP^1), which the gauge absorbs
     m = _h1_cases()[name]
-    M = m.codomain
-    Q = M.random_isometry(make_rng(11))
-    moved, f = M.canonicalize_with_factor(m.images @ Q.T)
+    m_moved, Q, f = _moved(m)
     if name != "s2":
         assert np.max(np.abs(f - 1.0)) > 1.0  # some representatives flip
-    m_moved = m.with_images(moved)
     tau = discrete_tension(m)
     d = h1_direction(m, tau)
     d_moved = h1_direction(m_moved, discrete_tension(m_moved))
     np.testing.assert_allclose(d_moved, f[:, None] * (d @ Q.T), rtol=0, atol=1e-12)
+
+
+def _fresh_h1_direction(m, tau):
+    """Proj(P_g^-1 A tau) from a factor of P_g = A + L_g assembled here."""
+    i, j = m.pairs.T
+    n = len(m.images)
+    off = -m.weights * m.codomain.gauge(m.images[i], m.images[j])
+    diagonal = m.areas + np.bincount(m.pairs.ravel(), np.repeat(m.weights, 2), n)
+    entries = np.concatenate([diagonal, off, off.conj()])
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    P = sparse.csc_matrix((entries, (rows, cols)), (n, n))
+    return m.codomain.project_tangent(m.images, splu(P).solve(m.areas[:, None] * tau))
+
+
+def _unliftable_rp2_map():
+    """A level-1 map to RP^2 with random canonical images: its signs g_ij have no lift."""
+    mesh = icosphere(1)
+    m = MeshMap(mesh, rp2, rp2.random_point(make_rng(5), len(mesh.vertices)))
+    a, b, c = m.images[mesh.triangles.T]
+    signs = rp2.gauge(a, b) * rp2.gauge(b, c) * rp2.gauge(c, a)
+    assert np.any(signs == -1.0)
+    return m
+
+
+@pytest.mark.parametrize("name", H1_CASES + [n + "-moved" for n in H1_CASES] + ["rp2-no-lift"])
+def test_h1_direction_matches_a_fresh_factor_bit_for_bit(name):
+    # the kept factor, the sign lift and the quotient's halving are all exact
+    if name == "rp2-no-lift":
+        m = _unliftable_rp2_map()
+    else:
+        m = _h1_cases()[name.removesuffix("-moved")]
+        if name.endswith("-moved"):
+            m = _moved(m)[0]
+    tau = discrete_tension(m)
+    assert h1_direction(m, tau).tobytes() == _fresh_h1_direction(m, tau).tobytes()
+
+
+def test_h1_factor_is_kept_per_mesh_and_remade_only_for_phases(monkeypatch):
+    calls = []
+    monkeypatch.setattr(flow, "splu", lambda P: calls.append(P) or splu(P))
+    level3 = icosphere(3)
+    mesh = meshes.SphereMesh(level3.vertices, level3.triangles)  # keeps no factor yet
+    s2_map = MeshMap(mesh, s2, perturbed_identity(s2, 0.2, seed=0)(mesh.vertices))
+    rp2_images = perturbed_identity(rp2, 0.2, seed=0)(rp2.canonicalize(mesh.vertices))
+    rp2_map = MeshMap(mesh, rp2, rp2_images, antipodal_quotient=True)
+    for m0 in (s2_map, rp2_map, s2_map, rp2_map):
+        _, hist = flow_minimize(m0, step=0.25, iters=4000, grad_tol=2e-4)
+        assert len(hist) > 2
+    assert len(calls) == 1
+    cp1 = complex_projective(1)
+    cp1_images = cp1.canonicalize(cp1_from_sphere(s2_map.images))
+    _, hist = flow_minimize(MeshMap(mesh, cp1, cp1_images), step=0.25, iters=4000, grad_tol=2e-4)
+    assert len(calls) == 1 + (len(hist) - 1)
 
 
 # ---------------------------------------------------------------------------

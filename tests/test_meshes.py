@@ -88,13 +88,34 @@ def test_discrete_identity_energy_close_to_area():
 
 def test_mesh_geometry_is_computed_once_and_read_only():
     m = meshes.icosphere(2)
-    for derive in (meshes.cotangent_weights, meshes.vertex_areas,
-                   meshes.antipodal_permutation, meshes.flat_triangles):
+    for derive in (meshes.cotangent_weights, meshes.vertex_areas, meshes.antipodal_permutation,
+                   meshes.flat_triangles, meshes.spanning_tree):
         first, second = derive(m), derive(m)
         assert second is first
         for array in first if isinstance(first, tuple) else (first,):
             with pytest.raises(ValueError):
                 array[0] = array[0]
+
+
+def test_kept_holds_values_that_are_not_arrays():
+    cache, factor = {}, object()
+    value = meshes.kept(cache, "factor", lambda: (np.zeros(2), factor))
+    assert meshes.kept(cache, "factor", lambda: None) is value
+    assert value[1] is factor and not value[0].flags.writeable
+
+
+def test_spanning_tree_joins_each_vertex_to_its_parent():
+    m = meshes.icosphere(2)
+    parent, edge = meshes.spanning_tree(m)
+    pairs = meshes.cotangent_weights(m)[0]
+    v = np.arange(len(m.vertices))
+    assert parent[0] == 0 and list(v[edge < 0]) == [0]
+    np.testing.assert_array_equal(pairs[edge[1:]], np.sort(np.stack([v, parent], 1)[1:], axis=1))
+    # every vertex reaches the root
+    up = parent
+    for _ in range(len(v)):
+        up = up[up]
+    assert np.all(up == 0)
 
 
 def test_a_separately_built_mesh_gets_its_own_geometry():

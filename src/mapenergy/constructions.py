@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intgeo import LineEmbedding
 from .manifolds import (
     ComplexProjective,
     GeometryError,
     _dot,
     complex_projective,
+    is_finite_real,
     real_inner,
     real_projective,
     sphere,
@@ -30,7 +30,6 @@ from .maps import (
     compose,
     homothety_map,
     identity_map,
-    is_finite_real,
     normalized_linear_map,
 )
 from .energy import p_energy
@@ -166,12 +165,9 @@ def random_curve(N, degree, seed=0):
 
 
 def reference_line(N):
-    """The line spanned by the first two coordinate axes."""
-    e0 = np.zeros(N + 1, dtype=complex)
-    e1 = np.zeros(N + 1, dtype=complex)
-    e0[0] = 1.0
-    e1[1] = 1.0
-    return LineEmbedding(e0, e1)
+    """Embedding of CP^1 as the line spanned by the first two coordinate axes."""
+    return normalized_linear_map(complex_projective(1), complex_projective(N), np.eye(N + 1, 2),
+                                 name="line")
 
 
 def make_projective_dilation(N, lam):
@@ -207,7 +203,7 @@ def squeeze_limit(F, grid, lambdas):
     energies = [p_energy(compose(F, make_projective_dilation(M.N, lam)), grid, p=2.0)
                 for lam in lambdas]
     line_grid = build_grid(complex_projective(1), _LINE_LEVEL, "mesh")
-    restricted = p_energy(compose(F, reference_line(M.N).embedding), line_grid, p=2.0)
+    restricted = p_energy(compose(F, reference_line(M.N)), line_grid, p=2.0)
     return energies, float(restricted.value)
 
 

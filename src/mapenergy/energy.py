@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import GeometryError, real_inner, sphere_volume
+from .manifolds import GeometryError, is_finite_real, real_inner, sphere_volume
 from .maps import (
     differential_columns,
     energy_density,
     grid_frames,
     gram_eigenvalues,
-    is_finite_real,
     pullback_gram,
     unit_tangent_quadrature,
 )
@@ -140,18 +139,27 @@ def surface_area(F, grid):
     return pullback_volume(F, grid)
 
 
-def curve_length(F, curve):
-    """Arc length of F composed with a closed parametrized curve.
+def curve_length(F, frame):
+    """Arc length of F along the closed unit-speed geodesic of its domain
+    with base point frame[:, 0] and unit tangent direction frame[:, 1].
 
-    Composite trapezoid rule on the image speed |dF(curve')|; intervals
-    where the differential cannot be evaluated (e.g. probes that land
-    past the cut locus) fall back to the geodesic chord between the two
-    image points, so the result is always defined.
+    The geodesic closes after twice the cut distance (pi * radius on RP^n,
+    where antipodal representatives are identified); its points and
+    velocities are transported to the canonical representatives.  Composite trapezoid rule on the image speed
+    |dF(velocity)|; intervals where the differential cannot be evaluated
+    (e.g. probes that land past the cut locus) fall back to the geodesic
+    chord between the two image points, so the result is always defined.
     """
-    period = float(curve.period)
-    t = np.linspace(0.0, period, CURVE_STEPS + 1)
-    x = curve.point(t)
-    v = curve.velocity(t)
+    M = F.domain
+    base, direction = frame[:, 0], frame[:, 1]
+    if abs(np.vdot(base, direction)) > 1e-10:
+        raise GeometryError("geodesic direction must be tangent at the base")
+    if abs(np.linalg.norm(direction) - 1.0) > 1e-10:
+        raise GeometryError("geodesic direction must be a unit vector")
+    t = np.linspace(0.0, 2.0 * M.cut_distance, CURVE_STEPS + 1)
+    ang = t[:, None] / M.radius
+    x, f = M.canonicalize_with_factor(np.cos(ang) * base + np.sin(ang) * direction)
+    v = f[:, None] * (-np.sin(ang) * base + np.cos(ang) * direction)
     cod = F.codomain
     cols, ok = differential_columns(F, x, v[..., None, :])
     speed = cod.norm(cols[..., 0, :])

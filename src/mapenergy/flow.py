@@ -32,8 +32,8 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from . import tables
-from .manifolds import GeometryError, _norm, real_projective, sphere
-from .maps import checked_resolution, is_finite_real, is_integer
+from .manifolds import GeometryError, _norm, is_finite_real, is_integer, real_projective, sphere
+from .maps import checked_resolution
 from .meshes import (
     DEGENERATE_GUARD,
     antipodal_permutation,

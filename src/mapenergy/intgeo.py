@@ -5,12 +5,18 @@ complex lines of a complex projective space, and totally geodesic
 projective planes — are homogeneous, so uniform unit tangents push
 forward to the uniform measure and the stated total masses normalize the
 sample weights exactly.
+
+A sampled family is one stack of orthonormal frames of shape (K, amb, k)
+with the weight mass / K shared by every sample.  Element i is the totally
+geodesic submanifold spanned by ``frames[i]``: a geodesic's frame holds
+its base point and unit direction (`energy.curve_length` measures its
+image), and a line or plane is embedded by
+``normalized_linear_map(sub, M, frames[i])``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,96 +26,15 @@ from .manifolds import (
     GeometryError,
     RealProjective,
     complex_projective,
+    is_integer,
     real_projective,
     sphere_volume,
 )
-from .maps import build_grid, compose, is_integer, normalized_linear_map
+from .maps import build_grid, compose, normalized_linear_map
 from .rand import make_rng
 
 # subdivision level of the RP^2 mesh in `rp2_family_average`
 PLANE_MESH_LEVEL = 4
-
-
-# ---------------------------------------------------------------------------
-# elements
-
-
-@dataclass
-class GeodesicLoop:
-    """Closed unit-speed geodesic of a real projective space.
-
-    Parametrized over [0, period) with period = pi * radius; the loop
-    closes because antipodal representatives are identified.
-    """
-
-    manifold: RealProjective
-    base: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        if abs(np.dot(self.base, self.direction)) > 1e-10:
-            raise GeometryError("geodesic direction must be tangent at the base")
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-10:
-            raise GeometryError("geodesic direction must be a unit vector")
-
-    @property
-    def period(self):
-        return np.pi * self.manifold.radius
-
-    def _raw(self, t):
-        ang = np.asarray(t, dtype=float)[..., None] / self.manifold.radius
-        return np.cos(ang) * self.base + np.sin(ang) * self.direction
-
-    def point(self, t):
-        x, _ = self.manifold.canonicalize_with_factor(self._raw(t))
-        return x
-
-    def velocity(self, t):
-        """Unit tangent of the loop, transported to the canonical representative."""
-        ang = np.asarray(t, dtype=float)[..., None] / self.manifold.radius
-        w = -np.sin(ang) * self.base + np.cos(ang) * self.direction
-        _, f = self.manifold.canonicalize_with_factor(self._raw(t))
-        return f[..., None] * w
-
-
-@dataclass
-class LineEmbedding:
-    """The complex line through a point tangent to a horizontal direction.
-
-    Holds an orthonormal pair (lift, horizontal) of ambient complex
-    vectors; the embedding sends [a : b] to the class of a*lift +
-    b*horizontal, an isometric and totally geodesic copy of the
-    2-sphere of curvature 4 (area pi).
-    """
-
-    lift: np.ndarray
-    horizontal: np.ndarray
-
-    def __post_init__(self):
-        z, u = self.lift, self.horizontal
-        if (
-            abs(np.vdot(z, u)) > 1e-10
-            or abs(np.linalg.norm(z) - 1.0) > 1e-10
-            or abs(np.linalg.norm(u) - 1.0) > 1e-10
-        ):
-            raise GeometryError("line data must be a complex-orthonormal pair")
-
-    @property
-    def codomain(self):
-        return complex_projective(len(self.lift) - 1)
-
-    @property
-    def embedding(self):
-        A = np.stack([self.lift, self.horizontal], axis=-1)
-        return normalized_linear_map(complex_projective(1), self.codomain, A, name="line")
-
-
-@dataclass
-class MeasureSample:
-    """One weighted element of a sampled measure space."""
-
-    element: object
-    weight: float
 
 
 # ---------------------------------------------------------------------------
@@ -139,48 +64,39 @@ def _sample_count(K):
     return int(K)
 
 
-def sample_geodesics(n, K, seed=0):
-    """K closed geodesics from uniform unit tangents, exactly normalized."""
-    if n < 2:
-        raise GeometryError("geodesic sampling needs n >= 2")
-    M = real_projective(n)
+def _point_tangent_family(M, K, seed, mass):
+    """(K, amb, 2) frames [x, u] of uniform points x and uniform unit
+    tangents u at them, and their shared weight mass / K."""
     K = _sample_count(K)
     rng = make_rng(seed)
     x = M.random_point(rng, K)
-    u = M.random_unit_tangent(rng, x)
-    w = geodesic_space_mass(n) / K
-    return [MeasureSample(GeodesicLoop(M, x[i], u[i]), w) for i in range(K)]
+    return np.stack([x, M.random_unit_tangent(rng, x)], axis=-1), mass / K
+
+
+def sample_geodesics(n, K, seed=0):
+    """K closed geodesics of RP^n from uniform unit tangents, exactly normalized:
+    (frames, weight), frame i holding the base point and unit direction of geodesic i."""
+    M = real_projective(n)
+    if n < 2:
+        raise GeometryError("geodesic sampling needs n >= 2")
+    return _point_tangent_family(M, K, seed, geodesic_space_mass(n))
 
 
 def sample_lines(N, K, seed=0):
-    """K complex lines of CP^N from uniform unit tangents, exactly normalized."""
-    if N < 1:
-        raise GeometryError("line sampling needs N >= 1")
-    M = complex_projective(N)
-    K = _sample_count(K)
-    rng = make_rng(seed)
-    x = M.random_point(rng, K)
-    u = M.random_unit_tangent(rng, x)
-    w = line_space_mass(N) / K
-    return [MeasureSample(LineEmbedding(x[i], u[i]), w) for i in range(K)]
+    """K complex lines of CP^N from uniform unit tangents, exactly normalized:
+    (frames, weight), frame i a point and a horizontal unit direction spanning line i."""
+    return _point_tangent_family(complex_projective(N), K, seed, line_space_mass(N))
 
 
 def sample_rp2_planes(n, K, seed=0):
-    """K totally geodesic projective planes in RP^n (random 3-subspaces)."""
+    """K totally geodesic projective planes in RP^n (random 3-subspaces):
+    (frames, weight), the frames from one Gaussian draw and one batched QR."""
+    M = real_projective(n)
     if n < 3:
         raise GeometryError("the plane family needs n >= 3")
-    M = real_projective(n)
-    rp2 = real_projective(2)
     K = _sample_count(K)
-    rng = make_rng(seed)
-    w = rp2_family_mass(n) / K
-    out = []
-    for i in range(K):
-        g = rng.standard_normal((M.ambient_dim, 3))
-        q, _ = np.linalg.qr(g)
-        emb = normalized_linear_map(rp2, M, q, name="plane")
-        out.append(MeasureSample(emb, w))
-    return out
+    q, _ = np.linalg.qr(make_rng(seed).standard_normal((K, M.ambient_dim, 3)))
+    return q, rp2_family_mass(n) / K
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +104,18 @@ def sample_rp2_planes(n, K, seed=0):
 
 
 def _restricted_line_energies(F, K, line_resolution, seed):
-    """Energies of F restricted to K random lines, with their weights."""
-    if not isinstance(F.domain, ComplexProjective):
+    """Energies of F restricted to K random lines, with their shared weight."""
+    M = F.domain
+    if not isinstance(M, ComplexProjective):
         raise GeometryError("line averages need a complex projective domain")
-    samples = sample_lines(F.domain.N, K, seed)
-    grid = build_grid(complex_projective(1), line_resolution, "mesh")
-    vals = np.array(
-        [p_energy(compose(F, s.element.embedding), grid, p=2.0).value for s in samples]
-    )
-    weights = np.array([s.weight for s in samples])
-    return vals, weights
+    frames, weight = sample_lines(M.N, K, seed)
+    cp1 = complex_projective(1)
+    grid = build_grid(cp1, line_resolution, "mesh")
+    vals = np.array([
+        p_energy(compose(F, normalized_linear_map(cp1, M, A, name="line")), grid, p=2.0).value
+        for A in frames
+    ])
+    return vals, weight
 
 
 def line_energy_average(F, K=200, line_resolution=4, seed=0):
@@ -206,12 +124,12 @@ def line_energy_average(F, K=200, line_resolution=4, seed=0):
     Each restricted energy is computed on a fixed icosahedral mesh of the
     line; the weighted sum is rescaled by N! / pi^(N-1).
     """
-    vals, weights = _restricted_line_energies(F, K, line_resolution, seed)
+    vals, weight = _restricted_line_energies(F, K, line_resolution, seed)
     N = F.domain.N
-    return float(math.factorial(N) / np.pi ** (N - 1) * np.sum(weights * vals))
+    return float(math.factorial(N) / np.pi ** (N - 1) * np.sum(weight * vals))
 
 
-def line_energy_spread(F, K=200, seed=0, line_resolution=4):
+def line_energy_spread(F, K=200, line_resolution=4, seed=0):
     """(mean, max deviation) of restricted line energies.
 
     A near-zero spread witnesses that the restricted energy is the same
@@ -231,8 +149,8 @@ def e1_geodesic_bound(F, K=200, seed=0):
     if not isinstance(F.domain, RealProjective):
         raise GeometryError("the geodesic bound needs a real projective domain")
     n = F.domain.dim
-    samples = sample_geodesics(n, K, seed)
-    total = sum(s.weight * curve_length(F, s.element) for s in samples)
+    frames, weight = sample_geodesics(n, K, seed)
+    total = sum(weight * curve_length(F, frame) for frame in frames)
     return float(np.sqrt(n) / (2.0 * sphere_volume(n - 1)) * total)
 
 
@@ -240,9 +158,11 @@ def rp2_family_average(F, K=64, seed=0):
     """Recover the 2-energy of a map of RP^n by averaging over planes."""
     if not isinstance(F.domain, RealProjective):
         raise GeometryError("the plane average needs a real projective domain")
-    samples = sample_rp2_planes(F.domain.dim, K, seed)
-    grid = build_grid(real_projective(2), PLANE_MESH_LEVEL, "mesh")
+    frames, weight = sample_rp2_planes(F.domain.dim, K, seed)
+    rp2 = real_projective(2)
+    grid = build_grid(rp2, PLANE_MESH_LEVEL, "mesh")
     total = 0.0
-    for s in samples:
-        total += s.weight * p_energy(compose(F, s.element), grid, p=2.0).value
+    for A in frames:
+        plane = normalized_linear_map(rp2, F.domain, A, name="plane")
+        total += weight * p_energy(compose(F, plane), grid, p=2.0).value
     return float(total)

@@ -21,6 +21,7 @@ they give its numbers bit for bit without its per-node reduction loop.
 """
 
 import math
+import numbers
 
 import numpy as np
 from scipy.special import gammaln
@@ -37,6 +38,16 @@ class GeometryError(ValueError):
 
 class CutLocusError(GeometryError):
     """Raised when a logarithm is requested at or beyond the cut locus."""
+
+
+def is_integer(value):
+    """True for Python and numpy integers, False for bools and everything else."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def is_finite_real(value):
+    """True for finite Python and numpy reals, False for bools and everything else."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def sphere_volume(n, r=1.0):
@@ -196,8 +207,9 @@ class Sphere(ModelManifold):
     sheets = 1
 
     def __init__(self, n, r=1.0):
-        if n < 1 or r <= 0:
-            raise GeometryError("need dimension >= 1 and radius > 0")
+        if not (is_integer(n) and n >= 1 and is_finite_real(r) and r > 0):
+            raise GeometryError(f"need an integer dimension >= 1 and a finite radius > 0, "
+                                f"got n={n!r}, r={r!r}")
         self.n = n
         self.dim = n
         self.ambient_dim = n + 1
@@ -244,8 +256,8 @@ class ComplexProjective(ModelManifold):
     radius = 1.0
 
     def __init__(self, N):
-        if N < 1:
-            raise GeometryError("need complex dimension >= 1")
+        if not (is_integer(N) and N >= 1):
+            raise GeometryError(f"need an integer complex dimension >= 1, got {N!r}")
         self.N = N
         self.dim = 2 * N
         self.ambient_dim = N + 1

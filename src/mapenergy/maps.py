@@ -30,8 +30,6 @@ is no option.
 """
 
 import collections
-import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +42,7 @@ from .manifolds import (
     ComplexProjective,
     GeometryError,
     _norm,
+    is_integer,
     real_inner,
     sphere_volume,
 )
@@ -253,16 +252,6 @@ class QuadratureGrid:
 
 # least resolution of each grid scheme: a node count, or a subdivision level
 _LEAST_RESOLUTION = {"monte_carlo": 1, "mesh": 0}
-
-
-def is_integer(value):
-    """True for Python and numpy integers, False for bools and everything else."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
-
-
-def is_finite_real(value):
-    """True for finite Python and numpy reals, False for bools and everything else."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def checked_resolution(scheme, resolution):

@@ -61,6 +61,8 @@ from .intgeo import (
 from .manifolds import (
     GeometryError,
     complex_projective,
+    is_finite_real,
+    is_integer,
     real_projective,
     sphere,
     sphere_volume,
@@ -73,8 +75,6 @@ from .maps import (
     energy_density,
     homothety_map,
     identity_map,
-    is_finite_real,
-    is_integer,
     normalized_linear_map,
     tangent_frames,
 )

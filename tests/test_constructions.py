@@ -145,7 +145,7 @@ def test_dilation_fixes_reference_line_pointwise():
     line = reference_line(2)
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(13), 100)
-    pts = line.embedding(z)
+    pts = line(z)
     T = make_projective_dilation(2, 8.0)
     assert np.max(np.linalg.norm(T(pts) - pts, axis=-1)) < 1e-12
 
@@ -350,7 +350,7 @@ def test_squeeze_flavor_fixes_reference_line():
     M = complex_projective(2)
     F = perturbed_identity(M, magnitude=0.3, flavor="squeeze", seed=4)
     cp1 = complex_projective(1)
-    pts = reference_line(2).embedding(cp1.random_point(make_rng(28), 40))
+    pts = reference_line(2)(cp1.random_point(make_rng(28), 40))
     assert np.max(np.linalg.norm(F(pts) - pts, axis=-1)) < 1e-12
 
 

@@ -310,43 +310,29 @@ def test_energy_value_checks_its_error_and_dropped_fraction():
 # curve length
 
 
-class _GreatLoop:
-    """Closed projective-line loop t -> [cos t : sin t : 0], period pi."""
-
-    period = np.pi
-
-    def __init__(self, M):
-        self.manifold = M
-
-    def _raw(self, t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(t)
-        return np.stack([np.cos(t), np.sin(t), z], axis=-1)
-
-    def point(self, t):
-        x, _ = self.manifold.canonicalize_with_factor(self._raw(t))
-        return x
-
-    def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        z = np.zeros_like(t)
-        v = np.stack([-np.sin(t), np.cos(t), z], axis=-1)
-        _, f = self.manifold.canonicalize_with_factor(self._raw(t))
-        return f[..., None] * v
+# the closed projective-line loop t -> [cos t : sin t : 0], period pi
+GREAT_LOOP = np.eye(3, 2)
 
 
 def test_curve_length_identity_rp2():
     M = real_projective(2)
-    loop = _GreatLoop(M)
-    assert curve_length(identity_map(M), loop) == pytest.approx(np.pi, abs=1e-6)
+    assert curve_length(identity_map(M), GREAT_LOOP) == pytest.approx(np.pi, abs=1e-6)
+
+
+def test_curve_length_runs_once_around_the_closed_geodesic_of_each_model():
+    # great circles of the unit sphere have length 2 pi, lines of CP^1 (a
+    # sphere of radius 1/2) length pi, and those of RP^n pi * radius
+    for M, frame, length in ((sphere(2), GREAT_LOOP, 2.0 * np.pi),
+                             (complex_projective(1), np.eye(2, 2, dtype=complex), np.pi),
+                             (real_projective(3, 0.5), np.eye(4, 2), 0.5 * np.pi)):
+        assert curve_length(identity_map(M), frame) == pytest.approx(length, abs=1e-6)
 
 
 def test_curve_length_homothety():
     kappa = 1.7
     M = real_projective(2)
     F = homothety_map(M, real_projective(2, kappa))
-    loop = _GreatLoop(M)
-    assert curve_length(F, loop) == pytest.approx(kappa * np.pi, abs=1e-6)
+    assert curve_length(F, GREAT_LOOP) == pytest.approx(kappa * np.pi, abs=1e-6)
 
 
 def test_curve_length_chord_fallback_on_jumps():
@@ -362,8 +348,7 @@ def test_curve_length_chord_fallback_on_jumps():
         return np.where(pick[..., None], p, q)
 
     F = MapObject(M, M, ev, name="two-level")
-    loop = _GreatLoop(M)
-    assert curve_length(F, loop) == pytest.approx(np.pi, abs=1e-9)
+    assert curve_length(F, GREAT_LOOP) == pytest.approx(np.pi, abs=1e-9)
 
 
 def test_curve_length_of_an_analytic_map_measures_no_chords(monkeypatch):
@@ -375,7 +360,7 @@ def test_curve_length_of_an_analytic_map_measures_no_chords(monkeypatch):
         raise AssertionError("a chord was measured")
 
     monkeypatch.setattr(F.codomain, "distance", no_chords)
-    assert curve_length(F, _GreatLoop(M)) == pytest.approx(1.7 * np.pi, abs=1e-6)
+    assert curve_length(F, GREAT_LOOP) == pytest.approx(1.7 * np.pi, abs=1e-6)
 
 
 def test_p_energy_on_a_reused_grid_equals_a_fresh_grid_bit_for_bit():

@@ -32,7 +32,13 @@ from mapenergy.manifolds import (
     sphere,
     su_basis,
 )
-from mapenergy.maps import MapObject, build_grid, identity_map, tangent_frames
+from mapenergy.maps import (
+    MapObject,
+    build_grid,
+    identity_map,
+    normalized_linear_map,
+    tangent_frames,
+)
 from mapenergy.rand import make_rng
 
 
@@ -90,8 +96,9 @@ def test_sampled_line_embeddings_are_totally_geodesic():
     cp1 = complex_projective(1)
     x = cp1.random_point(make_rng(4), 20)
     fr = tangent_frames(cp1, x)
-    for sample in sample_lines(2, 5, seed=5):
-        F = sample.element.embedding
+    cp2 = complex_projective(2)
+    for A in sample_lines(2, 5, seed=5)[0]:
+        F = normalized_linear_map(cp1, cp2, A)
         for i in range(2):
             s = second_fundamental_form(F, x, fr[..., i, :], fr[..., i, :])
             assert float(np.max(F.codomain.norm(s))) < 1e-5

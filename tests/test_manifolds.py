@@ -9,6 +9,7 @@ from mapenergy import make_rng
 from mapenergy.manifolds import (
     CUT_GUARD,
     CutLocusError,
+    GeometryError,
     _sum_last,
     complex_projective,
     real_projective,
@@ -16,6 +17,7 @@ from mapenergy.manifolds import (
     sphere_volume,
     su_basis,
 )
+from mapenergy.rand import spawn
 
 MODELS = [
     sphere(2),
@@ -273,6 +275,34 @@ def test_random_point_determinism():
         a = M.random_point(make_rng(123), 17)
         b = M.random_point(make_rng(123), 17)
         np.testing.assert_array_equal(a, b)
+
+
+def test_constructors_need_an_integer_dimension_and_a_finite_positive_radius():
+    for n in (2.5, 2.0, 0, -1, True, None, "3", np.float64(2.0)):
+        for make in (sphere, real_projective, complex_projective):
+            with pytest.raises(GeometryError, match="integer"):
+                make(n)
+    for r in (float("nan"), float("inf"), 0.0, -1.0, True, None, "1"):
+        for make in (sphere, real_projective):
+            with pytest.raises(GeometryError, match="finite radius"):
+                make(2, r)
+    assert sphere(np.int64(2), np.float64(0.5)).volume == sphere(2, 0.5).volume
+    assert complex_projective(np.int64(2)).volume == complex_projective(2).volume
+
+
+def test_seeds_are_integers_in_the_philox_key_range():
+    for seed in (2.5, 2.0, True, None, "3", -1, 2**64, np.float64(1.0)):
+        with pytest.raises(GeometryError, match="integer in"):
+            make_rng(seed)
+        with pytest.raises(GeometryError, match="integer in"):
+            spawn(seed, 0)
+        with pytest.raises(GeometryError, match="integer in"):
+            spawn(0, seed)
+    for seed in (0, np.int64(5), np.uint64(2**64 - 1), 2**64 - 1):
+        a = make_rng(seed).standard_normal(3)
+        np.testing.assert_array_equal(a, make_rng(int(seed)).standard_normal(3))
+        b = spawn(seed, 1).standard_normal(3)
+        np.testing.assert_array_equal(b, spawn(int(seed), 1).standard_normal(3))
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_compose_chains_differentials():
 
 def _analytic_case(name):
     cp2 = complex_projective(2)
-    line = reference_line(2).embedding
+    line = reference_line(2)
     squeeze = perturbed_identity(cp2, 0.2, "squeeze", seed=1)
     return {
         "identity-cp2": lambda: identity_map(cp2),
@@ -349,7 +349,7 @@ def test_squeeze_perturbation_differential_is_the_identity_on_the_reference_line
     # takes the theta -> 0 branch and returns the frame vector itself
     M = complex_projective(2)
     F = perturbed_identity(M, 0.2, "squeeze", seed=1)
-    line = reference_line(2).embedding
+    line = reference_line(2)
     grid = build_grid(complex_projective(1), 3, "mesh")
     x = line(grid.nodes)
     fr, _ = differential_columns(line, grid.nodes, grid_frames(grid))
@@ -415,7 +415,7 @@ def _blocked_case(name):
     """A map and a grid on its domain: BLOCKED_NODES Monte Carlo nodes, or for
     "line" the one-block CP^1 mesh under a line of CP^2 that line averages use."""
     if name == "line":
-        F = compose(make_projective_dilation(2, 4.0), reference_line(2).embedding)
+        F = compose(make_projective_dilation(2, 4.0), reference_line(2))
         return F, build_grid(F.domain, 3, "mesh")
     if name == "fd-squeeze":
         M = complex_projective(2)

@@ -140,14 +140,22 @@ def line_energy_spread(F, K=200, line_resolution=4, seed=0):
     return m, float(np.max(np.abs(vals - m)))
 
 
+def _unit_real_projective(F, what):
+    """GeometryError unless F's domain is a real projective space of radius 1,
+    the only radius the family masses and the unit RP^2 mesh hold for."""
+    if not isinstance(F.domain, RealProjective):
+        raise GeometryError(f"{what} needs a real projective domain")
+    if F.domain.radius != 1.0:
+        raise GeometryError(f"{what} needs a domain of radius 1, got {F.domain.radius!r}")
+
+
 def e1_geodesic_bound(F, K=200, seed=0):
     """Lower bound for the 1-energy from average image lengths of geodesics.
 
     sqrt(n) / (2 sigma(n-1)) times the weighted total image length; equals
     the 1-energy exactly when the map is an isometry.
     """
-    if not isinstance(F.domain, RealProjective):
-        raise GeometryError("the geodesic bound needs a real projective domain")
+    _unit_real_projective(F, "the geodesic bound")
     n = F.domain.dim
     frames, weight = sample_geodesics(n, K, seed)
     total = sum(weight * curve_length(F, frame) for frame in frames)
@@ -156,8 +164,7 @@ def e1_geodesic_bound(F, K=200, seed=0):
 
 def rp2_family_average(F, K=64, seed=0):
     """Recover the 2-energy of a map of RP^n by averaging over planes."""
-    if not isinstance(F.domain, RealProjective):
-        raise GeometryError("the plane average needs a real projective domain")
+    _unit_real_projective(F, "the plane average")
     frames, weight = sample_rp2_planes(F.domain.dim, K, seed)
     rp2 = real_projective(2)
     grid = build_grid(rp2, PLANE_MESH_LEVEL, "mesh")

@@ -3,14 +3,17 @@
 Meshes are subdivided icosahedra.  Subdivision normalizes edge midpoints,
 so every level keeps the exact antipodal symmetry of the icosahedron;
 vertex quadrature weights come from spherical triangle areas and sum to
-4*pi up to roundoff.
+4*pi up to roundoff.  One round of subdivision is a few array operations
+over all faces at once, and `icosphere` builds each level from the kept
+mesh one level below, so its first vertices are those of that mesh.
 
-A `SphereMesh` owns what is derived from it (cotangent weights,
-vertex areas, the antipodal permutation, flattened triangles, a
-spanning tree, and the flow's factored H^1 matrix): each is computed on
-the first call for a mesh object, kept on it and, where it is an array,
-returned read-only.  Meshes compare by identity, and `icosphere` keeps
-one mesh per level.
+A `SphereMesh` owns what is derived from it (its edges, cotangent
+weights, vertex areas, the antipodal permutation, flattened triangles, a
+spanning tree, the systole's chord graph and the flow's factored H^1
+matrix): each is computed on the first call for a mesh object, kept on
+it and, where it is an array, returned read-only.  Meshes compare by
+identity, and `icosphere` keeps one mesh per level, its vertices and
+triangles read-only as well.
 """
 
 import functools
@@ -35,7 +38,8 @@ class SphereMesh:
 
     @property
     def edges(self):
-        return mesh_edges(self.triangles)
+        """Sorted unique vertex pairs of the triangle sides, kept on the mesh."""
+        return kept(self.derived, "edges", lambda: mesh_edges(self.triangles))
 
 
 def icosahedron():
@@ -59,32 +63,42 @@ def icosahedron():
 
 
 def _subdivide(vertices, faces):
-    verts = [tuple(p) for p in vertices]
-    cache = {}
+    """One round of midpoint subdivision, as array operations.
 
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key in cache:
-            return cache[key]
-        p = vertices[i] + vertices[j]
-        p = p / np.linalg.norm(p)
-        verts.append(tuple(p))
-        cache[key] = len(verts) - 1
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(verts), np.array(out)
+    The sides ab, bc, ca of each face, in face order, get midpoints
+    numbered by first occurrence after the old vertices; each face
+    becomes (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
+    """
+    n = len(vertices)
+    sides = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = np.min(sides, axis=1) * n + np.max(sides, axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique sorts the keys; renumber them by first occurrence
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = sides[first[order]]
+    p = vertices[ends[:, 0]] + vertices[ends[:, 1]]
+    # sqrt(p . p) through the dot kernel, as np.linalg.norm takes it for one row
+    p = p / np.sqrt((p[:, None, :] @ p[:, :, None])[:, 0, 0])[:, None]
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    children = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.concatenate([vertices, p]), children.reshape(-1, 3)
 
 
 @functools.lru_cache(maxsize=None)
 def icosphere(level):
-    """Icosahedral mesh after `level` rounds of midpoint subdivision."""
-    v, f = icosahedron()
-    for _ in range(level):
-        v, f = _subdivide(v, f)
+    """Icosahedral mesh after `level` rounds of midpoint subdivision, each
+    level subdivided from the kept mesh one level below; the vertices and
+    triangles are read-only, since every caller shares them."""
+    if level > 0:
+        below = icosphere(level - 1)
+        v, f = _subdivide(below.vertices, below.triangles)
+    else:
+        v, f = icosahedron()
+    v.flags.writeable = False
+    f.flags.writeable = False
     return SphereMesh(vertices=v, triangles=f)
 
 

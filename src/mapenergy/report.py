@@ -78,7 +78,7 @@ from .maps import (
     normalized_linear_map,
     tangent_frames,
 )
-from .meshes import antipodal_permutation, icosphere, vertex_areas
+from .meshes import antipodal_permutation, icosphere, kept, vertex_areas
 from .rand import spawn
 
 
@@ -226,14 +226,16 @@ def _systole_graph(weight, level):
     permutation of its vertices.
 
     Edge costs come from the even part of the weight, so the antipodal
-    map is an exact automorphism of the graph.
+    map is an exact automorphism of the graph.  The chord pairs and
+    their lengths depend only on the mesh, so they are kept on it and
+    shared by every call at that level; only the costs are per weight.
     """
     mesh = icosphere(checked_resolution("mesh", level))
     perm = antipodal_permutation(mesh)
     mu = _conformal_weight(weight, mesh)
     if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
         raise GeometryError("the conformal weight must be antipodally even")
-    pairs, lengths = _chord_graph(mesh)
+    pairs, lengths = kept(mesh.derived, "chord_graph", lambda: _chord_graph(mesh))
     root = np.sqrt(0.5 * (mu + mu[perm]))
     costs = lengths * 0.5 * (root[pairs[:, 0]] + root[pairs[:, 1]])
     n = len(mesh.vertices)

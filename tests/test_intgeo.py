@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mapenergy import make_rng
+from mapenergy import intgeo, make_rng
 from mapenergy.constructions import perturbed_identity
 from mapenergy.energy import CURVE_STEPS, curve_length, p_energy
 from mapenergy.intgeo import (
@@ -258,6 +258,20 @@ def test_e1_bound_constant():
         differential=lambda x, v: np.zeros_like(v), name="constant",
     )
     assert e1_geodesic_bound(F, K=10, seed=26) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_geodesic_bound_and_plane_average_need_radius_one(monkeypatch):
+    # their masses and the unit RP^2 mesh hold only at radius 1, so the
+    # domain is checked before anything is sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the radius check")
+
+    monkeypatch.setattr(intgeo, "sample_geodesics", no_sampling)
+    monkeypatch.setattr(intgeo, "sample_rp2_planes", no_sampling)
+    F = identity_map(real_projective(3, 2.0))
+    for average in (e1_geodesic_bound, rp2_family_average):
+        with pytest.raises(GeometryError, match="radius 1, got 2.0"):
+            average(F)
 
 
 # ---------------------------------------------------------------------------

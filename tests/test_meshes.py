@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mapenergy import meshes
+from mapenergy import meshes, report
 
 
 def test_icosphere_counts():
@@ -12,6 +12,40 @@ def test_icosphere_counts():
         assert len(m.vertices) == nv
         assert len(m.triangles) == 20 * 4**level
         np.testing.assert_allclose(np.linalg.norm(m.vertices, axis=-1), 1.0, atol=1e-14)
+
+
+def _subdivide_by_face_loop(vertices, faces):
+    """Reference: midpoints numbered face by face through a dict, each
+    normalized by np.linalg.norm of its own row."""
+    verts = [tuple(p) for p in vertices]
+    cache = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in cache:
+            p = vertices[i] + vertices[j]
+            verts.append(tuple(p / np.linalg.norm(p)))
+            cache[key] = len(verts) - 1
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(verts), np.array(out)
+
+
+def test_icosphere_matches_the_face_loop_bit_for_bit():
+    v, f = meshes.icosahedron()
+    for level in range(7):
+        m = meshes.icosphere(level)
+        assert m.vertices.dtype == v.dtype and m.triangles.dtype == f.dtype
+        assert m.vertices.tobytes() == v.tobytes(), level
+        assert m.triangles.tobytes() == f.tobytes(), level
+        if level:
+            below = meshes.icosphere(level - 1).vertices
+            assert m.vertices[: len(below)].tobytes() == below.tobytes()
+        v, f = _subdivide_by_face_loop(v, f)
 
 
 def test_vertex_areas_tile_the_sphere():
@@ -88,13 +122,20 @@ def test_discrete_identity_energy_close_to_area():
 
 def test_mesh_geometry_is_computed_once_and_read_only():
     m = meshes.icosphere(2)
+    report.systole_rp2(1.0, level=2)
     for derive in (meshes.cotangent_weights, meshes.vertex_areas, meshes.antipodal_permutation,
-                   meshes.flat_triangles, meshes.spanning_tree):
+                   meshes.flat_triangles, meshes.spanning_tree, lambda m: m.edges,
+                   lambda m: m.derived["chord_graph"]):
         first, second = derive(m), derive(m)
         assert second is first
         for array in first if isinstance(first, tuple) else (first,):
             with pytest.raises(ValueError):
                 array[0] = array[0]
+    # every caller shares the mesh itself
+    assert meshes.icosphere(2) is m
+    for array in (m.vertices, m.triangles):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
 
 
 def test_kept_holds_values_that_are_not_arrays():

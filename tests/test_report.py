@@ -183,6 +183,20 @@ def _full_search_systole(weight, level):
     return float(np.min(dist[np.arange(len(sources)), perm[sources]]))
 
 
+def test_systole_calls_at_one_level_share_one_kept_chord_graph(monkeypatch):
+    mesh = icosphere(2)
+    first = systole_rp2(1.0, level=2)
+    kept = mesh.derived["chord_graph"]
+
+    def rebuilt(mesh):
+        raise AssertionError("the chord graph was built again")
+
+    monkeypatch.setattr(report_module, "_chord_graph", rebuilt)
+    bump = lambda x: 1.0 + 0.5 * x[..., 0] ** 2
+    assert systole_rp2(1.0, level=2) == first and systole_rp2(bump, level=2) > first
+    assert mesh.derived["chord_graph"] is kept
+
+
 def _rotated_bump(seed):
     rotation = sphere(2).random_isometry(make_rng(seed))
     return lambda x: 1.0 + 0.5 * (x @ rotation.T)[..., 0] ** 2

@@ -90,14 +90,15 @@ def p_energy(F, grid, p=2.0):
 
     |dF|^2 at a node is the sum of the squared lengths of the
     differential's columns on the grid's reflection frame (`grid_frames`),
-    the trace of the pullback Gram matrix, which is not built.  `p` is a
-    finite real >= 1, checked before any node is evaluated.  Returns an
-    EnergyValue.
+    the trace of the pullback Gram matrix, which is not built.  Each node
+    block reduces its columns to |dF|^2 as it is computed, so only the
+    grid's frames and densities are grid-sized.  `p` is a finite real
+    >= 1, checked before any node is evaluated.  Returns an EnergyValue.
     """
     if not (is_finite_real(p) and p >= 1.0):
         raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
-    cols, ok = differential_columns(F, grid.nodes, grid_frames(grid))
-    dens = 0.5 * energy_density(cols) ** (p / 2.0)
+    dens, ok = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density)
+    dens = 0.5 * dens ** (p / 2.0)
     value, stderr, dropped, warning = _integrate(grid, dens, ok, "p_energy")
     return EnergyValue(value, stderr, dropped, warning)
 

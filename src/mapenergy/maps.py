@@ -20,13 +20,17 @@ and the vectors ``v`` of shape ``(..., dim, amb_dom)``, and it must
 broadcast the one base against the ``dim`` vectors, so that work on the
 base point is done once per node, not once per vector.
 
-Frames, differential columns, energy densities and pullback Gram
-matrices of a batch of at least 8,192 nodes are computed in 4,096-node
-blocks, which bounds the temporaries of an analytic differential.  The
-blocks run on a thread pool as wide as the CPUs the process may use when
-it may use more than one, and one after another otherwise.  Every step
-is per node, so the numbers are bit-identical to one serial pass; there
-is no option.
+Frames, differential columns and pullback Gram matrices of a batch of
+at least 8,192 nodes are computed in 4,096-node blocks, which bounds the
+temporaries of an analytic differential.  A caller that wants only a
+per-node density of the columns, as `p_energy` wants |dF|^2, passes it
+as `reduce` to `differential_columns`: each block reduces its own
+columns, and only the reduced values are copied out, so no grid-sized
+column array is built.  The frames are the one grid-sized array kept per
+grid.  The blocks run on a thread pool as wide as the CPUs the process
+may use when it may use more than one, and one after another otherwise.
+Every step is per node, so the numbers are bit-identical to one serial
+pass; there is no option.
 """
 
 import collections
@@ -42,6 +46,7 @@ from .manifolds import (
     ComplexProjective,
     GeometryError,
     _norm,
+    is_finite_real,
     is_integer,
     real_inner,
     sphere_volume,
@@ -184,13 +189,25 @@ def log_probes(F, x, v, h, y0=None):
     return vp, vm, okp & okm
 
 
-def differential_columns(F, x, frames, h=DEFAULT_FD_STEP):
+def differential_columns(F, x, frames, h=DEFAULT_FD_STEP, reduce=None):
     """Pushforwards of the frame vectors, (..., dim, amb_cod), with validity mask.
 
     Uses the analytic differential when available, else central
-    differences through the codomain logarithm.
+    differences with the step `h`, a finite real > 0, through the
+    codomain logarithm.  With `reduce`, a per-node function of the
+    columns (..., dim, amb_cod), each node block is reduced as it is
+    computed and `reduce(columns)` is returned in place of the columns;
+    it runs on the block threads, under the rules `_by_node_chunks` sets
+    for its `fn`.
     """
-    return _by_node_chunks(lambda xb, fb: _columns(F, xb, fb, h), x, frames)
+    if not (is_finite_real(h) and h > 0):
+        raise GeometryError(f"a finite-difference step is a finite real > 0, got {h!r}")
+
+    def block(xb, fb):
+        cols, ok = _columns(F, xb, fb, h)
+        return (cols if reduce is None else reduce(cols)), ok
+
+    return _by_node_chunks(block, x, frames)
 
 
 def _columns(F, x, frames, h):
@@ -227,7 +244,7 @@ def energy_density(cols):
     """Squared differential norm |dF|^2 per node from the differential
     columns (..., dim, amb): the sum of <dF e_i, dF e_i>, which is the
     trace of the pullback Gram matrix bit for bit, without building it."""
-    return _by_node_chunks(lambda c: np.sum(real_inner(c, c), axis=-1), cols)
+    return np.sum(real_inner(cols, cols), axis=-1)
 
 
 # ---------------------------------------------------------------------------

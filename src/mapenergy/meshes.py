@@ -11,9 +11,11 @@ A `SphereMesh` owns what is derived from it (its edges, cotangent
 weights, vertex areas, the antipodal permutation, flattened triangles, a
 spanning tree, the systole's chord graph and the flow's factored H^1
 matrix): each is computed on the first call for a mesh object, kept on
-it and, where it is an array, returned read-only.  Meshes compare by
-identity, and `icosphere` keeps one mesh per level, its vertices and
-triangles read-only as well.
+it and, where it is an array, returned read-only.  The edges are found
+once, by one unique pass over integer keys; the cotangent weights and
+the spanning tree locate a side's edge in them by bisection.  Meshes
+compare by identity, and `icosphere` keeps one mesh per level, its
+vertices and triangles read-only as well.
 """
 
 import functools
@@ -71,8 +73,7 @@ def _subdivide(vertices, faces):
     """
     n = len(vertices)
     sides = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = np.min(sides, axis=1) * n + np.max(sides, axis=1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(edge_keys(sides, n), return_index=True, return_inverse=True)
     # np.unique sorts the keys; renumber them by first occurrence
     order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
@@ -144,10 +145,26 @@ def vertex_areas(mesh):
     return np.bincount(mesh.triangles.T.ravel(), np.tile(thirds, 3), len(mesh.vertices))
 
 
+def edge_keys(pairs, n):
+    """min * n + max of each vertex pair (..., 2) of a mesh of n vertices:
+    the keys, in int64 whatever the pairs' dtype, sort as the pairs
+    (min, max) sort lexicographically."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return np.min(pairs, axis=-1) * n + np.max(pairs, axis=-1)
+
+
 def mesh_edges(triangles):
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    return np.unique(e, axis=0)
+    """Sorted unique vertex pairs (min, max) of the triangle sides."""
+    n = int(np.max(triangles, initial=-1)) + 1
+    keys = np.unique(edge_keys(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), n))
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
+def edge_index(mesh, pairs):
+    """Index in `mesh.edges` of the edge of each vertex pair (..., 2), by
+    bisection on the sorted keys of the edges."""
+    n = len(mesh.vertices)
+    return np.searchsorted(edge_keys(mesh.edges, n), edge_keys(pairs, n))
 
 
 def geodesic_edge_lengths(vertices, pairs):
@@ -177,10 +194,10 @@ def cotangent_weights(mesh):
         return cos_a / np.sqrt(np.maximum(1.0 - cos_a**2, 1e-300))
 
     cots = np.concatenate([cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)])
-    sides = np.sort(np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]]), axis=1)
-    pairs, index = np.unique(sides, axis=0, return_inverse=True)
+    pairs = mesh.edges
+    index = edge_index(mesh, np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]]))
     # each edge borders two triangles, and a sum of two terms has no order to depend on
-    return pairs, np.bincount(index.reshape(-1), weights=0.5 * cots, minlength=len(pairs))
+    return pairs, np.bincount(index, weights=0.5 * cots, minlength=len(pairs))
 
 
 @_derived
@@ -199,10 +216,7 @@ def spanning_tree(mesh):
     vertex = np.arange(n)
     root = parent < 0
     parent[root] = vertex[root]
-    # pairs are sorted and unique, so each edge's key min * n + max is found by bisection
-    keys = pairs[:, 0] * n + pairs[:, 1]
-    lo, hi = np.minimum(vertex, parent), np.maximum(vertex, parent)
-    edge = np.where(root, -1, np.searchsorted(keys, lo * n + hi))
+    edge = np.where(root, -1, edge_index(mesh, np.stack([vertex, parent], axis=1)))
     return parent, edge
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,16 @@ def test_fd_matches_analytic_on_complex_projective():
     cols, ok = differential_columns(F_fd, x, fr, h=1e-4)
     assert ok.all()
     np.testing.assert_allclose(cols, exact, atol=1e-7)
+
+
+@pytest.mark.parametrize("h", [0, 0.0, -1e-4, math.nan, math.inf])
+def test_a_finite_difference_step_is_a_finite_real_above_zero(h):
+    M = complex_projective(2)
+    x = M.random_point(make_rng(11), 15)
+    fr = tangent_frames(M, x)
+    for F in (identity_map(M), maps.MapObject(M, M, lambda y: y)):
+        with pytest.raises(GeometryError, match="finite-difference step"):
+            differential_columns(F, x, fr, h=h)
 
 
 def test_frame_independence_of_gram_invariants():
@@ -455,6 +466,47 @@ def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
                                want_ok, "pullback_volume")[0]
     assert energy.pullback_volume(F, grid) == volume
     assert bool(pooled) == (n >= 2 * maps.NODE_BLOCK)
+
+
+def test_p_energy_builds_no_grid_sized_column_array(monkeypatch):
+    # one CPU runs the blocks one after another, so the peak does not
+    # depend on how the pool's blocks overlap
+    monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0})
+    M = complex_projective(2)
+    F = identity_map(M)
+    grid = build_grid(M, 8 * maps.NODE_BLOCK, seed=1)
+    frames = grid_frames(grid)
+    # the columns of the identity are its frames, one (dim, amb) complex block per node
+    column_bytes = frames.nbytes
+    energy.p_energy(F, grid)
+    tracemalloc.start()
+    try:
+        energy.p_energy(F, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < column_bytes / 2
+
+
+@pytest.mark.parametrize("case", ["fd-squeeze", "dilation", "line"])
+def test_functionals_call_differential_columns_once_on_the_grid_nodes(monkeypatch, case):
+    # the names perfbench traces are bound in every module that imports them
+    original, seen = maps.differential_columns, []
+
+    def counted(F, x, *args, **kwargs):
+        seen.append(x)
+        return original(F, x, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("mapenergy") and \
+                getattr(module, "differential_columns", None) is original:
+            monkeypatch.setattr(module, "differential_columns", counted)
+    F, grid = _blocked_case(case)
+    grid_frames(grid)
+    for functional in (energy.p_energy, energy.pullback_volume):
+        seen.clear()
+        functional(F, grid)
+        assert len(seen) == 1 and seen[0] is grid.nodes
 
 
 @pytest.mark.parametrize("name", BLOCKED_CASES)

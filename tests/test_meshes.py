@@ -73,8 +73,8 @@ def test_antipodal_permutation_rejects_a_nudged_vertex():
         meshes.antipodal_permutation(meshes.SphereMesh(vertices, m.triangles))
 
 
-def _cotangent_weights_by_edge_loop(mesh):
-    """Reference: accumulate the half-cotangents edge by edge in a dict."""
+def _cotangents(mesh):
+    """Cotangents of the angles opposite the sides bc, ca, ab of each triangle."""
     tri = mesh.triangles
     a, b, c = (meshes.geodesic_edge_lengths(mesh.vertices, tri[:, p])
                for p in ([1, 2], [2, 0], [0, 1]))
@@ -83,7 +83,13 @@ def _cotangent_weights_by_edge_loop(mesh):
         cos_a = np.clip((s1**2 + s2**2 - opp**2) / (2.0 * s1 * s2), -1.0, 1.0)
         return cos_a / np.sqrt(np.maximum(1.0 - cos_a**2, 1e-300))
 
-    cots = [cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)]
+    return [cot_opposite(a, b, c), cot_opposite(b, c, a), cot_opposite(c, a, b)]
+
+
+def _cotangent_weights_by_edge_loop(mesh):
+    """Reference: accumulate the half-cotangents edge by edge in a dict."""
+    tri = mesh.triangles
+    cots = _cotangents(mesh)
     weights = {}
     for k, (i, j) in enumerate([(1, 2), (2, 0), (0, 1)]):
         p = np.sort(np.stack([tri[:, i], tri[:, j]], axis=1), axis=1)
@@ -91,6 +97,16 @@ def _cotangent_weights_by_edge_loop(mesh):
             weights[(pi, pj)] = weights.get((pi, pj), 0.0) + 0.5 * ct
     pairs = np.array(sorted(weights))
     return pairs, np.array([weights[tuple(q)] for q in pairs])
+
+
+def _cotangent_weights_by_row_unique(mesh):
+    """Reference: the edges found by np.unique(axis=0) over the sorted
+    sides, and the half-cotangents summed through its inverse."""
+    tri = mesh.triangles
+    sides = np.sort(np.concatenate([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]]), axis=1)
+    pairs, index = np.unique(sides, axis=0, return_inverse=True)
+    half = 0.5 * np.concatenate(_cotangents(mesh))
+    return pairs, np.bincount(index.reshape(-1), weights=half, minlength=len(pairs))
 
 
 def test_cotangent_weights_match_the_edge_loop_bit_for_bit():
@@ -101,6 +117,26 @@ def test_cotangent_weights_match_the_edge_loop_bit_for_bit():
         np.testing.assert_array_equal(pairs, ref_pairs)
         np.testing.assert_array_equal(pairs, meshes.mesh_edges(m.triangles))
         assert w.tobytes() == ref_w.tobytes()
+
+
+def test_edges_and_cotangent_weights_match_a_row_unique_bit_for_bit():
+    for level in range(7):
+        m = meshes.icosphere(level)
+        pairs, w = meshes.cotangent_weights(m)
+        ref_pairs, ref_w = _cotangent_weights_by_row_unique(m)
+        assert pairs is m.edges
+        for got in (pairs, meshes.mesh_edges(m.triangles)):
+            assert got.dtype == ref_pairs.dtype and got.shape == ref_pairs.shape
+            assert got.tobytes() == ref_pairs.tobytes(), level
+        assert w.tobytes() == ref_w.tobytes(), level
+
+
+def test_mesh_edges_of_int32_triangles_and_of_no_triangles():
+    # min * n + max passes 2**31 here, so the keys must not be int32
+    tri = np.array([[49999, 50000, 50001]], dtype=np.int32)
+    np.testing.assert_array_equal(meshes.mesh_edges(tri),
+                                  [[49999, 50000], [49999, 50001], [50000, 50001]])
+    assert meshes.mesh_edges(np.empty((0, 3), dtype=np.int64)).shape == (0, 2)
 
 
 def test_cotangent_weights_positive():

@@ -1,11 +1,11 @@
 """Explicit map families used as the test corpus for every functional.
 
-Rational curves (holomorphic, with analytic differentials from the
-homogeneous polynomial derivatives), projective dilations that squeeze a
-complex projective space onto a reference line, conformal dilations of
-the 3-sphere and their capped projective quotient variant, a catalog of
-standard maps, and reproducible non-holomorphic perturbations of the
-identity.
+Rational curves (holomorphic normalized maps of homogeneous polynomials),
+projective dilations that squeeze a complex projective space onto a
+reference line, conformal dilations of the 3-sphere and their capped
+projective quotient variant, a catalog of standard maps, and reproducible
+non-holomorphic perturbations of the identity.  Dimensions and degrees
+are integers >= 1, checked where they enter.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .manifolds import (
     _dot,
     complex_projective,
     is_finite_real,
+    is_integer,
     real_inner,
     real_projective,
     sphere,
@@ -31,6 +32,8 @@ from .maps import (
     homothety_map,
     identity_map,
     normalized_linear_map,
+    normalized_map,
+    normalized_pushforward,
 )
 from .energy import p_energy
 from .rand import make_rng
@@ -56,7 +59,7 @@ class RationalCurveSpec:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != (self.N + 1, self.degree + 1):
+        if c.shape != _curve_shape(self.N, self.degree):
             raise GeometryError("curve coefficients must have shape (N+1, degree+1)")
         object.__setattr__(self, "coefficients", c)
         scale = np.max(np.abs(c))
@@ -67,6 +70,13 @@ class RationalCurveSpec:
         vals = _homogeneous_eval(c, self.degree, probes)
         if np.min(np.linalg.norm(vals, axis=-1)) / scale < 1e-8:
             raise GeometryError("curve polynomials share a zero")
+
+
+def _curve_shape(N, degree):
+    """(N + 1, degree + 1); GeometryError unless both are integers >= 1."""
+    if not all(is_integer(k) and k >= 1 for k in (N, degree)):
+        raise GeometryError(f"a curve needs integers N, degree >= 1, got {N!r}, {degree!r}")
+    return (N + 1, degree + 1)
 
 
 def _candidate_zeros(c):
@@ -103,30 +113,15 @@ def _homogeneous_derivative(c, d, z, v):
 
 def make_rational_curve(spec):
     """MapObject of the holomorphic curve described by a RationalCurveSpec."""
-    dom = complex_projective(1)
-    cod = complex_projective(spec.N)
     c, d = spec.coefficients, spec.degree
-
-    def ev(z):
-        y = _homogeneous_eval(c, d, z)
-        n = np.linalg.norm(y, axis=-1, keepdims=True)
-        return cod.canonicalize(y / n)
-
-    def diff(z, v):
-        y = _homogeneous_eval(c, d, z)
-        n = np.linalg.norm(y, axis=-1, keepdims=True)
-        yh = y / n
-        dy = _homogeneous_derivative(c, d, z, v)
-        w = cod.project_tangent(yh, dy / n)
-        _, f = cod.canonicalize_with_factor(yh)
-        return f[..., None] * w
-
-    return MapObject(dom, cod, ev, differential=diff, name=f"curve-deg{d}")
+    return normalized_map(complex_projective(1), complex_projective(spec.N),
+                          lambda z: _homogeneous_eval(c, d, z),
+                          lambda z, v: _homogeneous_derivative(c, d, z, v), f"curve-deg{d}")
 
 
 def line_curve(N=2):
     """The degree-1 curve [a : b] -> [a : b : 0 : ...]."""
-    c = np.zeros((N + 1, 2), dtype=complex)
+    c = np.zeros(_curve_shape(N, 1), dtype=complex)
     c[0, 0] = 1.0
     c[1, 1] = 1.0
     return RationalCurveSpec(N, 1, c)
@@ -153,10 +148,9 @@ def veronese_curve():
 
 def random_curve(N, degree, seed=0):
     """A random curve spec with Gaussian coefficients (no common zero a.s.)."""
+    shape = _curve_shape(N, degree)
     rng = make_rng(seed)
-    c = rng.standard_normal((N + 1, degree + 1)) + 1j * rng.standard_normal(
-        (N + 1, degree + 1)
-    )
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return RationalCurveSpec(N, degree, c)
 
 
@@ -178,9 +172,9 @@ def make_projective_dilation(N, lam):
     """
     if not (is_finite_real(lam) and lam > 0):
         raise GeometryError(f"the dilation parameter must be a finite real > 0, got {lam!r}")
+    M = complex_projective(N)
     scale = np.ones(N + 1, dtype=complex)
     scale[0] = scale[1] = lam
-    M = complex_projective(N)
     return normalized_linear_map(M, M, np.diag(scale), name=f"dilation-{lam:g}")
 
 
@@ -317,9 +311,8 @@ def conjugation_map(N):
 
 def _inclusion(space, k, n, dtype, tag):
     """Totally geodesic inclusion of the k-dimensional model into the n-dimensional one."""
-    k, n = int(k), int(n)
-    if not 1 <= k < n:
-        raise GeometryError("inclusion needs 1 <= k < n")
+    if not (is_integer(k) and is_integer(n) and 1 <= k < n):
+        raise GeometryError(f"an inclusion needs integers 1 <= k < n, got k={k!r}, n={n!r}")
     A = np.eye(n + 1, k + 1, dtype=dtype)
     return normalized_linear_map(space(k), space(n), A, name=f"inclusion-{tag}{k}-{n}")
 
@@ -331,8 +324,8 @@ MAP_CATALOG = {
     "inclusion_cp": lambda k, N: _inclusion(complex_projective, k, N, complex, "cp"),
     "double_cover": lambda: normalized_linear_map(
         sphere(2), real_projective(2), np.eye(3), name="double-cover"),
-    "homothety": lambda kappa, n=2: homothety_map(sphere(int(n)), sphere(int(n), float(kappa))),
-    "conjugation": lambda N: conjugation_map(int(N)),
+    "homothety": lambda kappa, n=2: homothety_map(sphere(n), sphere(n, kappa)),
+    "conjugation": conjugation_map,
 }
 
 
@@ -402,9 +395,7 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
         cos, sin = np.cos(theta), np.sin(theta)
         y = cos * x + sinc * v
         dy = cos * u + sinc * dv + dtheta * ((cos - r * sinc) * e - sin * x)
-        n = M.norm(y)[..., None]
-        _, f = M.canonicalize_with_factor(y / n)
-        return f[..., None] * M.project_tangent(y / n, dy / n)
+        return normalized_pushforward(M, y, dy)
 
     return MapObject(M, M, ev, differential=diff, name=f"perturbed-{flavor}-{magnitude:g}")
 

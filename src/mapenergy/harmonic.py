@@ -5,7 +5,9 @@ Hermitian-symmetry residuals, second variations of the Dirichlet energy,
 and the Jacobi-field identity for symmetry directions.  Everything is
 chart-free: intrinsic accelerations come from second differences through
 the codomain logarithm, combined by one Richardson step, which is exact
-for geodesics and O(h^4) otherwise.
+for geodesics and O(h^4) otherwise; F(x) is evaluated once for both steps.
+Frame vectors or frame pairs share one batch axis, so the F calls of a
+probe do not grow with the dimension; Gram matrices come from `pullback_gram`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import MapObject, differential_columns, log_probes, tangent_frames
+from .maps import MapObject, differential_columns, log_probes, pullback_gram, tangent_frames
 
 # the coarse step of every second difference; read only by `_acceleration`
 SECOND_DIFF_STEP = 1e-3
@@ -41,12 +43,13 @@ def _acceleration(F, x, v):
     their O(h^2) truncation; exact (up to rounding) when the image curve
     is a geodesic.
     """
-    h = SECOND_DIFF_STEP
-    return (4.0 * _second_difference(F, x, v, 0.5 * h) - _second_difference(F, x, v, h)) / 3.0
+    h, y0 = SECOND_DIFF_STEP, F(x)
+    return (4.0 * _second_difference(F, x, v, 0.5 * h, y0)
+            - _second_difference(F, x, v, h, y0)) / 3.0
 
 
-def _second_difference(F, x, v, h):
-    vp, vm, ok = log_probes(F, x, v, h)
+def _second_difference(F, x, v, h, y0):
+    vp, vm, ok = log_probes(F, x, v, h, y0)
     if not np.all(ok):
         raise CutLocusError(
             "second difference crossed the cut locus; resample the probe point"
@@ -87,14 +90,11 @@ def pluriharmonic_residual(F, x):
     if not isinstance(M, ComplexProjective):
         raise GeometryError("pluriharmonicity needs a complex projective domain")
     fr = tangent_frames(M, x)
-    best = np.zeros(x.shape[:-1])
-    for i in range(M.dim):
-        for j in range(i, M.dim):
-            ei, ej = fr[..., i, :], fr[..., j, :]
-            combo = (second_fundamental_form(F, x, 1j * ei, 1j * ej)
-                     + second_fundamental_form(F, x, ei, ej))
-            best = np.maximum(best, F.codomain.norm(combo))
-    return best
+    i, j = np.triu_indices(M.dim)
+    ei, ej, xb = fr[..., i, :], fr[..., j, :], x[..., None, :]
+    combo = (second_fundamental_form(F, xb, 1j * ei, 1j * ej)
+             + second_fundamental_form(F, xb, ei, ej))
+    return np.max(F.codomain.norm(combo), axis=-1)
 
 
 def hermitian_residual(F, x):
@@ -108,13 +108,11 @@ def hermitian_residual(F, x):
     if not isinstance(M, ComplexProjective):
         raise GeometryError("Hermitian symmetry needs a complex projective domain")
     fr = tangent_frames(M, x)
-    c0, ok0 = differential_columns(F, x, fr)
-    cJ, okJ = differential_columns(F, x, 1j * fr)
-    if not np.all(ok0 & okJ):
+    G, ok = pullback_gram(F, x, np.concatenate([fr, 1j * fr], axis=-2))
+    if not np.all(ok):
         raise CutLocusError("differential probe failed; resample the probe point")
-    g0 = np.einsum("...ia,...ja->...ij", c0.conj(), c0).real
-    gj = np.einsum("...ia,...ja->...ij", cJ.conj(), cJ).real
-    return np.max(np.abs(gj - g0), axis=(-2, -1))
+    d = M.dim
+    return np.max(np.abs(G[..., d:, d:] - G[..., :d, :d]), axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

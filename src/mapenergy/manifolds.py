@@ -165,6 +165,16 @@ class ModelManifold:
             g = g + 1j * rng.standard_normal(shape)
         return self.canonicalize(g / _norm(g)[..., None])
 
+    def random_isometry(self, rng):
+        """Haar-random isometry: Q of a Gaussian QR times conj(d) / |d|, d = diag(R) (+-1 if real)."""
+        shape = (self.ambient_dim, self.ambient_dim)
+        g = rng.standard_normal(shape)
+        if self.is_complex:
+            g = g + 1j * rng.standard_normal(shape)
+        q, r = np.linalg.qr(g)
+        d = np.diag(r)
+        return q * (d.conj() / np.abs(d))
+
     def random_unit_tangent(self, rng, x):
         shape = x.shape
         g = rng.standard_normal(shape)
@@ -232,10 +242,6 @@ class Sphere(ModelManifold):
         u = u.real if np.iscomplexobj(u) else u
         return u - _sum_last(x * u)[..., None] * x
 
-    def random_isometry(self, rng):
-        q, r = np.linalg.qr(rng.standard_normal((self.ambient_dim, self.ambient_dim)))
-        return q * np.sign(np.diag(r))
-
 
 class RealProjective(Sphere):
     kind = "real_projective"
@@ -280,13 +286,6 @@ class ComplexProjective(ModelManifold):
         h = _dot(x, y)
         r = np.abs(h)
         return r, np.where(r > 1e-300, h.conj() / np.where(r > 1e-300, r, 1.0), 1.0 + 0j)
-
-    def random_isometry(self, rng):
-        shape = (self.ambient_dim, self.ambient_dim)
-        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        q, r = np.linalg.qr(g)
-        d = np.diag(r)
-        return q * (d.conj() / np.abs(d))
 
     def killing_field(self, a, x):
         """Horizontal value at x of the field generated by skew-Hermitian a."""

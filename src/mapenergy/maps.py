@@ -4,8 +4,9 @@ A :class:`MapObject` bundles a batch evaluator with an optional analytic
 differential.  When no analytic differential is present, directional
 derivatives are central differences pushed through the codomain
 logarithm, which keeps every computed vector an honest tangent vector.
-The energy density |dF|^2 is read from the differential's columns; the
-pullback Gram matrix is built only for volumes.
+The energy density |dF|^2 is read from the differential's columns;
+`pullback_gram`, the one Gram formula, serves volumes and the Hermitian
+residual.  Maps x -> P(x) / |P(x)| share one builder, `normalized_map`.
 Quadrature grids and exact low-degree unit-tangent designs live here as
 well.
 
@@ -49,6 +50,7 @@ from .manifolds import (
     is_finite_real,
     is_integer,
     real_inner,
+    sphere,
     sphere_volume,
 )
 from .rand import make_rng
@@ -179,11 +181,10 @@ def _reflection_frames(M, x):
     return frames
 
 
-def log_probes(F, x, v, h, y0=None):
-    """log_{F(x)} F(exp_x(h v)) and log_{F(x)} F(exp_x(-h v)), and where both
-    are defined; `y0` is F(x) when the caller already has it."""
+def log_probes(F, x, v, h, y0):
+    """log_{y0} F(exp_x(h v)) and log_{y0} F(exp_x(-h v)), and where both
+    are defined; `y0` is F(x), evaluated once by the caller for all its probes."""
     dom, cod = F.domain, F.codomain
-    y0 = F(x) if y0 is None else y0
     vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
     vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
     return vp, vm, okp & okm
@@ -359,6 +360,26 @@ def compose(outer, inner, name=""):
     )
 
 
+def normalized_map(dom, cod, P, dP, name):
+    """Map x -> P(x) / |P(x)| on representatives; dP(x, v) is the derivative of P along v."""
+
+    def ev(x):
+        y = P(x)
+        n = _norm(y)[..., None]
+        if np.any(n < 1e-12):
+            raise GeometryError(f"map {name!r} vanishes on a representative")
+        return cod.canonicalize(y / n)
+
+    return MapObject(dom, cod, ev, lambda x, v: normalized_pushforward(cod, P(x), dP(x, v)), name)
+
+
+def normalized_pushforward(cod, y, dy):
+    """Pushforward of dy at y through y -> y / |y|, at the canonical representative."""
+    n = _norm(y)[..., None]
+    _, f = cod.canonicalize_with_factor(y / n)
+    return f[..., None] * cod.project_tangent(y / n, dy / n)
+
+
 def normalized_linear_map(dom, cod, A, name=""):
     """Map induced by x -> A x / |A x| on representatives.
 
@@ -368,21 +389,11 @@ def normalized_linear_map(dom, cod, A, name=""):
     """
     A = np.asarray(A)
 
-    def ev(x):
-        y = np.einsum("ij,...j->...i", A, x)
-        n = _norm(y)[..., None]
-        if np.any(n < 1e-12):
-            raise GeometryError("linear map vanishes on a representative")
-        return cod.canonicalize(y / n)
+    def P(x):
+        return np.einsum("ij,...j->...i", A, x)
 
-    def diff(x, v):
-        y = np.einsum("ij,...j->...i", A, x)
-        n = _norm(y)[..., None]
-        yc, f = cod.canonicalize_with_factor(y / n)
-        w = cod.project_tangent(y / n, np.einsum("ij,...j->...i", A, v) / n)
-        return f[..., None] * w
-
-    return MapObject(dom, cod, ev, differential=diff, name=name or "normalized_linear")
+    # a linear map is its own derivative
+    return normalized_map(dom, cod, P, lambda x, v: P(v), name or "normalized_linear")
 
 
 def homothety_map(dom, cod, name="homothety"):
@@ -425,9 +436,7 @@ def _design_coefficients(d):
 
 
 def _fixed_rotation(d):
-    g = make_rng(7 * d + 1).standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return sphere(d - 1).random_isometry(make_rng(7 * d + 1))
 
 
 def unit_tangent_quadrature(M, x):

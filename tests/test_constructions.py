@@ -17,10 +17,13 @@ from mapenergy.constructions import (
     standard_maps,
     veronese_curve,
 )
+from mapenergy.constructions import _homogeneous_derivative, _homogeneous_eval
 from mapenergy.energy import p_energy, surface_area
 from mapenergy.manifolds import (
     GeometryError,
+    _dot,
     complex_projective,
+    real_inner,
     real_projective,
     sphere,
 )
@@ -49,6 +52,79 @@ def test_curve_spec_rejects_common_zero():
         RationalCurveSpec(2, 2, np.zeros((3, 3)))
     with pytest.raises(GeometryError):
         RationalCurveSpec(2, 2, np.ones((2, 2)))
+
+
+def _old_curve_closures(spec):
+    """The evaluator and differential `make_rational_curve` built before
+    normalized maps shared one builder."""
+    cod = complex_projective(spec.N)
+    c, d = spec.coefficients, spec.degree
+
+    def ev(z):
+        y = _homogeneous_eval(c, d, z)
+        n = np.linalg.norm(y, axis=-1, keepdims=True)
+        return cod.canonicalize(y / n)
+
+    def diff(z, v):
+        y = _homogeneous_eval(c, d, z)
+        n = np.linalg.norm(y, axis=-1, keepdims=True)
+        yh = y / n
+        dy = _homogeneous_derivative(c, d, z, v)
+        w = cod.project_tangent(yh, dy / n)
+        _, f = cod.canonicalize_with_factor(yh)
+        return f[..., None] * w
+
+    return ev, diff
+
+
+def _assert_same_map(F, ev, diff, x, frames):
+    """F agrees bit for bit with (ev, diff) on points and on frame columns."""
+    assert F(x).tobytes() == ev(x).tobytes()
+    base = x[..., None, :]
+    assert F.differential(base, frames).tobytes() == diff(base, frames).tobytes()
+    v = frames[..., 0, :]
+    assert F.differential(x, v).tobytes() == diff(x, v).tobytes()
+
+
+@pytest.mark.parametrize("spec", [line_curve(3), conic_curve(), veronese_curve(),
+                                  random_curve(2, 3, seed=4), random_curve(4, 5, seed=9)],
+                         ids=["line", "conic", "veronese", "cubic", "quintic"])
+def test_rational_curve_matches_its_old_closures_bit_for_bit(spec):
+    cp1 = complex_projective(1)
+    z = cp1.random_point(make_rng(31), 64)
+    _assert_same_map(make_rational_curve(spec), *_old_curve_closures(spec), z,
+                     tangent_frames(cp1, z))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: standard_maps("inclusion_cp", k=1.9, N=2.2),
+    lambda: standard_maps("inclusion_cp", k=1, N=2.0),
+    lambda: standard_maps("inclusion_rp", k=True, n=3),
+    lambda: standard_maps("inclusion_rp", k=0, n=3),
+    lambda: standard_maps("conjugation", N=2.7),
+    lambda: standard_maps("conjugation", N=0),
+    lambda: standard_maps("homothety", kappa=2.0, n=2.5),
+    lambda: standard_maps("homothety", kappa="2", n=2),
+    lambda: make_projective_dilation(2.5, 2.0),
+    lambda: make_projective_dilation(0, 2.0),
+    lambda: make_projective_dilation(True, 2.0),
+    lambda: RationalCurveSpec(2, True, np.eye(3, 2)),
+    lambda: RationalCurveSpec(2, 0, np.eye(3, 1)),
+    lambda: RationalCurveSpec(2, 1.0, np.eye(3, 2)),
+    lambda: RationalCurveSpec(2.0, 1, np.eye(3, 2)),
+    lambda: random_curve(2, 1.0),
+    lambda: random_curve(2, 0),
+    lambda: random_curve(True, 2),
+    lambda: line_curve(2.0),
+], ids=["inclusion-cp-floats", "inclusion-cp-float-N", "inclusion-rp-bool-k",
+        "inclusion-rp-k0", "conjugation-float", "conjugation-0", "homothety-float-n",
+        "homothety-str-kappa", "dilation-float-N", "dilation-N0", "dilation-bool-N",
+        "curve-bool-degree", "curve-degree-0", "curve-float-degree", "curve-float-N",
+        "random-curve-float-degree", "random-curve-degree-0", "random-curve-bool-N",
+        "line-float-N"])
+def test_dimension_and_degree_arguments_must_be_integers_at_least_one(build):
+    with pytest.raises(GeometryError):
+        build()
 
 
 def test_curve_energies_match_degree_times_pi():
@@ -352,6 +428,63 @@ def test_squeeze_flavor_fixes_reference_line():
     cp1 = complex_projective(1)
     pts = reference_line(2)(cp1.random_point(make_rng(28), 40))
     assert np.max(np.linalg.norm(F(pts) - pts, axis=-1)) < 1e-12
+
+
+def _old_perturbed_closures(M, magnitude, flavor, seed):
+    """The evaluator and differential `perturbed_identity` built before the
+    last step of its differential became the shared pushforward through
+    y -> y / |y|."""
+    amb = M.ambient_dim
+    rng = make_rng(seed)
+    S = rng.standard_normal((amb, amb))
+    if M.dtype == np.complex128:
+        S = S + 1j * rng.standard_normal((amb, amb))
+    S = (S / np.linalg.norm(S, 2)).astype(M.dtype)
+
+    def field(x):
+        v = M.project_tangent(x, np.einsum("ij,...j->...i", S, x))
+        if flavor == "squeeze":
+            v = v * (np.abs(x[..., -1]) ** 2)[..., None]
+        return v
+
+    def ev(x):
+        return M.exp(x, magnitude * field(x))
+
+    def diff(x, u):
+        Sx = np.einsum("ij,...j->...i", S, x)
+        P = M.project_tangent(x, Sx)
+        dP = (M.project_tangent(x, np.einsum("ij,...j->...i", S, u))
+              - _dot(u, Sx)[..., None] * x - _dot(x, Sx)[..., None] * u)
+        if flavor == "squeeze":
+            s = np.abs(x[..., -1:]) ** 2
+            dP = 2.0 * (x[..., -1:].conj() * u[..., -1:]).real * P + s * dP
+            P = P * s
+        v, dv = magnitude * P, magnitude * dP
+        r = M.radius
+        theta = M.norm(v)[..., None] / r
+        small = theta < 1e-300
+        t = np.where(small, 1.0, theta)
+        sinc = np.where(small, 1.0, np.sin(t) / t) / r
+        e = v / (t * r)
+        dtheta = np.where(small, 0.0, real_inner(e, dv)[..., None] / r)
+        cos, sin = np.cos(theta), np.sin(theta)
+        y = cos * x + sinc * v
+        dy = cos * u + sinc * dv + dtheta * ((cos - r * sinc) * e - sin * x)
+        n = M.norm(y)[..., None]
+        _, f = M.canonicalize_with_factor(y / n)
+        return f[..., None] * M.project_tangent(y / n, dy / n)
+
+    return ev, diff
+
+
+@pytest.mark.parametrize("M", [complex_projective(2), real_projective(3), sphere(2, 2.0)],
+                         ids=repr)
+@pytest.mark.parametrize("flavor", ["generic", "squeeze"])
+def test_perturbed_identity_matches_its_old_differential_bit_for_bit(M, flavor):
+    F = perturbed_identity(M, magnitude=0.3, flavor=flavor, seed=5)
+    x = M.random_point(make_rng(32), 64)
+    x[0] = M.canonicalize(np.eye(M.ambient_dim, dtype=M.dtype)[0])  # a zero of the squeeze field
+    _assert_same_map(F, *_old_perturbed_closures(M, 0.3, flavor, 5), x, tangent_frames(M, x))
 
 
 def test_perturbed_identity_unknown_flavor():

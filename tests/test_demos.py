@@ -1,16 +1,21 @@
 """The demo scripts use only names and keywords that mapenergy defines.
 
-The test run never executes `demos/`, so each script is parsed instead:
-a deleted or renamed public name, or a deleted keyword parameter, then
-fails here, not in a reader's shell.
+Each script is parsed: a deleted or renamed public name, or a deleted
+keyword parameter, then fails here, not in a reader's shell.
+`holomorphic_curves.py`, which prints the second-order residuals of
+`harmonic`, is also run end to end in a subprocess (about 0.3 s).
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _mapenergy_imports(tree):
@@ -75,3 +80,18 @@ def test_the_keyword_check_flags_a_deleted_keyword(tmp_path):
     script.write_text("from mapenergy.maps import build_grid as grid\n"
                       "grid(None, 4, scheme='mesh', order=3)\n")
     assert _unknown_keywords(script) == ["stale.py:2 grid(order=)"]
+
+
+def test_the_holomorphic_curves_demo_runs_and_prints_its_four_curves(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / "holomorphic_curves.py")],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines() if "(d=" in line]
+    assert [" ".join(r[:-6]) for r in rows] == [
+        "line (d=1)", "conic (d=2)", "veronese (d=2)", "random cubic (d=3)"]
+    for r in rows:
+        energy, area, d_pi, tension, plh, herm = map(float, r[-6:])
+        assert abs(energy - d_pi) < 1e-3 and abs(area - d_pi) < 1e-3
+        assert max(tension, plh) < 1e-6 and herm < 1e-14

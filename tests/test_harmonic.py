@@ -8,6 +8,7 @@ from mapenergy.constructions import (
     make_projective_dilation,
     make_rational_curve,
     perturbed_identity,
+    random_curve,
     standard_maps,
     veronese_curve,
 )
@@ -35,8 +36,10 @@ from mapenergy.manifolds import (
 from mapenergy.maps import (
     MapObject,
     build_grid,
+    differential_columns,
     identity_map,
     normalized_linear_map,
+    pullback_gram,
     tangent_frames,
 )
 from mapenergy.rand import make_rng
@@ -165,6 +168,91 @@ def test_residuals_small_on_holomorphic_corpus():
     T4 = make_projective_dilation(2, 4.0)
     assert np.max(pluriharmonic_residual(T4, x)) < 1e-3
     assert np.max(hermitian_residual(conjugation_map(1), z)) < 1e-5
+
+
+def _old_pluriharmonic_residual(F, x):
+    """`pluriharmonic_residual` as a double loop over frame pairs, as it was
+    before the pairs shared one batch axis."""
+    M = F.domain
+    fr = tangent_frames(M, x)
+    best = np.zeros(x.shape[:-1])
+    for i in range(M.dim):
+        for j in range(i, M.dim):
+            ei, ej = fr[..., i, :], fr[..., j, :]
+            combo = (second_fundamental_form(F, x, 1j * ei, 1j * ej)
+                     + second_fundamental_form(F, x, ei, ej))
+            best = np.maximum(best, F.codomain.norm(combo))
+    return best
+
+
+_RESIDUAL_MAPS = {
+    "conic": lambda: make_rational_curve(conic_curve()),
+    "cubic": lambda: make_rational_curve(random_curve(2, 3, seed=6)),
+    "perturbed-cp2": lambda: perturbed_identity(complex_projective(2), magnitude=0.2, seed=0),
+    "conjugation-cp2": lambda: conjugation_map(2),
+}
+
+
+@pytest.mark.parametrize("key", ["conic", "cubic", "perturbed-cp2"])
+def test_pluriharmonic_residual_matches_the_double_loop_bit_for_bit(key):
+    F = _RESIDUAL_MAPS[key]()
+    x = F.domain.random_point(make_rng(13), 25)
+    for points in (x, x[7]):
+        new = np.asarray(pluriharmonic_residual(F, points))
+        old = np.asarray(_old_pluriharmonic_residual(F, points))
+        assert new.shape == old.shape == points.shape[:-1]
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("key", sorted(_RESIDUAL_MAPS))
+def test_hermitian_residual_reads_the_one_gram_formula(key):
+    F = _RESIDUAL_MAPS[key]()
+    M = F.domain
+    x = M.random_point(make_rng(14), 25)
+    fr = tangent_frames(M, x)
+    G, _ = pullback_gram(F, x, np.concatenate([fr, 1j * fr], axis=-2))
+    d = M.dim
+    blocks = np.max(np.abs(G[..., d:, d:] - G[..., :d, :d]), axis=(-2, -1))
+    residual = hermitian_residual(F, x)
+    assert residual.tobytes() == blocks.tobytes()
+    # the einsum Gram matrices the residual used to build
+    c0, _ = differential_columns(F, x, fr)
+    cJ, _ = differential_columns(F, x, 1j * fr)
+    g0 = np.einsum("...ia,...ja->...ij", c0.conj(), c0).real
+    gj = np.einsum("...ia,...ja->...ij", cJ.conj(), cJ).real
+    np.testing.assert_allclose(residual, np.max(np.abs(gj - g0), axis=(-2, -1)), rtol=0, atol=1e-14)
+
+
+def _counting(F):
+    """F with an evaluator that keeps a copy of every batch it is called on."""
+    calls = []
+
+    def ev(x):
+        calls.append(np.array(x))
+        return F(x)
+
+    return MapObject(F.domain, F.codomain, ev, F.differential, F.name), calls
+
+
+def test_tension_evaluates_the_base_point_once_per_richardson_pair():
+    M = complex_projective(2)
+    F, calls = _counting(make_projective_dilation(2, 2.0))
+    x = M.random_point(make_rng(15), 6)
+    tension(F, x)
+    base = x[..., None, :]
+    at_base = [c for c in calls if c.shape == base.shape and np.array_equal(c, base)]
+    assert len(at_base) == 1
+    assert len(calls) == 5  # the base point and two probes at each of two steps
+
+
+def test_pluriharmonic_residual_calls_do_not_grow_with_the_dimension():
+    counts = {}
+    for F in (make_rational_curve(conic_curve()), perturbed_identity(complex_projective(2), 0.2),
+              perturbed_identity(complex_projective(3), 0.2)):
+        F, calls = _counting(F)
+        pluriharmonic_residual(F, F.domain.random_point(make_rng(16), 4))
+        counts[F.domain.dim] = len(calls)
+    assert counts == {2: 20, 4: 20, 6: 20}
 
 
 def test_residuals_flag_non_pluriharmonic_maps():

@@ -167,6 +167,28 @@ def test_distance_isometry_invariance(M):
     np.testing.assert_allclose(d1, d0, atol=1e-12)
 
 
+def _old_random_isometry(M, rng):
+    """The per-class formulas `random_isometry` had before the model spaces
+    shared one."""
+    shape = (M.ambient_dim, M.ambient_dim)
+    if not M.is_complex:
+        q, r = np.linalg.qr(rng.standard_normal(shape))
+        return q * np.sign(np.diag(r))
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d.conj() / np.abs(d))
+
+
+@pytest.mark.parametrize("M", [sphere(1), sphere(2), sphere(3), real_projective(2),
+                               complex_projective(1), complex_projective(2)], ids=repr)
+@pytest.mark.parametrize("seed", range(5))
+def test_random_isometry_matches_the_old_formulas_bit_for_bit(M, seed):
+    q = M.random_isometry(make_rng(seed))
+    assert q.dtype == M.dtype
+    assert q.tobytes() == _old_random_isometry(M, make_rng(seed)).tobytes()
+
+
 def test_tangent_projection_orthogonality():
     rng = make_rng(7)
     for M in MODELS:

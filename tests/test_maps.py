@@ -195,6 +195,58 @@ def test_double_cover_local_isometry():
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
 
+def _old_normalized_linear_closures(cod, A):
+    """The evaluator and differential `normalized_linear_map` built before
+    normalized maps shared one builder."""
+    A = np.asarray(A)
+
+    def ev(x):
+        y = np.einsum("ij,...j->...i", A, x)
+        n = maps._norm(y)[..., None]
+        if np.any(n < 1e-12):
+            raise GeometryError("linear map vanishes on a representative")
+        return cod.canonicalize(y / n)
+
+    def diff(x, v):
+        y = np.einsum("ij,...j->...i", A, x)
+        n = maps._norm(y)[..., None]
+        yc, f = cod.canonicalize_with_factor(y / n)
+        w = cod.project_tangent(y / n, np.einsum("ij,...j->...i", A, v) / n)
+        return f[..., None] * w
+
+    return ev, diff
+
+
+@pytest.mark.parametrize("dom, cod, A", [
+    (sphere(2), sphere(2), np.diag([1.0, 1.3, 0.8])),
+    (sphere(2), real_projective(2), np.eye(3)),
+    (real_projective(2), real_projective(3), np.eye(4, 3)),
+    (complex_projective(2), complex_projective(2), np.diag([2.0, 2.0, 1.0]).astype(complex)),
+    (complex_projective(1), complex_projective(3), make_rng(3).standard_normal((4, 2)) + 0.5j),
+], ids=["stretch-s2", "double-cover", "inclusion-rp", "dilation-cp2", "line-cp3"])
+def test_normalized_linear_map_matches_its_old_closures_bit_for_bit(dom, cod, A):
+    ev, diff = _old_normalized_linear_closures(cod, A)
+    F = normalized_linear_map(dom, cod, A)
+    x = dom.random_point(make_rng(33), 64)
+    fr = tangent_frames(dom, x)
+    assert F(x).tobytes() == ev(x).tobytes()
+    assert F.differential(x[..., None, :], fr).tobytes() == diff(x[..., None, :], fr).tobytes()
+    assert F.differential(x, fr[..., 0, :]).tobytes() == diff(x, fr[..., 0, :]).tobytes()
+
+
+def test_normalized_maps_reject_a_vanishing_image():
+    F = normalized_linear_map(sphere(2), sphere(2), np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(GeometryError, match="vanishes on a representative"):
+        F(np.array([[0.0, 0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_fixed_rotation_matches_its_old_formula_bit_for_bit(d):
+    g = make_rng(7 * d + 1).standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    assert maps._fixed_rotation(d).tobytes() == (q * np.sign(np.diag(r))).tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_unit_tangent_design_moments(d):
     # exact constants and second moments: int u_i u_j = delta_ij sigma(d-1)/d

@@ -18,6 +18,7 @@ from .manifolds import (
     ComplexProjective,
     GeometryError,
     _dot,
+    _norm,
     complex_projective,
     is_finite_real,
     is_integer,
@@ -277,16 +278,14 @@ def make_capped_theta(t):
     def diff(x, v):
         xr, s = _rep(x)
         vr = s * v
-        cap = xr[..., 3:] > c
-        xp, vp = xr[..., :3], vr[..., :3]
-        n = np.linalg.norm(xp, axis=-1, keepdims=True)
-        n = np.where(n > 0.0, n, 1.0)
-        xh = xp / n
-        w_col = (vp - np.sum(xh * vp, axis=-1, keepdims=True) * xh) / n
-        w_col = np.concatenate([w_col, np.zeros_like(vr[..., 3:])], axis=-1)
-        w = np.where(cap, _theta_diff(t, xr, vr), w_col)
-        _, f = M.canonicalize_with_factor(_raw_eval(xr))
-        return f[..., None] * w
+        _, f = M.canonicalize_with_factor(_theta_eval(t, xr))
+        w_cap = f[..., None] * _theta_diff(t, xr, vr)
+        # the collar is y -> y / |y| of y = (xp, 0); at the poles, which
+        # lie in the cap, y = (0, 0, 0, 1) keeps that branch finite
+        pole = _norm(xr[..., :3]) == 0.0
+        y = np.concatenate([xr[..., :3], 1.0 * pole[..., None]], axis=-1)
+        dy = np.concatenate([vr[..., :3], np.zeros_like(vr[..., 3:])], axis=-1)
+        return np.where(xr[..., 3:] > c, w_cap, normalized_pushforward(M, y, dy))
 
     return MapObject(M, M, ev, differential=diff, name=f"capped-theta-{t:g}")
 

@@ -18,9 +18,8 @@ from .maps import (
     differential_columns,
     energy_density,
     grid_frames,
-    gram_eigenvalues,
-    pullback_gram,
     unit_tangent_quadrature,
+    volume_density,
 )
 
 
@@ -58,10 +57,8 @@ class EnergyValue:
 
 
 def _integrate(grid, density, ok, label):
-    """Weighted sum of a node density with dropped-mass renormalization.
-
-    Returns (value, stderr, dropped_fraction, warning).
-    """
+    """EnergyValue of the weighted sum of a node density, with dropped-mass
+    renormalization; a NaN density at some node raises, as its sum does."""
     w = np.asarray(grid.weights, dtype=float)
     valid = np.broadcast_to(np.asarray(ok, dtype=bool), w.shape)
     wv = np.where(valid, w, 0.0)
@@ -82,7 +79,7 @@ def _integrate(grid, density, ok, label):
     warning = None
     if dropped > 0.01:
         warning = f"{label}: {100.0 * dropped:.2f}% of quadrature mass dropped"
-    return value, stderr, dropped, warning
+    return EnergyValue(value, stderr, dropped, warning)
 
 
 def p_energy(F, grid, p=2.0):
@@ -98,9 +95,7 @@ def p_energy(F, grid, p=2.0):
     if not (is_finite_real(p) and p >= 1.0):
         raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
     dens, ok = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density)
-    dens = 0.5 * dens ** (p / 2.0)
-    value, stderr, dropped, warning = _integrate(grid, dens, ok, "p_energy")
-    return EnergyValue(value, stderr, dropped, warning)
+    return _integrate(grid, 0.5 * dens ** (p / 2.0), ok, "p_energy")
 
 
 def croke_density(F, x):
@@ -124,13 +119,12 @@ def croke_density(F, x):
 def pullback_volume(F, grid):
     """Volume of the domain measured in the metric pulled back through F.
 
-    Integrates sqrt(det G) of the pullback Gram matrix; images traversed
-    with multiplicity count with multiplicity.
+    Integrates sqrt(det G) of the pullback Gram matrix, to which each node
+    block reduces its columns as `p_energy` reduces them to |dF|^2; images
+    traversed with multiplicity count with multiplicity.
     """
-    G, ok = pullback_gram(F, grid.nodes, grid_frames(grid))
-    dens = np.sqrt(np.prod(gram_eigenvalues(G), axis=-1))
-    value, _, _, _ = _integrate(grid, dens, ok, "pullback_volume")
-    return value
+    dens, ok = differential_columns(F, grid.nodes, grid_frames(grid), reduce=volume_density)
+    return _integrate(grid, dens, ok, "pullback_volume").value
 
 
 def surface_area(F, grid):

@@ -198,14 +198,10 @@ def jacobi_identity_check(F, generator, grid):
     lhs = second_variation(F, W, grid)
 
     M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
-    w_vals = W(x)
-    fr = tangent_frames(M, x)
-    total = np.zeros_like(w_vals)
-    for i in range(M.dim):
-        ei = fr[..., i, :]
-        grad = 1j * M.killing_derivative(a, x, ei)
-        total = total + second_fundamental_form(F, x, grad, ei)
-    integrand = -2.0 * real_inner(total, w_vals)
+    fr, xb = tangent_frames(M, x), x[..., None, :]
+    grad = 1j * M.killing_derivative(a, xb, fr)
+    total = np.sum(second_fundamental_form(F, xb, grad, fr), axis=-2)
+    integrand = -2.0 * real_inner(total, W(x))
     rhs = float(np.sum(grid.weights * integrand))
     return lhs, rhs
 

@@ -158,7 +158,9 @@ def e1_geodesic_bound(F, K=200, seed=0):
     _unit_real_projective(F, "the geodesic bound")
     n = F.domain.dim
     frames, weight = sample_geodesics(n, K, seed)
-    total = sum(weight * curve_length(F, frame) for frame in frames)
+    total = 0.0
+    for frame in frames:
+        total += weight * curve_length(F, frame)
     return float(np.sqrt(n) / (2.0 * sphere_volume(n - 1)) * total)
 
 

@@ -4,11 +4,11 @@ A :class:`MapObject` bundles a batch evaluator with an optional analytic
 differential.  When no analytic differential is present, directional
 derivatives are central differences pushed through the codomain
 logarithm, which keeps every computed vector an honest tangent vector.
-The energy density |dF|^2 is read from the differential's columns;
-`pullback_gram`, the one Gram formula, serves volumes and the Hermitian
-residual.  Maps x -> P(x) / |P(x)| share one builder, `normalized_map`.
-Quadrature grids and exact low-degree unit-tangent designs live here as
-well.
+Per-node quantities are reductions of the differential's columns: |dF|^2
+(`energy_density`), sqrt(det G) (`volume_density`) and the pullback Gram
+matrix G (`pullback_gram`, the one Gram formula).  Maps x -> P(x) / |P(x)|
+share one builder, `normalized_map`.  Quadrature grids and exact
+low-degree unit-tangent designs live here as well.
 
 Tangent frames come from one Householder reflection per node, with no
 random draw: the energy density is a trace, so any orthonormal frame
@@ -21,15 +21,14 @@ and the vectors ``v`` of shape ``(..., dim, amb_dom)``, and it must
 broadcast the one base against the ``dim`` vectors, so that work on the
 base point is done once per node, not once per vector.
 
-Frames, differential columns and pullback Gram matrices of a batch of
-at least 8,192 nodes are computed in 4,096-node blocks, which bounds the
-temporaries of an analytic differential.  A caller that wants only a
-per-node density of the columns, as `p_energy` wants |dF|^2, passes it
-as `reduce` to `differential_columns`: each block reduces its own
-columns, and only the reduced values are copied out, so no grid-sized
-column array is built.  The frames are the one grid-sized array kept per
-grid.  The blocks run on a thread pool as wide as the CPUs the process
-may use when it may use more than one, and one after another otherwise.
+Only frames and differential columns of a batch of at least 8,192 nodes
+are computed in 4,096-node blocks, which bounds the temporaries of an
+analytic differential.  Gram matrices and densities are `reduce`s given
+to `differential_columns`: each block reduces its own columns, and only
+the reduced values are copied out, so no grid-sized column array is
+built.  The frames are the one grid-sized array kept per grid.  The
+blocks run on a thread pool as wide as the CPUs the process may use
+when it may use more than one, and one after another otherwise.
 Every step is per node, so the numbers are bit-identical to one serial
 pass; there is no option.
 """
@@ -226,8 +225,7 @@ def _columns(F, x, frames, h):
 
 def pullback_gram(F, x, frames):
     """Pullback Gram matrices G_ij = <dF e_i, dF e_j>, shape (..., dim, dim)."""
-    cols, ok = differential_columns(F, x, frames)
-    return _by_node_chunks(_gram, cols), ok
+    return differential_columns(F, x, frames, reduce=_gram)
 
 
 def _gram(cols):
@@ -235,10 +233,11 @@ def _gram(cols):
     return real_inner(cols[..., :, None, :], cols[..., None, :, :])
 
 
-def gram_eigenvalues(G):
-    """Eigenvalues of pullback Gram matrices, clamped to be nonnegative."""
-    w = np.linalg.eigvalsh(G)
-    return np.maximum(w, 0.0)
+def volume_density(cols):
+    """sqrt(det G) per node from the differential columns (..., dim, amb),
+    as the product of G's eigenvalues clamped to be nonnegative."""
+    w = np.maximum(np.linalg.eigvalsh(_gram(cols)), 0.0)
+    return np.sqrt(np.prod(w, axis=-1))
 
 
 def energy_density(cols):

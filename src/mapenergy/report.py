@@ -641,7 +641,9 @@ def _run_trace_ii(seed, level):
     basis = su_basis(2)
     variations = [second_variation(F, symmetry_variation(F, a), grid) for a in basis]
     # index_trace_over_symmetries(F, grid, basis), without recomputing its terms
-    trace = sum(variations)
+    trace = 0.0
+    for v in variations:
+        trace += v
     worst = max(max(abs(v) for v in variations), abs(trace)) / scale
     inputs = {"variations": [float(v) for v in variations],
               "trace": float(trace), "energy": float(scale)}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from mapenergy.maps import (
     build_grid,
     differential_columns,
     identity_map,
+    normalized_pushforward,
     pullback_gram,
     tangent_frames,
 )
@@ -344,6 +347,40 @@ def test_capped_theta_differential_matches_finite_differences():
     approx, ok = differential_columns(F_fd, x, fr)
     assert np.all(ok)
     np.testing.assert_allclose(exact, approx, atol=1e-6)
+
+
+def test_capped_theta_collar_is_the_normalized_pushforward():
+    t = 4.0
+    M = real_projective(3)
+    F = make_capped_theta(t)
+    c = (t * t - 1.0) / (t * t + 1.0)
+    x = M.random_point(make_rng(23), 400)
+    x = x[np.abs(x[..., 3]) < c - 1e-3]
+    fr = tangent_frames(M, x)
+    cols = F.differential(x[:, None, :], fr)
+    # the collar projects the representative with x_3 >= 0 radially onto x_3 = 0
+    s = np.where(x[:, None, 3:] >= 0.0, 1.0, -1.0)
+    xr, vr = s * x[:, None, :], s * fr
+    xr[..., 3], vr[..., 3] = 0.0, 0.0
+    assert np.array_equal(cols, normalized_pushforward(M, xr, vr))
+    # the hand-written rule it replaced, (v - <x^, v> x^) / |x| with x^ = x / |x|, to rounding
+    n = np.linalg.norm(xr, axis=-1, keepdims=True)
+    _, f = M.canonicalize_with_factor(xr / n)
+    old = f[..., None] * (vr - np.sum(xr / n * vr, axis=-1, keepdims=True) * xr / n) / n
+    np.testing.assert_allclose(cols, old, rtol=0, atol=1e-14)
+
+
+def test_capped_theta_differential_is_finite_without_warnings_at_the_poles():
+    t = 4.0
+    M = real_projective(3)
+    # the pole of the cap, and a point whose |x_p|^2 underflows to 0
+    x = M.canonicalize(np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0], [1e-200, 0.0, 0.0, 1.0]]))
+    fr = tangent_frames(M, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = make_capped_theta(t).differential(x[:, None, :], fr)
+    # the dilation stretches the pole's tangent space by t
+    np.testing.assert_allclose(cols, t * fr, rtol=0, atol=1e-12)
 
 
 def test_capped_theta_energy_extrapolates_to_plane_energy():

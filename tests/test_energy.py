@@ -172,6 +172,17 @@ def test_pullback_volume_constant_map():
     assert pullback_volume(F, grid) == 0.0
 
 
+@pytest.mark.parametrize("functional", [p_energy, pullback_volume], ids=["p_energy", "pullback_volume"])
+def test_a_differential_that_is_nan_at_some_nodes_raises(functional):
+    # energies and volumes share one integration path, so both refuse
+    M = sphere(2)
+    F = MapObject(M, M, lambda x: x,
+                  differential=lambda x, v: np.where(x[..., :1] > 0.5, np.nan, v), name="nan-cap")
+    grid = build_grid(M, 500, "monte_carlo", seed=16)
+    with pytest.raises(GeometryError, match="not finite"):
+        functional(F, grid)
+
+
 def test_surface_area_line_in_cp2():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
     F = normalized_linear_map(complex_projective(1), complex_projective(2), A)
@@ -273,11 +284,12 @@ def test_integrate_renormalizes_dropped_mass():
     dens = np.full(len(grid), 2.5)
     ok = np.ones(len(grid), dtype=bool)
     ok[:50] = False
-    value, stderr, dropped, warning = energy._integrate(grid, dens, ok, "probe")
-    assert value == pytest.approx(2.5 * grid.total_mass, rel=1e-12)
-    assert dropped == pytest.approx(0.05, abs=1e-12)
-    assert warning is not None
-    assert stderr == pytest.approx(0.0, abs=1e-12)
+    result = energy._integrate(grid, dens, ok, "probe")
+    assert isinstance(result, EnergyValue)
+    assert result.value == pytest.approx(2.5 * grid.total_mass, rel=1e-12)
+    assert result.dropped_fraction == pytest.approx(0.05, abs=1e-12)
+    assert result.warning is not None
+    assert result.stderr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_integrate_all_failed_raises():

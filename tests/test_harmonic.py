@@ -23,6 +23,7 @@ from mapenergy.harmonic import (
     pushforward_field,
     second_fundamental_form,
     second_variation,
+    symmetry_variation,
     tension,
 )
 from mapenergy.intgeo import sample_lines
@@ -30,6 +31,7 @@ from mapenergy.manifolds import (
     CutLocusError,
     GeometryError,
     complex_projective,
+    real_inner,
     sphere,
     su_basis,
 )
@@ -384,6 +386,43 @@ def test_jacobi_identity_trivial_cases():
         make_rational_curve(veronese_curve()), np.zeros((2, 2)), grid
     )
     assert abs(lhs0) < 1e-9 and rhs0 == 0.0
+
+
+def _trace_form_one_vector_at_a_time(F, generator, grid):
+    """The trace-form integral of `jacobi_identity_check` with a loop over
+    the frame vectors, as it was computed before they shared one batch axis."""
+    W = symmetry_variation(F, generator)
+    M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
+    w_vals = W(x)
+    fr = tangent_frames(M, x)
+    total = np.zeros_like(w_vals)
+    for i in range(M.dim):
+        ei = fr[..., i, :]
+        grad = 1j * M.killing_derivative(a, x, ei)
+        total = total + second_fundamental_form(F, x, grad, ei)
+    return float(np.sum(grid.weights * (-2.0 * real_inner(total, w_vals))))
+
+
+@pytest.mark.parametrize("N", [1, 2], ids=["cp1", "cp2"])
+def test_jacobi_check_puts_its_frame_vectors_on_one_batch_axis(monkeypatch, N):
+    if N == 1:
+        F, grid = make_rational_curve(veronese_curve()), build_grid(complex_projective(1), 3, "mesh")
+    else:
+        F, grid = conjugation_map(2), build_grid(complex_projective(2), 300, seed=5)
+    a = su_basis(N + 1)[1]
+    want = (second_variation(F, symmetry_variation(F, a), grid),
+            _trace_form_one_vector_at_a_time(F, a, grid))
+    original, calls = harmonic._acceleration, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(harmonic, "_acceleration", counted)
+    assert jacobi_identity_check(F, a, grid) == want
+    # one for the tension check, and the two polarized accelerations of the
+    # second fundamental form at every frame vector at once
+    assert len(calls) == 3
 
 
 def test_symmetry_trace_vanishes():

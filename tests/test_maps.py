@@ -37,7 +37,6 @@ from mapenergy.maps import (
     cp1_from_sphere,
     cp1_to_sphere,
     differential_columns,
-    gram_eigenvalues,
     grid_frames,
     homothety_map,
     identity_map,
@@ -162,7 +161,7 @@ def test_homothety_distance_ratio_oracle():
     x = M.random_point(rng, 10)
     fr = tangent_frames(M, x)
     G, _ = pullback_gram(F, x, fr)
-    np.testing.assert_allclose(np.sqrt(maps.gram_eigenvalues(G)), 2.0, atol=1e-6)
+    np.testing.assert_allclose(np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)), 2.0, atol=1e-6)
     # homothety sends geodesics to geodesics, so the ratio is exact for any
     # step; 1e-3 keeps the arccos in distance() well conditioned
     v = M.random_unit_tangent(rng, x)
@@ -510,17 +509,20 @@ def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
 
     for p in (2.0, 3.0):
         got = energy.p_energy(F, grid, p=p)
-        value, stderr, _, _ = energy._integrate(
+        want = energy._integrate(
             grid, 0.5 * np.trace(want_G, axis1=-2, axis2=-1) ** (p / 2.0), want_ok, "p_energy")
-        assert (got.value, got.stderr) == (value, stderr)
+        assert (got.value, got.stderr) == (want.value, want.stderr)
 
-    volume = energy._integrate(grid, np.sqrt(np.prod(gram_eigenvalues(want_G), axis=-1)),
-                               want_ok, "pullback_volume")[0]
-    assert energy.pullback_volume(F, grid) == volume
+    # sqrt(det G) as the product of the clamped eigenvalues of the whole grid's G
+    eigenvalues = np.maximum(np.linalg.eigvalsh(want_G), 0.0)
+    volume = energy._integrate(grid, np.sqrt(np.prod(eigenvalues, axis=-1)), want_ok, "pullback_volume")
+    assert energy.pullback_volume(F, grid) == volume.value
     assert bool(pooled) == (n >= 2 * maps.NODE_BLOCK)
 
 
-def test_p_energy_builds_no_grid_sized_column_array(monkeypatch):
+def _traced_peak_and_column_bytes(monkeypatch, functional):
+    """The tracemalloc peak of `functional` of the identity of CP^2 on an
+    8-block grid whose frames are kept, and the bytes of that grid's columns."""
     # one CPU runs the blocks one after another, so the peak does not
     # depend on how the pool's blocks overlap
     monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0})
@@ -528,16 +530,26 @@ def test_p_energy_builds_no_grid_sized_column_array(monkeypatch):
     F = identity_map(M)
     grid = build_grid(M, 8 * maps.NODE_BLOCK, seed=1)
     frames = grid_frames(grid)
-    # the columns of the identity are its frames, one (dim, amb) complex block per node
-    column_bytes = frames.nbytes
-    energy.p_energy(F, grid)
+    functional(F, grid)
     tracemalloc.start()
     try:
-        energy.p_energy(F, grid)
+        functional(F, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the columns of the identity are its frames, one (dim, amb) complex block per node
+    return peak, frames.nbytes
+
+
+def test_p_energy_builds_no_grid_sized_column_array(monkeypatch):
+    peak, column_bytes = _traced_peak_and_column_bytes(monkeypatch, energy.p_energy)
     assert peak < column_bytes / 2
+
+
+def test_pullback_volume_builds_no_grid_sized_column_array(monkeypatch):
+    # a block's Gram products, (4096, dim, dim, amb) complex, are 3.0 MiB
+    peak, column_bytes = _traced_peak_and_column_bytes(monkeypatch, energy.pullback_volume)
+    assert peak < column_bytes
 
 
 @pytest.mark.parametrize("case", ["fd-squeeze", "dilation", "line"])
@@ -546,7 +558,7 @@ def test_functionals_call_differential_columns_once_on_the_grid_nodes(monkeypatc
     original, seen = maps.differential_columns, []
 
     def counted(F, x, *args, **kwargs):
-        seen.append(x)
+        seen.append((x, kwargs.get("reduce")))
         return original(F, x, *args, **kwargs)
 
     for module in list(sys.modules.values()):
@@ -558,7 +570,8 @@ def test_functionals_call_differential_columns_once_on_the_grid_nodes(monkeypatc
     for functional in (energy.p_energy, energy.pullback_volume):
         seen.clear()
         functional(F, grid)
-        assert len(seen) == 1 and seen[0] is grid.nodes
+        # each node block is reduced to its density as it is computed
+        assert len(seen) == 1 and seen[0][0] is grid.nodes and seen[0][1] is not None
 
 
 @pytest.mark.parametrize("name", BLOCKED_CASES)

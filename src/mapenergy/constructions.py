@@ -6,6 +6,11 @@ reference line, conformal dilations of the 3-sphere and their capped
 projective quotient variant, a catalog of standard maps, and reproducible
 non-holomorphic perturbations of the identity.  Dimensions and degrees
 are integers >= 1, checked where they enter.
+
+Every map here of the form x -> P(x) / |P(x)| (curves, dilations of both
+kinds, conjugation) is a `normalized_map` of its P and dP, so it takes
+its differential from the one pushforward through y -> y / |y|; only
+`perturbed_identity` writes an analytic differential of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .manifolds import (
     ComplexProjective,
     GeometryError,
     _dot,
-    _norm,
     complex_projective,
     is_finite_real,
     is_integer,
@@ -206,22 +210,17 @@ def squeeze_limit(F, grid, lambdas):
 # conformal dilations of the 3-sphere and the capped projective variant
 
 
-def _theta_eval(t, x):
-    xp, xw = x[..., :3], x[..., 3:]
-    D = (1.0 + t * t) + (1.0 - t * t) * xw
-    return np.concatenate([2.0 * t * xp, (1.0 + xw) - t * t * (1.0 - xw)], axis=-1) / D
-
-
-def _theta_diff(t, x, v):
-    xp, xw = x[..., :3], x[..., 3:]
-    vp, vw = v[..., :3], v[..., 3:]
-    D = (1.0 + t * t) + (1.0 - t * t) * xw
-    dD = (1.0 - t * t) * vw
-    num_w = (1.0 + xw) - t * t * (1.0 - xw)
-    dnum_w = (1.0 + t * t) * vw
-    dy_p = 2.0 * t * vp / D - 2.0 * t * xp * dD / D**2
-    dy_w = dnum_w / D - num_w * dD / D**2
-    return np.concatenate([dy_p, dy_w], axis=-1)
+def _conformal_numerator(t):
+    """(a, b) of the affine P(x) = a x + b, derivative v -> a v, for which
+    x -> P(x) / |P(x)| is the conformal dilation of the 3-sphere by t:
+    P(x) = (2t x_p, (1 - t^2) + (1 + t^2) x_w), whose norm on the unit
+    sphere is the conformal denominator D(x) = (1 + t^2) + (1 - t^2) x_w.
+    GeometryError unless t is a finite real >= 1."""
+    if not (is_finite_real(t) and t >= 1):
+        raise GeometryError(f"dilations need a finite real t >= 1, got {t!r}")
+    a = np.array([2.0 * t, 2.0 * t, 2.0 * t, 1.0 + t * t])
+    b = np.array([0.0, 0.0, 0.0, 1.0 - t * t])
+    return a, b
 
 
 def make_theta(t):
@@ -230,64 +229,41 @@ def make_theta(t):
     The identity at t = 1; as t grows the map concentrates the sphere
     into a shrinking polar cap, with conformal factor 2t / D(x).
     """
-    if not (is_finite_real(t) and t >= 1):
-        raise GeometryError(f"dilations need a finite real t >= 1, got {t!r}")
+    a, b = _conformal_numerator(t)
     S3 = sphere(3)
-
-    def ev(x):
-        return _theta_eval(t, x)
-
-    def diff(x, v):
-        return S3.project_tangent(ev(x), _theta_diff(t, x, v))
-
-    return MapObject(S3, S3, ev, differential=diff, name=f"theta-{t:g}")
+    return normalized_map(S3, S3, lambda x: a * x + b, lambda x, v: a * v, f"theta-{t:g}")
 
 
 def make_capped_theta(t):
     """Piecewise dilation of projective 3-space fixing the equator plane.
 
     On representatives with nonnegative last coordinate: the polar cap
-    that the conformal dilation maps onto the upper hemisphere is
+    x_w > c that the conformal dilation maps onto the upper hemisphere is
     dilated, and the remaining collar is projected radially onto the
-    equator plane (pointwise fixed).  Lipschitz: continuous across both
+    equator plane (pointwise fixed), P(x) = (x_p, 0).  Both pieces of P
+    are chosen before the one normalization, so the poles, which lie in
+    the cap, never divide by zero.  Lipschitz: continuous across both
     seams but not differentiable on them.  The identity at t = 1.
     """
-    if not (is_finite_real(t) and t >= 1):
-        raise GeometryError(f"dilations need a finite real t >= 1, got {t!r}")
+    a, b = _conformal_numerator(t)
     M = real_projective(3)
     c = (t * t - 1.0) / (t * t + 1.0)
+    collar = np.array([1.0, 1.0, 1.0, 0.0])
 
-    def _rep(x):
+    def on_rep(x, u):
+        """u on the representative of x with x_w >= 0, and whether x is in the cap."""
         s = np.where(x[..., 3:] >= 0.0, 1.0, -1.0)
-        return s * x, s
+        return s * u, s * x[..., 3:] > c
 
-    def _collar_eval(xr):
-        xp = xr[..., :3]
-        n = np.linalg.norm(xp, axis=-1, keepdims=True)
-        n = np.where(n > 0.0, n, 1.0)
-        return np.concatenate([xp / n, np.zeros_like(xr[..., 3:])], axis=-1)
+    def P(x):
+        xr, cap = on_rep(x, x)
+        return np.where(cap, a * xr + b, collar * xr)
 
-    def _raw_eval(xr):
-        cap = xr[..., 3:] > c
-        return np.where(cap, _theta_eval(t, xr), _collar_eval(xr))
+    def dP(x, v):
+        vr, cap = on_rep(x, v)
+        return np.where(cap, a * vr, collar * vr)
 
-    def ev(x):
-        xr, _ = _rep(x)
-        return M.canonicalize(_raw_eval(xr))
-
-    def diff(x, v):
-        xr, s = _rep(x)
-        vr = s * v
-        _, f = M.canonicalize_with_factor(_theta_eval(t, xr))
-        w_cap = f[..., None] * _theta_diff(t, xr, vr)
-        # the collar is y -> y / |y| of y = (xp, 0); at the poles, which
-        # lie in the cap, y = (0, 0, 0, 1) keeps that branch finite
-        pole = _norm(xr[..., :3]) == 0.0
-        y = np.concatenate([xr[..., :3], 1.0 * pole[..., None]], axis=-1)
-        dy = np.concatenate([vr[..., :3], np.zeros_like(vr[..., 3:])], axis=-1)
-        return np.where(xr[..., 3:] > c, w_cap, normalized_pushforward(M, y, dy))
-
-    return MapObject(M, M, ev, differential=diff, name=f"capped-theta-{t:g}")
+    return normalized_map(M, M, P, dP, f"capped-theta-{t:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +273,7 @@ def make_capped_theta(t):
 def conjugation_map(N):
     """The antiholomorphic involution [z] -> [conj(z)]."""
     M = complex_projective(N)
-
-    def ev(z):
-        return M.canonicalize(np.conj(z))
-
-    def diff(z, v):
-        _, f = M.canonicalize_with_factor(np.conj(z))
-        return f[..., None] * np.conj(v)
-
-    return MapObject(M, M, ev, differential=diff, name="conjugation")
+    return normalized_map(M, M, np.conj, lambda z, v: np.conj(v), "conjugation")
 
 
 def _inclusion(space, k, n, dtype, tag):

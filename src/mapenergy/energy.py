@@ -58,7 +58,8 @@ class EnergyValue:
 
 def _integrate(grid, density, ok, label):
     """EnergyValue of the weighted sum of a node density, with dropped-mass
-    renormalization; a NaN density at some node raises, as its sum does."""
+    renormalization; a density whose weighted sum is not finite (NaN or
+    infinite at some node) raises a GeometryError that names `label`."""
     w = np.asarray(grid.weights, dtype=float)
     valid = np.broadcast_to(np.asarray(ok, dtype=bool), w.shape)
     wv = np.where(valid, w, 0.0)
@@ -68,6 +69,8 @@ def _integrate(grid, density, ok, label):
         raise GeometryError(f"{label}: every quadrature node failed")
     dropped = 1.0 - mass / total
     value = float(np.sum(wv * density) * (total / mass))
+    if not math.isfinite(value):
+        raise GeometryError(f"{label}: the integrated density {value} is not finite")
     stderr = None
     if grid.scheme == "monte_carlo":
         k = int(np.count_nonzero(valid))

@@ -7,8 +7,13 @@ logarithm, which keeps every computed vector an honest tangent vector.
 Per-node quantities are reductions of the differential's columns: |dF|^2
 (`energy_density`), sqrt(det G) (`volume_density`) and the pullback Gram
 matrix G (`pullback_gram`, the one Gram formula).  Maps x -> P(x) / |P(x)|
-share one builder, `normalized_map`.  Quadrature grids and exact
-low-degree unit-tangent designs live here as well.
+share one builder, `normalized_map`: linear maps, embeddings, rational
+curves, dilations, conjugation and homotheties.  Its pushforward scales
+lengths by the radius ratio cod.radius / dom.radius, as representatives
+are unit vectors.  `identity_map`, `compose` and `normalized_map` are the
+only builders here with an analytic differential of their own.
+Quadrature grids and exact low-degree unit-tangent designs live here as
+well.
 
 Tangent frames come from one Householder reflection per node, with no
 random draw: the energy density is a trace, so any orthonormal frame
@@ -360,7 +365,12 @@ def compose(outer, inner, name=""):
 
 
 def normalized_map(dom, cod, P, dP, name):
-    """Map x -> P(x) / |P(x)| on representatives; dP(x, v) is the derivative of P along v."""
+    """Map x -> P(x) / |P(x)| on representatives; dP(x, v) is the derivative of P along v.
+
+    Representatives are unit vectors, so a tangent vector's length is
+    scaled by cod.radius / dom.radius on its way through the map.
+    """
+    scale = cod.radius / dom.radius
 
     def ev(x):
         y = P(x)
@@ -369,7 +379,10 @@ def normalized_map(dom, cod, P, dP, name):
             raise GeometryError(f"map {name!r} vanishes on a representative")
         return cod.canonicalize(y / n)
 
-    return MapObject(dom, cod, ev, lambda x, v: normalized_pushforward(cod, P(x), dP(x, v)), name)
+    def diff(x, v):
+        return scale * normalized_pushforward(cod, P(x), dP(x, v))
+
+    return MapObject(dom, cod, ev, diff, name)
 
 
 def normalized_pushforward(cod, y, dy):
@@ -399,16 +412,7 @@ def homothety_map(dom, cod, name="homothety"):
     """Identity on representatives between rescaled copies of the same model."""
     if dom.ambient_dim != cod.ambient_dim or dom.kind != cod.kind:
         raise GeometryError("homothety requires rescaled copies of one model")
-    scale = getattr(cod, "radius", 1.0) / getattr(dom, "radius", 1.0)
-
-    def ev(x):
-        return cod.canonicalize(x)
-
-    def diff(x, v):
-        _, f = cod.canonicalize_with_factor(x)
-        return scale * f[..., None] * v
-
-    return MapObject(dom, cod, ev, differential=diff, name=name)
+    return normalized_linear_map(dom, cod, np.eye(dom.ambient_dim), name)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from mapenergy.maps import (
     MapObject,
     build_grid,
     differential_columns,
+    homothety_map,
     identity_map,
     normalized_pushforward,
     pullback_gram,
@@ -301,6 +302,50 @@ def test_theta_is_conformal():
     assert np.max(ev[..., -1] - ev[..., 0]) < 1e-6
 
 
+def _assert_matches_reference(F, x, ev, diff, rtol=1e-14):
+    """F's values and differential columns at the points x agree with the
+    hand-written rules ev(x) and diff(x, v) to 1e-14 (values are unit
+    vectors) and to `rtol` relative to each node's largest column entry."""
+    fr = tangent_frames(F.domain, x)
+    cols, ok = differential_columns(F, x, fr)
+    assert np.all(ok)
+    np.testing.assert_allclose(F(x), ev(x), rtol=0, atol=1e-14)
+    want = diff(x[:, None, :], fr)
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert np.max(np.abs(cols - want) / scale) < rtol
+
+
+# the conformal dilation as it was written out before it became a normalized map:
+# P(x) / D(x) with the conformal denominator D, and the quotient rule for its derivative
+
+
+def _old_theta_eval(t, x):
+    xp, xw = x[..., :3], x[..., 3:]
+    D = (1.0 + t * t) + (1.0 - t * t) * xw
+    return np.concatenate([2.0 * t * xp, (1.0 + xw) - t * t * (1.0 - xw)], axis=-1) / D
+
+
+def _old_theta_diff(t, x, v):
+    xp, xw = x[..., :3], x[..., 3:]
+    vp, vw = v[..., :3], v[..., 3:]
+    D = (1.0 + t * t) + (1.0 - t * t) * xw
+    dD = (1.0 - t * t) * vw
+    num_w = (1.0 + xw) - t * t * (1.0 - xw)
+    dnum_w = (1.0 + t * t) * vw
+    dy_p = 2.0 * t * vp / D - 2.0 * t * xp * dD / D**2
+    dy_w = dnum_w / D - num_w * dD / D**2
+    return np.concatenate([dy_p, dy_w], axis=-1)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 4.0, 8.0, 16.0])
+def test_theta_matches_its_hand_written_rules(t):
+    S3 = sphere(3)
+    x = S3.random_point(make_rng(24), 500)
+    _assert_matches_reference(
+        make_theta(t), x, lambda x: _old_theta_eval(t, x),
+        lambda x, v: S3.project_tangent(_old_theta_eval(t, x), _old_theta_diff(t, x, v)))
+
+
 # ---------------------------------------------------------------------------
 # capped dilations of projective 3-space
 
@@ -383,6 +428,59 @@ def test_capped_theta_differential_is_finite_without_warnings_at_the_poles():
     np.testing.assert_allclose(cols, t * fr, rtol=0, atol=1e-12)
 
 
+def _old_capped_rules(t):
+    """The capped dilation's evaluator and differential as they were written
+    out by hand: the cap through the conformal rules above, the collar as
+    (x_p, 0) / |x_p| with the derivative (v - <y, v> y) / |x_p| at y."""
+    M = real_projective(3)
+    c = (t * t - 1.0) / (t * t + 1.0)
+
+    def rep(x):
+        s = np.where(x[..., 3:] >= 0.0, 1.0, -1.0)
+        return s * x, s, s * x[..., 3:] > c
+
+    def collar(u, n):
+        return np.concatenate([u[..., :3], np.zeros_like(u[..., 3:])], axis=-1) / n
+
+    def ev(x):
+        xr, _, cap = rep(x)
+        n = np.linalg.norm(xr[..., :3], axis=-1, keepdims=True)
+        return M.canonicalize(np.where(cap, _old_theta_eval(t, xr), collar(xr, n)))
+
+    def diff(x, v):
+        xr, s, cap = rep(x)
+        vr = s * v
+        _, f = M.canonicalize_with_factor(_old_theta_eval(t, xr))
+        n = np.linalg.norm(xr[..., :3], axis=-1, keepdims=True)
+        y, dy = collar(xr, n), collar(vr, n)
+        _, g = M.canonicalize_with_factor(y)
+        w_collar = g[..., None] * (dy - np.sum(y * dy, axis=-1, keepdims=True) * y)
+        return np.where(cap, f[..., None] * _old_theta_diff(t, xr, vr), w_collar)
+
+    return ev, diff
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 4.0, 8.0, 16.0])
+def test_capped_theta_matches_its_hand_written_rules(t):
+    M = real_projective(3)
+    c = (t * t - 1.0) / (t * t + 1.0)
+    # x_w uniform in (-1, 1), so that even the thin cap of t = 16 holds points
+    rng = make_rng(25)
+    w = rng.uniform(-1.0, 1.0, (2000, 1))
+    g = rng.standard_normal((2000, 3))
+    x = M.canonicalize(np.concatenate(
+        [np.sqrt(1.0 - w * w) * g / np.linalg.norm(g, axis=-1, keepdims=True), w], axis=-1))
+    if t > 1.0:
+        # both pieces hold points; at t = 1 the collar is the equator plane
+        assert 5 <= np.count_nonzero(np.abs(x[:, 3]) > c) < len(x) - 5
+    # near the pole P_w = (1 - t^2) + (1 + t^2) x_w cancels, so either rule's
+    # columns carry a relative rounding error of order t^2 eps there: at
+    # t = 16 the two differ by up to 1.8e-14 on these points, and at the
+    # nodes where they differ most each is within 1e-14 of a 40-digit evaluation
+    rtol = 1e-14 * max(1.0, (t / 8.0) ** 2)
+    _assert_matches_reference(make_capped_theta(t), x, *_old_capped_rules(t), rtol=rtol)
+
+
 def test_capped_theta_energy_extrapolates_to_plane_energy():
     M = real_projective(3)
     grid = build_grid(M, 30000, "monte_carlo", seed=23)
@@ -444,6 +542,37 @@ def test_catalog_rejects_unknown_keys():
             standard_maps(key)
     with pytest.raises(GeometryError):
         standard_maps("inclusion_rp", k=3, n=3)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_conjugation_matches_its_hand_written_rules(N):
+    M = complex_projective(N)
+
+    def ev(z):
+        return M.canonicalize(np.conj(z))
+
+    def diff(z, v):
+        _, f = M.canonicalize_with_factor(np.conj(z))
+        return f[..., None] * np.conj(v)
+
+    _assert_matches_reference(conjugation_map(N), M.random_point(make_rng(26), 500), ev, diff)
+
+
+@pytest.mark.parametrize("dom,cod", [
+    (sphere(2), sphere(2, 1.7)),
+    (sphere(2, 2.0), sphere(2)),
+    (real_projective(3), real_projective(3, 2.0)),
+    (complex_projective(2), complex_projective(2)),
+], ids=["s2-up", "s2-down", "rp3", "cp2"])
+def test_homothety_matches_its_hand_written_rules(dom, cod):
+    scale = cod.radius / dom.radius
+
+    def diff(x, v):
+        _, f = cod.canonicalize_with_factor(x)
+        return scale * f[..., None] * v
+
+    _assert_matches_reference(homothety_map(dom, cod), dom.random_point(make_rng(27), 500),
+                              cod.canonicalize, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 Each script is parsed: a deleted or renamed public name, or a deleted
 keyword parameter, then fails here, not in a reader's shell.
 `holomorphic_curves.py`, which prints the second-order residuals of
-`harmonic`, is also run end to end in a subprocess (about 0.3 s).
+`harmonic`, and `dilation_families.py`, which prints the energies of the
+two dilation families, are also run end to end in a subprocess (about
+0.3 s and 0.5 s).
 """
 
 import ast
 import importlib
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -82,16 +85,32 @@ def test_the_keyword_check_flags_a_deleted_keyword(tmp_path):
     assert _unknown_keywords(script) == ["stale.py:2 grid(order=)"]
 
 
-def test_the_holomorphic_curves_demo_runs_and_prints_its_four_curves(tmp_path):
+def _run_demo(name, cwd):
+    """Standard output of demos/`name` run in a subprocess from `cwd`; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run([sys.executable, str(ROOT / "demos" / "holomorphic_curves.py")],
-                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                         cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    rows = [line.split() for line in run.stdout.splitlines() if "(d=" in line]
+    return run.stdout
+
+
+def test_the_holomorphic_curves_demo_runs_and_prints_its_four_curves(tmp_path):
+    out = _run_demo("holomorphic_curves.py", tmp_path)
+    rows = [line.split() for line in out.splitlines() if "(d=" in line]
     assert [" ".join(r[:-6]) for r in rows] == [
         "line (d=1)", "conic (d=2)", "veronese (d=2)", "random cubic (d=3)"]
     for r in rows:
         energy, area, d_pi, tension, plh, herm = map(float, r[-6:])
         assert abs(energy - d_pi) < 1e-3 and abs(area - d_pi) < 1e-3
         assert max(tension, plh) < 1e-6 and herm < 1e-14
+
+
+def test_the_dilation_families_demo_runs_and_prints_both_families(tmp_path):
+    out = _run_demo("dilation_families.py", tmp_path)
+    rows = [r for r in map(str.split, out.splitlines()) if r and r[0].isdigit()]
+    # five conformal dilations (t, measured, closed form), then three capped ones (t, measured)
+    assert [(int(r[0]), len(r)) for r in rows] == [
+        (1, 3), (2, 3), (4, 3), (8, 3), (16, 3), (4, 2), (8, 2), (16, 2)]
+    # t = 1 is the identity of the 3-sphere, whose energy 3 pi^2 every grid integrates exactly
+    assert rows[0][1] == "29.608813" == f"{3 * math.pi**2:.6f}"

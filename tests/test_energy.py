@@ -179,7 +179,7 @@ def test_a_differential_that_is_nan_at_some_nodes_raises(functional):
     F = MapObject(M, M, lambda x: x,
                   differential=lambda x, v: np.where(x[..., :1] > 0.5, np.nan, v), name="nan-cap")
     grid = build_grid(M, 500, "monte_carlo", seed=16)
-    with pytest.raises(GeometryError, match="not finite"):
+    with pytest.raises(GeometryError, match=f"^{functional.__name__}: .* not finite"):
         functional(F, grid)
 
 
@@ -290,6 +290,14 @@ def test_integrate_renormalizes_dropped_mass():
     assert result.dropped_fraction == pytest.approx(0.05, abs=1e-12)
     assert result.warning is not None
     assert result.stderr == pytest.approx(0.0, abs=1e-12)
+
+
+def test_integrate_names_its_label_when_the_sum_is_not_finite():
+    grid = build_grid(sphere(2), 50, "monte_carlo", seed=0)
+    dens = np.ones(50)
+    dens[7] = np.inf
+    with pytest.raises(GeometryError, match="^probe: .* not finite"):
+        energy._integrate(grid, dens, np.ones(50, dtype=bool), "probe")
 
 
 def test_integrate_all_failed_raises():

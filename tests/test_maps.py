@@ -170,6 +170,20 @@ def test_homothety_distance_ratio_oracle():
     np.testing.assert_allclose(ratio, 2.0, atol=1e-6)
 
 
+def test_normalized_maps_scale_tangent_lengths_by_the_radius_ratio():
+    # the identity on unit representatives from radius 2 to radius 1 halves
+    # every length: |dF|^2 = 2 / 4 over the area 16 pi gives E_2 = 4 pi;
+    # from radius 1 to radius 2, |dF|^2 = 2 * 4 over 4 pi gives 16 pi
+    def energy_on_mesh(F):
+        return energy.p_energy(F, build_grid(F.domain, 3, "mesh")).value
+
+    down = normalized_linear_map(sphere(2, 2.0), sphere(2), np.eye(3))
+    assert energy_on_mesh(down) == pytest.approx(4 * np.pi, rel=1e-12)
+    up = energy_on_mesh(normalized_linear_map(sphere(2), sphere(2, 2.0), np.eye(3)))
+    assert up == pytest.approx(16 * np.pi, rel=1e-12)
+    assert up == pytest.approx(energy_on_mesh(homothety_map(sphere(2), sphere(2, 2.0))), rel=1e-12)
+
+
 def test_inclusion_is_isometric():
     A = np.zeros((4, 3))
     A[:3, :3] = np.eye(3)

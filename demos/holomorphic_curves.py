@@ -53,7 +53,7 @@ for label, F, degree in curves:
 
 print()
 veronese = make_rational_curve(veronese_curve())
-trace = index_trace_over_symmetries(veronese, grid, su_basis(2))
+trace, _ = index_trace_over_symmetries(veronese, grid, su_basis(2))
 print(f"summed second variation of the veronese curve over the domain")
 print(f"symmetry directions: {trace:.2e}  (energy scale"
       f" {p_energy(veronese, grid, p=2.0).value:.4f}) -- neutral to stencil"

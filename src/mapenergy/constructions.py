@@ -323,9 +323,7 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
         raise GeometryError(f"the perturbation magnitude must be a finite real, got {magnitude!r}")
     amb = M.ambient_dim
     rng = make_rng(seed)
-    S = rng.standard_normal((amb, amb))
-    if M.dtype == np.complex128:
-        S = S + 1j * rng.standard_normal((amb, amb))
+    S = M.gaussian(rng, (amb, amb))
     S = S / np.linalg.norm(S, 2)
     S = S.astype(M.dtype)
 

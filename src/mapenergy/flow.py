@@ -15,11 +15,12 @@ computes; callers measure `conformality_defect` of the maps they keep.
 The domain geometry belongs to the mesh: MeshMaps and
 `conformality_defect` read cotangent weights, vertex areas, the antipodal
 permutation and flattened domain triangles from `meshes`, which derives
-each once per mesh, read-only.  The factor of the gauge-free H^1 matrix
-is mesh geometry too, kept on the mesh: S^n, RP^n (through a sign lift
-on the mesh's spanning tree) and the antipodal quotient all solve with
-it, and only CP^N phases factor per iteration.  Only the image half is
-computed here.
+each once per mesh, read-only.  A MeshMap divides the weights and areas
+by its domain's `sheets`, as the sphere mesh covers RP^2 twice.  The
+factor of the gauge-free H^1 matrix is mesh geometry too, kept on the
+mesh: S^n, RP^n (through a sign lift on the mesh's spanning tree) and
+the antipodal quotient all solve with it, and only CP^N phases factor
+per iteration.  Only the image half is computed here.
 """
 
 from __future__ import annotations
@@ -66,13 +67,11 @@ class MeshMap:
         self.images = np.asarray(self.images, dtype=self.codomain.dtype)
         if self.images.shape != (len(self.mesh.vertices), self.codomain.ambient_dim):
             raise GeometryError("one image point per mesh vertex is required")
-        self.pairs, self.weights = cotangent_weights(self.mesh)
-        self.areas = vertex_areas(self.mesh)
-        if self.antipodal_quotient:
-            # half of the symmetric sphere mesh covers the quotient once
-            self.weights = 0.5 * self.weights
-            self.areas = 0.5 * self.areas
-        target = self.domain.volume
+        domain = self.domain
+        self.pairs, weights = cotangent_weights(self.mesh)
+        self.weights = weights / domain.sheets
+        self.areas = vertex_areas(self.mesh) / domain.sheets
+        target = domain.volume
         if abs(float(np.sum(self.areas)) - target) > 1e-3 * target:
             raise GeometryError("vertex areas do not sum to the domain area")
         canon = self.codomain.canonicalize(self.images)
@@ -96,6 +95,9 @@ class MeshMap:
 
 def sample_map(F, level, antipodal_quotient=False):
     """MeshMap sampling an analytic map at the vertices of an icosphere of level >= 0."""
+    M = F.domain
+    if not (M.kind in ("sphere", "real_projective") and M.dim == 2):
+        raise GeometryError(f"mesh maps need a 2-sphere or RP^2 domain, got {M!r}")
     mesh = icosphere(checked_resolution("mesh", level))
     x = mesh.vertices
     if antipodal_quotient:
@@ -158,8 +160,8 @@ def h1_direction(m, tau):
     if s is None:
         d = splu(_h1_matrix(m.pairs, m.weights, m.areas, g)).solve(m.areas[:, None] * tau)
     else:
-        # the quotient halves A and L alike, and doubling both back is exact
-        whole = 2.0 if m.antipodal_quotient else 1.0
+        # the quotient divides A and L alike by its sheets; multiplying back is exact
+        whole = m.domain.sheets
         d = s * _h1_factor(m, whole).solve(s * ((whole * m.areas)[:, None] * tau))
     return M.project_tangent(m.images, d)
 
@@ -178,8 +180,8 @@ def _h1_matrix(pairs, weights, areas, gauge):
 def _h1_factor(m, whole):
     """The `splu` factor of P_1 = A + L on the whole sphere mesh of m, kept on the mesh.
 
-    `whole` (2 on the antipodal quotient, else 1) scales m's areas and
-    weights back to those of the whole mesh.
+    `whole`, the sheet count of m's domain (2 on the antipodal quotient,
+    else 1), scales m's areas and weights back to those of the whole mesh.
     """
     def factor():
         return splu(_h1_matrix(m.pairs, whole * m.weights, whole * m.areas, 1.0))

@@ -211,9 +211,11 @@ def index_trace_over_symmetries(F, grid, basis):
 
     With a basis of the symmetry algebra orthonormal for its invariant
     inner product, this trace vanishes at harmonic maps to compact
-    symmetric targets.
+    symmetric targets.  Returns (trace, variations): the terms in basis
+    order, and their sum taken left to right.
     """
-    total = 0.0
-    for a in basis:
-        total += second_variation(F, symmetry_variation(F, a), grid)
-    return total
+    variations = [second_variation(F, symmetry_variation(F, a), grid) for a in basis]
+    trace = 0.0
+    for v in variations:
+        trace += v
+    return trace, variations

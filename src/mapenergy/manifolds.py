@@ -130,12 +130,6 @@ class ModelManifold:
     def exp(self, x, v):
         return self.canonicalize(_exp(x, v, self.radius))
 
-    def log(self, x, y):
-        v, ok = self.log_masked(x, y)
-        if not np.all(ok):
-            raise CutLocusError("log requested at or beyond the cut locus")
-        return v
-
     def _fold(self, x, y):
         """<x, y'> and the representative y' = g y of y nearest x."""
         c, g = self._gauge(x, y)
@@ -155,32 +149,29 @@ class ModelManifold:
         c, y = self._fold(x, y)
         return self.radius * _angle(x, y, c)[0]
 
+    def gaussian(self, rng, shape):
+        """Standard Gaussian array in the space's scalars: on a complex
+        space the real part is drawn first, then the imaginary part."""
+        g = rng.standard_normal(shape)
+        if self.is_complex:
+            g = g + 1j * rng.standard_normal(shape)
+        return g
+
     def random_point(self, rng, size=()):
         """Uniformly distributed canonical points."""
         if isinstance(size, int):
             size = (size,)
-        shape = size + (self.ambient_dim,)
-        g = rng.standard_normal(shape)
-        if self.is_complex:
-            g = g + 1j * rng.standard_normal(shape)
+        g = self.gaussian(rng, size + (self.ambient_dim,))
         return self.canonicalize(g / _norm(g)[..., None])
 
     def random_isometry(self, rng):
         """Haar-random isometry: Q of a Gaussian QR times conj(d) / |d|, d = diag(R) (+-1 if real)."""
-        shape = (self.ambient_dim, self.ambient_dim)
-        g = rng.standard_normal(shape)
-        if self.is_complex:
-            g = g + 1j * rng.standard_normal(shape)
-        q, r = np.linalg.qr(g)
+        q, r = np.linalg.qr(self.gaussian(rng, (self.ambient_dim, self.ambient_dim)))
         d = np.diag(r)
         return q * (d.conj() / np.abs(d))
 
     def random_unit_tangent(self, rng, x):
-        shape = x.shape
-        g = rng.standard_normal(shape)
-        if self.is_complex or np.iscomplexobj(x):
-            g = g + 1j * rng.standard_normal(shape)
-        v = self.project_tangent(x, g)
+        v = self.project_tangent(x, self.gaussian(rng, x.shape))
         return v / _norm(v)[..., None]
 
 

@@ -98,9 +98,9 @@ def _pooled(block, starts, workers):
 
 def _by_node_chunks(fn, x, *arrays):
     """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis when
-    that axis holds at least two blocks; the results (an array or a tuple
-    of arrays) are copied, in order as they arrive, into outputs
-    allocated from the first block's result.  The blocks run on a
+    that axis holds at least two blocks; the results (a tuple of arrays)
+    are copied, in order as they arrive, into outputs allocated from the
+    first block's result.  The blocks run on a
     thread pool, at most one block per worker ahead of that copy, when
     the process may use more than one CPU, and one after another
     otherwise.  So a block's temporaries bound the memory of a large
@@ -126,13 +126,11 @@ def _by_node_chunks(fn, x, *arrays):
     parts = _pooled(block, starts, workers) if workers > 1 else map(block, starts)
     outputs = None
     for start, part in zip(starts, parts):
-        single = not isinstance(part, tuple)
-        part = (part,) if single else part
         if outputs is None:
             outputs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
         for out, p in zip(outputs, part):
             out[start:start + len(p)] = p
-    return outputs[0] if single else outputs
+    return outputs
 
 
 @dataclass
@@ -166,7 +164,7 @@ def tangent_frames(M, x):
     orthogonal to x.  They are the frame; on CP^N it is followed by i
     times each of them, which spans the rest of the horizontal space.
     """
-    return _by_node_chunks(lambda xb: _reflection_frames(M, xb), x)
+    return _by_node_chunks(lambda xb: (_reflection_frames(M, xb),), x)[0]
 
 
 def _reflection_frames(M, x):

@@ -45,10 +45,9 @@ from .energy import croke_density, p_energy, surface_area
 from .flow import conformality_defect, flow_minimize, sample_map
 from .harmonic import (
     hermitian_residual,
+    index_trace_over_symmetries,
     jacobi_identity_check,
     pluriharmonic_residual,
-    second_variation,
-    symmetry_variation,
     tension,
 )
 from .intgeo import (
@@ -442,24 +441,23 @@ def _run_bounds_identity(seed, nodes, p=None):
         p_complex, p_real = (2.0, 3.0, 4.0), (1.0, 2.0, 4.0)
     else:  # the CP^N bound holds for p >= 2, the RP^n bound for p >= 1
         p_complex, p_real = (p,) if p >= 2.0 else (), (p,)
-    worst = 0.0
-    checked = []
-    for N in (1, 2) if p_complex else ():
-        M = complex_projective(N)
-        grid = build_grid(M, nodes, "monte_carlo", seed=seed + N)
-        for q in p_complex:
-            bound = eval_bound(BoundSpec("CPN_P", {"N": N, "p": q, "area": np.pi}))
+    # (label, space, grid seed, bound tag, bound inputs, exponents)
+    cases = [
+        ("cp1", complex_projective(1), seed + 1, "CPN_P", {"N": 1, "area": np.pi}, p_complex),
+        ("cp2", complex_projective(2), seed + 2, "CPN_P", {"N": 2, "area": np.pi}, p_complex),
+        ("rp2", real_projective(2), seed + 10, "RPN_P", {"n": 2, "length": np.pi}, p_real),
+        ("rp3", real_projective(3), seed + 11, "RPN_P", {"n": 3, "length": np.pi}, p_real),
+    ]
+    worst, checked = 0.0, []
+    for label, M, grid_seed, tag, inputs, exponents in cases:
+        if not exponents:
+            continue
+        grid = build_grid(M, nodes, "monte_carlo", seed=grid_seed)
+        for q in exponents:
+            bound = eval_bound(BoundSpec(tag, {**inputs, "p": q}))
             value = p_energy(identity_map(M), grid, p=q).value
             worst = max(worst, _relerr(value, bound))
-            checked.append(f"cp{N}-p{q:g}")
-    for n in (2, 3):
-        M = real_projective(n)
-        grid = build_grid(M, nodes, "monte_carlo", seed=seed + 8 + n)
-        for q in p_real:
-            bound = eval_bound(BoundSpec("RPN_P", {"n": n, "p": q, "length": np.pi}))
-            value = p_energy(identity_map(M), grid, p=q).value
-            worst = max(worst, _relerr(value, bound))
-            checked.append(f"rp{n}-p{q:g}")
+            checked.append(f"{label}-p{q:g}")
     return {"checked": checked}, worst
 
 
@@ -638,12 +636,7 @@ def _run_trace_ii(seed, level):
     F = identity_map(M)
     grid = build_grid(M, level, "mesh")
     scale = p_energy(F, grid, p=2.0).value
-    basis = su_basis(2)
-    variations = [second_variation(F, symmetry_variation(F, a), grid) for a in basis]
-    # index_trace_over_symmetries(F, grid, basis), without recomputing its terms
-    trace = 0.0
-    for v in variations:
-        trace += v
+    trace, variations = index_trace_over_symmetries(F, grid, su_basis(2))
     worst = max(max(abs(v) for v in variations), abs(trace)) / scale
     inputs = {"variations": [float(v) for v in variations],
               "trace": float(trace), "energy": float(scale)}

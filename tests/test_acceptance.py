@@ -196,7 +196,8 @@ def test_criterion_12_structural_property_suite():
             raw = raw + 1j * rng.standard_normal(x.shape)
         v = M.project_tangent(x, raw)
         v = 0.3 * v / M.norm(v)[..., None]
-        back = M.log(x, M.exp(x, v))
+        back, masked_ok = M.log_masked(x, M.exp(x, v))
+        assert np.all(masked_ok)
         worst_roundtrip = max(worst_roundtrip,
                               float(np.max(np.abs(back - v))))
     ok = worst_roundtrip < 1e-9

@@ -3,8 +3,9 @@
 Every module-level function and class of `src/mapenergy`, and every
 method of those classes that is not a dunder, must be named in the
 package, the demos or the benchmark harness somewhere besides its own
-definition: read as a name, read or written as an attribute, or given
-as a string (the harness looks functions up by name).  A function that
+definition: read as a name, read or written as an attribute (not of a
+module from outside the package, such as `math`), or given as a string
+(the harness looks functions up by name).  A function that
 only its tests call then cannot stay in the package unnoticed.
 """
 
@@ -40,14 +41,34 @@ def _definitions(tree):
                     yield item.lineno, item.name
 
 
+def _foreign_modules(tree):
+    """Names that `import X` (or `import X as Y`) binds to a module outside mapenergy."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "mapenergy"}
+
+
+def _root(node):
+    """The expression an attribute chain such as `np.linalg.norm` starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def _named(tree):
-    """Names read, attributes touched and identifier strings in a module."""
-    named = set()
+    """Names read, attributes touched and identifier strings in a module.
+
+    Attributes read off a module from outside the package, such as
+    `math.log` or `np.linalg.norm`, name nothing of the package.
+    """
+    named, foreign = set(), _foreign_modules(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
+            root = _root(node)
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                named.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             named.add(node.value)
     return named
@@ -67,11 +88,15 @@ def _uncalled(package, callers):
 
 def test_the_scan_flags_an_uncalled_definition_and_spares_called_ones():
     module = (
+        "import math\n"
+        "import mapenergy.maps as maps\n"
         "@_experiment('x', 'nodes', 10, 0.1)\n"
         "def _run_x(seed, nodes):\n"
-        "    return helper(seed), 0.0\n"
+        "    return helper(seed) + maps.spared(seed) + math.log(seed), 0.0\n"
         "def helper(seed):\n"
         "    return Box().size\n"
+        "def spared(seed):\n"
+        "    return 0\n"
         "def orphan():\n"
         "    return 0\n"
         "class Box:\n"
@@ -84,8 +109,11 @@ def test_the_scan_flags_an_uncalled_definition_and_spares_called_ones():
         "        return 2\n"
         "    def unused(self):\n"
         "        return 3\n"
+        "    def log(self):\n"
+        "        return 4\n"
     )
-    assert _uncalled({"m": module}, {"m": module}) == ["m:6 orphan", "m:16 unused"]
+    # `math.log` reads an attribute of the standard library, not `Box.log`
+    assert _uncalled({"m": module}, {"m": module}) == ["m:10 orphan", "m:20 unused", "m:22 log"]
 
 
 def test_every_definition_has_a_caller_outside_the_tests():

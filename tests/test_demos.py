@@ -104,6 +104,11 @@ def test_the_holomorphic_curves_demo_runs_and_prints_its_four_curves(tmp_path):
         energy, area, d_pi, tension, plh, herm = map(float, r[-6:])
         assert abs(energy - d_pi) < 1e-3 and abs(area - d_pi) < 1e-3
         assert max(tension, plh) < 1e-6 and herm < 1e-14
+    # the summed second variation over the symmetry directions, against the energy scale
+    traces = [line.split() for line in out.splitlines() if line.startswith("symmetry directions:")]
+    assert len(traces) == 1
+    trace, scale = float(traces[0][2]), float(traces[0][5].rstrip(")"))
+    assert abs(trace) < 1e-3 * scale
 
 
 def test_the_dilation_families_demo_runs_and_prints_both_families(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -71,6 +73,18 @@ def test_meshmap_validation():
         with pytest.raises(GeometryError, match="integer resolution >= 0"):
             sample_map(identity_map(s2), level)
     assert sample_map(identity_map(s2), np.int64(1)).mesh is icosphere(1)
+
+
+@pytest.mark.parametrize("M", [sphere(1), sphere(3), complex_projective(1), real_projective(3)],
+                         ids=["s1", "s3", "cp1", "rp3"])
+def test_sample_map_rejects_a_domain_the_icosphere_cannot_sample(M):
+    def never(x):
+        raise AssertionError("F was evaluated before its domain was checked")
+
+    with pytest.raises(GeometryError, match=r"2-sphere or RP\^2 domain, got " + re.escape(repr(M))):
+        sample_map(MapObject(M, M, never), 2)
+    with pytest.raises(GeometryError, match=r"2-sphere or RP\^2 domain"):
+        sample_map(identity_map(M), 2)
 
 
 def test_vertex_areas_cover_domain():

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapenergy import make_rng
+from mapenergy.constructions import perturbed_identity
 from mapenergy.manifolds import (
     CUT_GUARD,
-    CutLocusError,
     GeometryError,
+    _norm,
     _sum_last,
     complex_projective,
     real_projective,
@@ -104,7 +106,8 @@ def test_exp_log_round_trip(M):
     w = lengths[:, None] * v
     y = M.exp(x, w)
     np.testing.assert_allclose(np.linalg.norm(y, axis=-1), 1.0, atol=1e-10)
-    back = M.log(x, y)
+    back, ok = M.log_masked(x, y)
+    assert np.all(ok)
     np.testing.assert_allclose(back, w, atol=1e-9)
     np.testing.assert_allclose(M.distance(x, y), lengths, atol=1e-9)
 
@@ -125,7 +128,9 @@ def test_log_then_exp(M):
     y = M.random_point(rng, K)
     ok = M.distance(x, y) < M.cut_distance - 1e-3
     x, y = x[ok], y[ok]
-    z = M.exp(x, M.log(x, y))
+    v, ok = M.log_masked(x, y)
+    assert np.all(ok)
+    z = M.exp(x, v)
     if M.kind == "sphere":
         err = np.linalg.norm(z - y, axis=-1)
     else:
@@ -133,16 +138,14 @@ def test_log_then_exp(M):
     np.testing.assert_allclose(err, 0.0, atol=1e-9)
 
 
-def test_log_raises_at_cut_locus():
+def test_log_masked_is_false_at_cut_locus():
     s2 = sphere(2)
     x = np.array([1.0, 0.0, 0.0])
-    with pytest.raises(CutLocusError):
-        s2.log(x, -x)
+    assert not s2.log_masked(x, -x)[1]
     cp = complex_projective(1)
     z = np.array([1.0, 0.0], dtype=complex)
     w = np.array([0.0, 1.0], dtype=complex)
-    with pytest.raises(CutLocusError):
-        cp.log(z, w)
+    assert not cp.log_masked(z, w)[1]
 
 
 def test_exp_at_cut_distance_cp():
@@ -189,6 +192,42 @@ def test_random_isometry_matches_the_old_formulas_bit_for_bit(M, seed):
     assert q.tobytes() == _old_random_isometry(M, make_rng(seed)).tobytes()
 
 
+def _old_gaussian(M, rng, shape):
+    """The complex Gaussian draw each sampler wrote inline before
+    `ModelManifold.gaussian`: real part first, then the imaginary part."""
+    g = rng.standard_normal(shape)
+    if M.dtype == np.complex128:
+        g = g + 1j * rng.standard_normal(shape)
+    return g
+
+
+@pytest.mark.parametrize("M", [sphere(1), sphere(2), sphere(3), real_projective(2),
+                               real_projective(3), complex_projective(1),
+                               complex_projective(2)], ids=repr)
+@pytest.mark.parametrize("seed", range(5))
+def test_samplers_keep_their_gaussian_draws_bit_for_bit(M, seed):
+    amb = M.ambient_dim
+    g = _old_gaussian(M, make_rng(seed), (7, amb))
+    assert M.gaussian(make_rng(seed), (7, amb)).tobytes() == g.tobytes()
+    point = M.canonicalize(g / _norm(g)[..., None])
+    assert M.random_point(make_rng(seed), 7).tobytes() == point.tobytes()
+
+    q, r = np.linalg.qr(_old_gaussian(M, make_rng(seed), (amb, amb)))
+    d = np.diag(r)
+    isometry = q * (d.conj() / np.abs(d))
+    assert M.random_isometry(make_rng(seed)).tobytes() == isometry.tobytes()
+
+    x = M.random_point(make_rng(seed + 100), 7)
+    v = M.project_tangent(x, _old_gaussian(M, make_rng(seed), x.shape))
+    tangent = v / _norm(v)[..., None]
+    assert M.random_unit_tangent(make_rng(seed), x).tobytes() == tangent.tobytes()
+
+    S = _old_gaussian(M, make_rng(seed), (amb, amb))
+    S = (S / np.linalg.norm(S, 2)).astype(M.dtype)
+    F = perturbed_identity(M, seed=seed)
+    assert inspect.getclosurevars(F.differential).nonlocals["S"].tobytes() == S.tobytes()
+
+
 def test_tangent_projection_orthogonality():
     rng = make_rng(7)
     for M in MODELS:
@@ -223,7 +262,8 @@ def test_submersion_distance_consistency():
     w = cp.random_point(rng, 200)
     keep = cp.distance(z, w) < cp.cut_distance - 1e-4
     z, w = z[keep], w[keep]
-    v = cp.log(z, w)
+    v, ok = cp.log_masked(z, w)
+    assert np.all(ok)
     np.testing.assert_allclose(np.linalg.norm(v, axis=-1), cp.distance(z, w), atol=1e-10)
 
 

@@ -154,8 +154,7 @@ def veronese_curve():
 def random_curve(N, degree, seed=0):
     """A random curve spec with Gaussian coefficients (no common zero a.s.)."""
     shape = _curve_shape(N, degree)
-    rng = make_rng(seed)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = complex_projective(N).gaussian(make_rng(seed), shape)
     return RationalCurveSpec(N, degree, c)
 
 

@@ -95,7 +95,7 @@ def sample_rp2_planes(n, K, seed=0):
     if n < 3:
         raise GeometryError("the plane family needs n >= 3")
     K = _sample_count(K)
-    q, _ = np.linalg.qr(make_rng(seed).standard_normal((K, M.ambient_dim, 3)))
+    q, _ = np.linalg.qr(M.gaussian(make_rng(seed), (K, M.ambient_dim, 3)))
     return q, rp2_family_mass(n) / K
 
 

@@ -215,8 +215,10 @@ def _conformal_weight(weight, mesh):
     return mu
 
 
-# source rows per batched Dijkstra of the systole search
-_SOURCE_BATCH = 256
+# source rows per batched Dijkstra of the systole search: each batch's
+# dense distance block is rows x V x 8 bytes, 0.66 MB for the 2,562
+# vertices of level 4, and `best` tightens after every batch
+_SOURCE_BATCH = 32
 
 
 def _systole_graph(weight, level):
@@ -257,14 +259,18 @@ def systole_rp2(weight, level=4):
     pair.  Rerun with `level + 1` to gauge convergence; for the round
     metric the result is pi to well within one percent.
 
-    Each search from v stops at reach = best / 2 + c, with `best` the
-    least loop found so far and c the longest edge cost.  This is exact:
-    the antipodal map is a graph automorphism, so d(v, -u) = d(u, -v);
-    a shortest path from v to -v of length L <= best has a vertex u with
-    d(v, u) <= L / 2 and d(u, -v) <= L / 2 + c, both within reach, and
-    d(v, u) + d(v, -u) = L, while no u gives less than d(v, -v).  So
-    the least of d(v, u) + d(v, -u) over the u within reach is d(v, -v)
-    whenever d(v, -v) <= best, and never below it otherwise.
+    Each search from v stops at reach R = (best + c) / 2, with `best`
+    the least loop found so far and c the longest edge cost, and its
+    candidates are d(v, u) + d(v, -u), once per antipodal pair {u, -u}
+    within reach.  This is exact.  The antipodal map is a graph
+    automorphism, so d(v, -u) = d(u, -v).  Take D = d(v, -v) <= best.
+    Along a shortest path from v to -v the prefix lengths l rise from 0
+    to D in steps of at most c, and each path vertex u has
+    d(v, u) + d(v, -u) = l + (D - l) = D.  The window [D - R, R] has
+    width 2R - D >= c, so some l lands in it, and both distances lie
+    within R.  By the triangle inequality no candidate is below D.  So
+    the least candidate is d(v, -v) whenever d(v, -v) <= best, and
+    never below it otherwise.
     """
     graph, perm = _systole_graph(weight, level)
     sources = np.flatnonzero(np.arange(len(perm)) < perm)
@@ -273,10 +279,9 @@ def systole_rp2(weight, level=4):
     for start in range(1, len(sources), _SOURCE_BATCH):
         idx = sources[start : start + _SOURCE_BATCH]
         # padded so that rounding cannot push a witness past the limit
-        reach = (0.5 * best + longest) * (1.0 + 1e-12)
+        reach = 0.5 * (best + longest) * (1.0 + 1e-12)
         dist = dijkstra(graph, indices=idx, limit=reach)
-        dist += dist[:, perm]
-        best = min(best, float(np.min(dist)))
+        best = min(best, float(np.min(dist[:, sources] + dist[:, perm[sources]])))
     if not np.isfinite(best):
         raise GeometryError("the mesh graph is disconnected")
     return best

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapenergy import make_rng
-from mapenergy.constructions import perturbed_identity
+from mapenergy.constructions import perturbed_identity, random_curve
+from mapenergy.intgeo import sample_rp2_planes
 from mapenergy.manifolds import (
     CUT_GUARD,
     GeometryError,
@@ -226,6 +227,18 @@ def test_samplers_keep_their_gaussian_draws_bit_for_bit(M, seed):
     S = (S / np.linalg.norm(S, 2)).astype(M.dtype)
     F = perturbed_identity(M, seed=seed)
     assert inspect.getclosurevars(F.differential).nonlocals["S"].tobytes() == S.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_curve_and_plane_samplers_keep_their_gaussian_draws_bit_for_bit(seed):
+    for N, degree in ((1, 1), (2, 3), (3, 2)):
+        rng = make_rng(seed)
+        shape = (N + 1, degree + 1)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert random_curve(N, degree, seed=seed).coefficients.tobytes() == c.tobytes()
+    for n, K in ((3, 5), (4, 17)):
+        q, _ = np.linalg.qr(make_rng(seed).standard_normal((K, n + 1, 3)))
+        assert sample_rp2_planes(n, K, seed=seed)[0].tobytes() == q.tobytes()
 
 
 def test_tangent_projection_orthogonality():

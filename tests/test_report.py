@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,10 @@ def _full_search_systole(weight, level):
     return float(np.min(dist[np.arange(len(sources)), perm[sources]]))
 
 
+def _bump(x):
+    return 1.0 + 0.5 * x[..., 0] ** 2
+
+
 def test_systole_calls_at_one_level_share_one_kept_chord_graph(monkeypatch):
     mesh = icosphere(2)
     first = systole_rp2(1.0, level=2)
@@ -192,8 +197,7 @@ def test_systole_calls_at_one_level_share_one_kept_chord_graph(monkeypatch):
         raise AssertionError("the chord graph was built again")
 
     monkeypatch.setattr(report_module, "_chord_graph", rebuilt)
-    bump = lambda x: 1.0 + 0.5 * x[..., 0] ** 2
-    assert systole_rp2(1.0, level=2) == first and systole_rp2(bump, level=2) > first
+    assert systole_rp2(1.0, level=2) == first and systole_rp2(_bump, level=2) > first
     assert mesh.derived["chord_graph"] is kept
 
 
@@ -202,18 +206,55 @@ def _rotated_bump(seed):
     return lambda x: 1.0 + 0.5 * (x @ rotation.T)[..., 0] ** 2
 
 
-@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("level", range(5))
 def test_half_radius_systole_matches_the_full_search(level):
     weights = {
         "round": 1.0,
         "constant 4": 4.0,
-        "bump": lambda x: 1.0 + 0.5 * x[..., 0] ** 2,
+        "bump": _bump,
         "quartic": lambda x: 1.0 + x[..., 0] ** 4 + 0.3 * x[..., 1] ** 2,
         **{f"rotated bump {seed}": _rotated_bump(seed) for seed in (0, 1, 2)},
     }
+    if level == 4:
+        # the default level; each full search there takes about 0.6 s
+        weights = {label: weights[label] for label in ("bump", "rotated bump 0")}
     for label, weight in weights.items():
         expected = _full_search_systole(weight, level)
         assert abs(systole_rp2(weight, level=level) - expected) <= 4 * np.spacing(expected), label
+
+
+def test_systole_search_reaches_half_of_the_best_loop_plus_the_longest_chord(monkeypatch):
+    original, calls = report_module.dijkstra, []
+
+    def recorded(graph, indices, limit=np.inf):
+        dist = original(graph, indices=indices, limit=limit)
+        calls.append((graph, indices, limit, dist))
+        return dist
+
+    monkeypatch.setattr(report_module, "dijkstra", recorded)
+    perm = antipodal_permutation(icosphere(3))
+    systole_rp2(_bump, level=3)
+    graph, indices, limit, dist = calls[0]
+    longest = np.max(graph.data)
+    best = dist[0, perm[indices[0]]]
+    assert len(indices) == 1 and limit == np.inf
+    for graph, indices, limit, dist in calls[1:]:
+        assert limit <= 0.5 * (best + longest) * (1.0 + 1e-12)
+        assert len(indices) <= report_module._SOURCE_BATCH
+        best = min(best, np.min(dist + dist[:, perm]))
+    assert sum(len(indices) for _, indices, _, _ in calls) == len(perm) // 2
+
+
+def test_warm_systole_search_holds_a_few_source_rows_at_a_time():
+    # the chord graph is kept on the mesh after the first call
+    systole_rp2(_bump, level=4)
+    tracemalloc.start()
+    try:
+        systole_rp2(_bump, level=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_systole_and_area_take_an_integer_level_of_at_least_zero():
@@ -228,13 +269,10 @@ def test_systole_and_area_take_an_integer_level_of_at_least_zero():
 
 
 def test_bumped_metric_has_positive_systolic_slack():
-    def bump(x):
-        return 1.0 + 0.5 * x[..., 0] ** 2
-
-    area = conformal_area_rp2(bump, level=4)
+    area = conformal_area_rp2(_bump, level=4)
     assert area == pytest.approx(2 * np.pi + np.pi / 3, rel=1e-4)
-    coarse = systole_rp2(bump, level=3)
-    fine = systole_rp2(bump, level=4)
+    coarse = systole_rp2(_bump, level=3)
+    fine = systole_rp2(_bump, level=4)
     slack = eval_bound(BoundSpec("PU", {"area": area, "systole": fine}))
     drift = abs(fine - coarse)
     assert slack == pytest.approx(np.pi / 3, rel=0.05)

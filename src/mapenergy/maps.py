@@ -11,7 +11,11 @@ share one builder, `normalized_map`: linear maps, embeddings, rational
 curves, dilations, conjugation and homotheties.  Its pushforward scales
 lengths by the radius ratio cod.radius / dom.radius, as representatives
 are unit vectors.  `identity_map`, `compose` and `normalized_map` are the
-only builders here with an analytic differential of their own.
+only builders here with an analytic differential of their own.  Such a
+map also has a fused rule (x, v) -> (F(x), dF_x v): `normalized_map`
+gets both from one normalization of P(x), and `compose` hands the inner
+fused pair to the outer differential, so each inner layer is evaluated
+once.  `differential_columns` reads only the pushforward.
 Quadrature grids and exact low-degree unit-tangent designs live here as
 well.
 
@@ -143,6 +147,9 @@ class MapObject:
                   (..., dim, amb_dom) when called for differential columns,
                   and w has the broadcast batch shape; None means finite
                   differences
+    fused:        (x, v) -> (F(x), dF_x v) from one evaluation, F(x) bit for
+                  bit the evaluator's; given by `normalized_map` and
+                  `compose`, else evaluator and differential in turn
     """
 
     domain: object
@@ -150,6 +157,11 @@ class MapObject:
     evaluator: object
     differential: object = None
     name: str = ""
+    fused: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.fused is None and self.differential is not None:
+            self.fused = lambda x, v: (self.evaluator(x), self.differential(x, v))
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -347,18 +359,26 @@ def identity_map(M):
 
 
 def compose(outer, inner, name=""):
-    """outer after inner; chains analytic differentials when both exist."""
-    if inner.codomain.ambient_dim != outer.domain.ambient_dim:
-        raise GeometryError("composition domain/codomain mismatch")
-    diff = None
+    """outer after inner; chains analytic differentials through the inner
+    map's fused rule when both exist.  GeometryError unless inner's
+    codomain is outer's domain."""
+    # a model space's repr names its kind, dimension and radius
+    if repr(inner.codomain) != repr(outer.domain):
+        raise GeometryError(f"cannot compose {outer.name!r} on {outer.domain!r} after "
+                            f"{inner.name!r} into {inner.codomain!r}")
+    diff = fused = None
     if outer.differential is not None and inner.differential is not None:
         def diff(x, v):
-            return outer.differential(inner(x), inner.differential(x, v))
+            return outer.differential(*inner.fused(x, v))
+
+        def fused(x, v):
+            return outer.fused(*inner.fused(x, v))
     return MapObject(
         inner.domain, outer.codomain,
         lambda x: outer(inner(x)),
         differential=diff,
         name=name or f"{outer.name}∘{inner.name}",
+        fused=fused,
     )
 
 
@@ -366,28 +386,35 @@ def normalized_map(dom, cod, P, dP, name):
     """Map x -> P(x) / |P(x)| on representatives; dP(x, v) is the derivative of P along v.
 
     Representatives are unit vectors, so a tangent vector's length is
-    scaled by cod.radius / dom.radius on its way through the map.
+    scaled by cod.radius / dom.radius on its way through the map.  The
+    evaluator and the fused rule share one `_normalization` of P(x).
     """
     scale = cod.radius / dom.radius
 
     def ev(x):
-        y = P(x)
-        n = _norm(y)[..., None]
-        if np.any(n < 1e-12):
-            raise GeometryError(f"map {name!r} vanishes on a representative")
-        return cod.canonicalize(y / n)
+        return _normalization(cod, P(x), name)[0]
 
-    def diff(x, v):
-        return scale * normalized_pushforward(cod, P(x), dP(x, v))
+    def fused(x, v):
+        y, push = _normalization(cod, P(x), name)
+        return y, scale * push(dP(x, v))
 
-    return MapObject(dom, cod, ev, diff, name)
+    return MapObject(dom, cod, ev, lambda x, v: fused(x, v)[1], name, fused)
+
+
+def _normalization(cod, y, name):
+    """The canonical representative of y / |y| and the pushforward of dy
+    through y -> y / |y| there; GeometryError naming the map where |y| vanishes."""
+    n = _norm(y)[..., None]
+    if np.any(n < 1e-12):
+        raise GeometryError(f"map {name!r} vanishes on a representative")
+    u = y / n
+    c, f = cod.canonicalize_with_factor(u)
+    return c, lambda dy: f[..., None] * cod.project_tangent(u, dy / n)
 
 
 def normalized_pushforward(cod, y, dy):
     """Pushforward of dy at y through y -> y / |y|, at the canonical representative."""
-    n = _norm(y)[..., None]
-    _, f = cod.canonicalize_with_factor(y / n)
-    return f[..., None] * cod.project_tangent(y / n, dy / n)
+    return _normalization(cod, y, "y -> y / |y|")[1](dy)
 
 
 def normalized_linear_map(dom, cod, A, name=""):

@@ -31,6 +31,7 @@ from mapenergy.manifolds import (
     sphere_volume,
 )
 from mapenergy import maps
+from mapenergy.intgeo import sample_lines, sample_rp2_planes
 from mapenergy.maps import (
     build_grid,
     compose,
@@ -253,6 +254,29 @@ def test_normalized_maps_reject_a_vanishing_image():
         F(np.array([[0.0, 0.0, 1.0]]))
 
 
+def test_a_normalized_pushforward_refuses_a_vanishing_representative():
+    # P = diag(1, 1, 0) vanishes at e_2, which the geodesic through e_0 and e_2 crosses
+    M = real_projective(2)
+    F = normalized_linear_map(M, M, np.diag([1.0, 1.0, 0.0]), name="flatten")
+    e2 = np.array([[0.0, 0.0, 1.0]])
+    with pytest.raises(GeometryError, match="map 'flatten' vanishes"):
+        differential_columns(F, e2, tangent_frames(M, e2))
+    with pytest.raises(GeometryError, match="map 'flatten' vanishes"):
+        energy.croke_density(F, e2)
+    with pytest.raises(GeometryError, match="map 'flatten' vanishes"):
+        energy.curve_length(F, np.eye(3)[:, [0, 2]])
+
+
+@pytest.mark.parametrize("outer", [complex_projective(2), real_projective(2), sphere(2, 2.0)],
+                         ids=["cp2", "rp2", "s2r2"])
+def test_compose_refuses_an_inner_codomain_other_than_the_outer_domain(outer):
+    # each shares its ambient dimension with S^2; the homothety lands in the outer domain
+    with pytest.raises(GeometryError, match="cannot compose"):
+        compose(identity_map(outer), identity_map(sphere(2)))
+    if outer.kind == "sphere":
+        compose(identity_map(outer), homothety_map(sphere(2), outer))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_fixed_rotation_matches_its_old_formula_bit_for_bit(d):
     g = make_rng(7 * d + 1).standard_normal((d, d))
@@ -360,9 +384,9 @@ def test_compose_chains_differentials():
 
 
 def _analytic_case(name):
+    if name in COMPOSITE_CASES:
+        return compose(*_composite_parts(name))
     cp2 = complex_projective(2)
-    line = reference_line(2)
-    squeeze = perturbed_identity(cp2, 0.2, "squeeze", seed=1)
     return {
         "identity-cp2": lambda: identity_map(cp2),
         "identity-rp3": lambda: identity_map(real_projective(3)),
@@ -375,21 +399,47 @@ def _analytic_case(name):
         "conjugation": lambda: conjugation_map(2),
         "inclusion-rp": lambda: standard_maps("inclusion_rp", k=2, n=3),
         "inclusion-cp": lambda: standard_maps("inclusion_cp", k=1, N=2),
-        "compose": lambda: compose(conjugation_map(2), make_projective_dilation(2, 2.0)),
         "perturbed-generic-s2": lambda: perturbed_identity(sphere(2, 1.7), 0.2, seed=1),
         "perturbed-generic-rp3": lambda: perturbed_identity(real_projective(3), 0.2, seed=1),
-        "perturbed-squeeze-cp2": lambda: squeeze,
-        "squeeze-after-dilation": lambda: compose(squeeze, make_projective_dilation(2, 4.0)),
-        "squeeze-on-line": lambda: compose(squeeze, line),
+        "perturbed-squeeze-cp2": lambda: perturbed_identity(cp2, 0.2, "squeeze", seed=1),
     }[name]()
 
 
+def _composite_parts(name):
+    """(outer, inner) of a composite case: the line and plane families'
+    restrictions, the squeeze's dilations and its reference line, and a
+    composite as the inner map of another."""
+    cp1, cp2, rp2, rp3 = complex_projective(1), complex_projective(2), real_projective(2), real_projective(3)
+    squeeze = perturbed_identity(cp2, 0.2, "squeeze", seed=1)
+
+    def line():
+        return normalized_linear_map(cp1, cp2, sample_lines(2, 1, seed=5)[0][0], name="line")
+
+    def plane():
+        return normalized_linear_map(rp2, rp3, sample_rp2_planes(3, 1, seed=5)[0][0], name="plane")
+
+    return {
+        "compose": lambda: (conjugation_map(2), make_projective_dilation(2, 2.0)),
+        "squeeze-after-dilation": lambda: (squeeze, make_projective_dilation(2, 4.0)),
+        "squeeze-after-dilation-16": lambda: (squeeze, make_projective_dilation(2, 16.0)),
+        "squeeze-on-line": lambda: (squeeze, reference_line(2)),
+        "identity-on-line": lambda: (identity_map(cp2), line()),
+        "dilation-on-line": lambda: (make_projective_dilation(2, 4.0), line()),
+        "identity-on-plane": lambda: (identity_map(rp3), plane()),
+        "squeeze-on-dilated-line": lambda: (squeeze, compose(make_projective_dilation(2, 4.0), line())),
+    }[name]()
+
+
+COMPOSITE_CASES = [
+    "compose", "squeeze-after-dilation", "squeeze-after-dilation-16", "squeeze-on-line",
+    "identity-on-line", "dilation-on-line", "identity-on-plane", "squeeze-on-dilated-line",
+]
+
 ANALYTIC_CASES = [
     "identity-cp2", "identity-rp3", "stretch-s2", "homothety", "dilation", "curve", "theta",
-    "capped-theta", "conjugation", "inclusion-rp", "inclusion-cp", "compose",
+    "capped-theta", "conjugation", "inclusion-rp", "inclusion-cp",
     "perturbed-generic-s2", "perturbed-generic-rp3", "perturbed-squeeze-cp2",
-    "squeeze-after-dilation", "squeeze-on-line",
-]
+] + COMPOSITE_CASES
 
 
 @pytest.mark.parametrize("name", ANALYTIC_CASES)
@@ -404,6 +454,45 @@ def test_a_per_node_base_gives_the_broadcast_base_columns_bit_for_bit(name):
     assert np.array_equal(per_node, broadcast)
     cols, ok = differential_columns(F, x, fr)
     assert ok.all() and np.array_equal(cols, per_node)
+
+
+@pytest.mark.parametrize("name", COMPOSITE_CASES)
+def test_a_composite_differential_is_the_outer_one_at_the_inner_value_bit_for_bit(name):
+    # the reference is the chain rule with the inner map evaluated twice
+    outer, inner = _composite_parts(name)
+    F = compose(outer, inner)
+    M = F.domain
+    x = M.random_point(make_rng(67), 40)[:, None, :]
+    fr = tangent_frames(M, x[:, 0])
+    want = outer.differential(inner(x), inner.differential(x, fr))
+    assert np.array_equal(F.differential(x, fr), want)
+    value, cols = F.fused(x, fr)
+    assert np.array_equal(value, F(x)) and np.array_equal(cols, want)
+
+
+def test_a_composite_differential_evaluates_each_normalized_layer_once(monkeypatch):
+    seen = []
+    original = maps.normalized_map
+
+    def counting(dom, cod, P, dP, name):
+        def counted(x):
+            seen.append((name, x.shape))
+            return P(x)
+        return original(dom, cod, counted, dP, name)
+
+    # normalized_linear_map's dP applies its P to the vectors, not the counted one
+    monkeypatch.setattr(maps, "normalized_map", counting)
+    cp1, cp2 = complex_projective(1), complex_projective(2)
+    line = normalized_linear_map(cp1, cp2, sample_lines(2, 1, seed=5)[0][0], name="line")
+    x = cp1.random_point(make_rng(69), 10)
+    fr = tangent_frames(cp1, x)
+    # P of each layer sees its base points once, one per node
+    line_base, dilation_base = ("line", (10, 1, 2)), ("dilation-4", (10, 1, 3))
+    for outer, want in ((identity_map(cp2), [line_base]),
+                        (make_projective_dilation(2, 4.0), [line_base, dilation_base])):
+        seen.clear()
+        differential_columns(compose(outer, line), x, fr)
+        assert seen == want
 
 
 @pytest.mark.parametrize("M", [sphere(2), sphere(2, 1.7), real_projective(2), real_projective(3),

@@ -1,9 +1,11 @@
 """Scalar functionals of smooth maps: energies, volumes, areas, and lengths.
 
-Every functional integrates a pointwise density of the map's differential
-over a quadrature grid: energies read |dF|^2 from the differential's
-columns, volumes integrate sqrt(det G) of the pullback Gram matrix G.
-Monte Carlo grids carry a standard error; mesh grids are deterministic.
+Every functional integrates a pointwise density of the map's analytic
+differential over a quadrature grid: energies read |dF|^2 from the
+differential's columns, volumes integrate sqrt(det G) of the pullback
+Gram matrix G.  Every node counts with its full weight, and a map with
+no differential is refused by name.  Monte Carlo grids carry a standard
+error; mesh grids are deterministic.
 """
 
 from __future__ import annotations
@@ -31,16 +33,11 @@ CURVE_STEPS = 256
 class EnergyValue:
     """A quadrature estimate of a map functional: the value, finite and
     nonnegative, with its Monte Carlo standard error (finite and
-    nonnegative; None on other grids), the fraction in [0, 1] of
-    quadrature mass dropped at nodes where the differential could not be
-    evaluated (the rest is renormalized), and a warning when that
-    fraction exceeds 1%.
+    nonnegative; None on other grids).
     """
 
     value: float
     stderr: float | None = None
-    dropped_fraction: float = 0.0
-    warning: str | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -49,40 +46,28 @@ class EnergyValue:
             raise GeometryError("functional values are nonnegative")
         if self.stderr is not None and not (is_finite_real(self.stderr) and self.stderr >= 0):
             raise GeometryError(f"a standard error is a finite real >= 0, got {self.stderr!r}")
-        if not (is_finite_real(self.dropped_fraction) and 0.0 <= self.dropped_fraction <= 1.0):
-            raise GeometryError(f"a dropped fraction lies in [0, 1], got {self.dropped_fraction!r}")
 
     def __float__(self):
         return float(self.value)
 
 
-def _integrate(grid, density, ok, label):
-    """EnergyValue of the weighted sum of a node density, with dropped-mass
-    renormalization; a density whose weighted sum is not finite (NaN or
-    infinite at some node) raises a GeometryError that names `label`."""
+def _integrate(grid, density, label):
+    """EnergyValue of the weighted sum of a node density; a density whose
+    weighted sum is not finite (NaN or infinite at some node) raises a
+    GeometryError that names `label`."""
     w = np.asarray(grid.weights, dtype=float)
-    valid = np.broadcast_to(np.asarray(ok, dtype=bool), w.shape)
-    wv = np.where(valid, w, 0.0)
-    mass = float(np.sum(wv))
-    total = grid.total_mass
-    if mass <= 0.0:
-        raise GeometryError(f"{label}: every quadrature node failed")
-    dropped = 1.0 - mass / total
-    value = float(np.sum(wv * density) * (total / mass))
+    value = float(np.sum(w * density))
     if not math.isfinite(value):
         raise GeometryError(f"{label}: the integrated density {value} is not finite")
     stderr = None
     if grid.scheme == "monte_carlo":
-        k = int(np.count_nonzero(valid))
+        k = len(w)
         if k > 1:
-            contrib = np.asarray(density)[valid] * total
+            contrib = np.asarray(density) * grid.total_mass
             stderr = float(np.std(contrib, ddof=1) / np.sqrt(k))
         else:
             stderr = 0.0
-    warning = None
-    if dropped > 0.01:
-        warning = f"{label}: {100.0 * dropped:.2f}% of quadrature mass dropped"
-    return EnergyValue(value, stderr, dropped, warning)
+    return EnergyValue(value, stderr)
 
 
 def p_energy(F, grid, p=2.0):
@@ -97,8 +82,8 @@ def p_energy(F, grid, p=2.0):
     """
     if not (is_finite_real(p) and p >= 1.0):
         raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
-    dens, ok = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density)
-    return _integrate(grid, 0.5 * dens ** (p / 2.0), ok, "p_energy")
+    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density)
+    return _integrate(grid, 0.5 * dens ** (p / 2.0), "p_energy")
 
 
 def croke_density(F, x):
@@ -111,9 +96,7 @@ def croke_density(F, x):
     M = F.domain
     dirs, w = unit_tangent_quadrature(M, x)
     dirs = np.moveaxis(dirs, 0, -2)
-    cols, ok = differential_columns(F, x, dirs)
-    if not np.all(ok):
-        raise GeometryError("differential unavailable at a requested point")
+    cols = differential_columns(F, x, dirs)
     sq = real_inner(cols, cols)
     avg = np.einsum("j,...j->...", w, sq)
     return M.dim / sphere_volume(M.dim - 1) * avg
@@ -126,8 +109,8 @@ def pullback_volume(F, grid):
     block reduces its columns as `p_energy` reduces them to |dF|^2; images
     traversed with multiplicity count with multiplicity.
     """
-    dens, ok = differential_columns(F, grid.nodes, grid_frames(grid), reduce=volume_density)
-    return _integrate(grid, dens, ok, "pullback_volume").value
+    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=volume_density)
+    return _integrate(grid, dens, "pullback_volume").value
 
 
 def surface_area(F, grid):
@@ -143,10 +126,8 @@ def curve_length(F, frame):
 
     The geodesic closes after twice the cut distance (pi * radius on RP^n,
     where antipodal representatives are identified); its points and
-    velocities are transported to the canonical representatives.  Composite trapezoid rule on the image speed
-    |dF(velocity)|; intervals where the differential cannot be evaluated
-    (e.g. probes that land past the cut locus) fall back to the geodesic
-    chord between the two image points, so the result is always defined.
+    velocities are transported to the canonical representatives.
+    Composite trapezoid rule on the image speed |dF(velocity)|.
     """
     M = F.domain
     base, direction = frame[:, 0], frame[:, 1]
@@ -158,13 +139,8 @@ def curve_length(F, frame):
     ang = t[:, None] / M.radius
     x, f = M.canonicalize_with_factor(np.cos(ang) * base + np.sin(ang) * direction)
     v = f[:, None] * (-np.sin(ang) * base + np.cos(ang) * direction)
-    cod = F.codomain
-    cols, ok = differential_columns(F, x, v[..., None, :])
-    speed = cod.norm(cols[..., 0, :])
+    cols = differential_columns(F, x, v[..., None, :])
+    speed = F.codomain.norm(cols[..., 0, :])
     dt = t[1] - t[0]
     lengths = 0.5 * dt * (speed[:-1] + speed[1:])
-    failed = ~(ok[:-1] & ok[1:])
-    if np.any(failed):
-        y = F(x)
-        lengths[failed] = cod.distance(y[:-1][failed], y[1:][failed])
     return float(np.sum(lengths))

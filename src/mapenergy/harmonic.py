@@ -8,6 +8,14 @@ the codomain logarithm, combined by one Richardson step, which is exact
 for geodesics and O(h^4) otherwise; F(x) is evaluated once for both steps.
 Frame vectors or frame pairs share one batch axis, so the F calls of a
 probe do not grow with the dimension; Gram matrices come from `pullback_gram`.
+
+A second variation is the five-point second derivative in t of the
+energy of a family of maps t -> F_t, each with an analytic differential.
+Along a holomorphic symmetry direction the family is F after the
+projective flow x -> e^{t i a} x / |e^{t i a} x| of the Hermitian
+matrix i a, whose first-order field is dF(J K) for the Killing field K
+of the skew-Hermitian a; at a harmonic F its second derivative is the
+energy Hessian along dF(J K).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.linalg import expm
 
 from .energy import p_energy
 from .manifolds import (
@@ -23,7 +32,13 @@ from .manifolds import (
     GeometryError,
     real_inner,
 )
-from .maps import MapObject, differential_columns, log_probes, pullback_gram, tangent_frames
+from .maps import (
+    compose,
+    differential_columns,
+    normalized_linear_map,
+    pullback_gram,
+    tangent_frames,
+)
 
 # the coarse step of every second difference; read only by `_acceleration`
 SECOND_DIFF_STEP = 1e-3
@@ -48,8 +63,17 @@ def _acceleration(F, x, v):
             - _second_difference(F, x, v, h, y0)) / 3.0
 
 
+def _log_probes(F, x, v, h, y0):
+    """log_{y0} F(exp_x(h v)) and log_{y0} F(exp_x(-h v)), and where both
+    are defined; `y0` is F(x), evaluated once by the caller for all its probes."""
+    dom, cod = F.domain, F.codomain
+    vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
+    vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
+    return vp, vm, okp & okm
+
+
 def _second_difference(F, x, v, h, y0):
-    vp, vm, ok = log_probes(F, x, v, h, y0)
+    vp, vm, ok = _log_probes(F, x, v, h, y0)
     if not np.all(ok):
         raise CutLocusError(
             "second difference crossed the cut locus; resample the probe point"
@@ -108,9 +132,7 @@ def hermitian_residual(F, x):
     if not isinstance(M, ComplexProjective):
         raise GeometryError("Hermitian symmetry needs a complex projective domain")
     fr = tangent_frames(M, x)
-    G, ok = pullback_gram(F, x, np.concatenate([fr, 1j * fr], axis=-2))
-    if not np.all(ok):
-        raise CutLocusError("differential probe failed; resample the probe point")
+    G = pullback_gram(F, x, np.concatenate([fr, 1j * fr], axis=-2))
     d = M.dim
     return np.max(np.abs(G[..., d:, d:] - G[..., :d, :d]), axis=(-2, -1))
 
@@ -123,22 +145,21 @@ def pushforward_field(F, vector_field):
     """Variation field x -> dF_x(V(x)) from a domain vector field V."""
 
     def push(x):
-        cols, ok = differential_columns(F, x, vector_field(x)[..., None, :])
-        if not np.all(ok):
-            raise CutLocusError("pushforward probe crossed the cut locus")
-        return cols[..., 0, :]
+        return differential_columns(F, x, vector_field(x)[..., None, :])[..., 0, :]
 
     return push
 
 
 def symmetry_variation(F, generator):
-    """Variation field dF(J K) along the complex rotation J K of the Killing
-    field K that a skew-Hermitian matrix generates on the domain CP^N."""
+    """The family t -> F after x -> e^{t i a} x / |e^{t i a} x| on the
+    domain CP^N, for a skew-Hermitian generator a; its first-order field
+    is dF(J K), the pushforward of the complex rotation J K of the
+    Killing field K that a generates."""
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("symmetry directions need a complex projective domain")
-    a = np.asarray(generator, dtype=complex)
-    return pushforward_field(F, lambda x: 1j * M.killing_field(a, x))
+    ia = 1j * np.asarray(generator, dtype=complex)
+    return lambda t: compose(F, normalized_linear_map(M, M, expm(t * ia), "symmetry-flow"))
 
 
 def _warn_if_not_harmonic(F, probes):
@@ -152,37 +173,17 @@ def _warn_if_not_harmonic(F, probes):
         )
 
 
-def second_variation(F, W, grid, tau=VARIATION_STEP):
-    """Five-point second derivative of the energy along the variation W.
+def second_variation(family, grid, tau=VARIATION_STEP):
+    """Five-point second derivative at t = 0 of the energy t -> E_2(family(t)).
 
-    W is any callable sending points x to tangent vectors at F(x).  The
-    varied map is F_t(x) = exp_{F(x)}(t W(x)); all five energies use
-    the same frozen grid and the same finite-difference pathway so the
-    even-order discretization errors cancel in the stencil.
+    `family` sends a real t to a map with an analytic differential; every
+    energy uses the same frozen grid.  At a harmonic family(0) this is
+    the energy Hessian along the family's first-order field; a warning
+    says when family(0) has tension above tolerance.
     """
-    cod = F.codomain
-    w_nodes = W(grid.nodes)
-    if not np.all(np.isfinite(w_nodes)):
-        raise GeometryError("variation field is unbounded on the grid")
-    _warn_if_not_harmonic(F, grid.nodes[:3])
-
-    def energy_at(t):
-        Ft = MapObject(F.domain, cod, lambda x: cod.exp(F(x), t * W(x)), name="varied")
-        return p_energy(Ft, grid, p=2.0)
-
-    step, error = tau, None
-    for attempt in range(2):
-        try:
-            vals = [energy_at(k * step) for k in (-2, -1, 0, 1, 2)]
-        except GeometryError as exc:  # an unusable stencil point, e.g. a non-finite energy
-            vals, error = None, exc
-        if vals and all(v.dropped_fraction <= 0.05 for v in vals):
-            e = [v.value for v in vals]
-            return (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (
-                12.0 * step * step
-            )
-        step *= 0.5
-    raise GeometryError("variation repeatedly crossed the cut locus") from error
+    _warn_if_not_harmonic(family(0.0), grid.nodes[:3])
+    e = [p_energy(family(k * tau), grid, p=2.0).value for k in (-2, -1, 0, 1, 2)]
+    return (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (12.0 * tau * tau)
 
 
 def jacobi_identity_check(F, generator, grid):
@@ -194,10 +195,10 @@ def jacobi_identity_check(F, generator, grid):
     a trace of the second fundamental form.  Returns (second variation,
     trace-form integral); the two agree for harmonic maps.
     """
-    W = symmetry_variation(F, generator)
-    lhs = second_variation(F, W, grid)
+    lhs = second_variation(symmetry_variation(F, generator), grid)
 
     M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
+    W = pushforward_field(F, lambda x: 1j * M.killing_field(a, x))
     fr, xb = tangent_frames(M, x), x[..., None, :]
     grad = 1j * M.killing_derivative(a, xb, fr)
     total = np.sum(second_fundamental_form(F, xb, grad, fr), axis=-2)
@@ -214,7 +215,7 @@ def index_trace_over_symmetries(F, grid, basis):
     symmetric targets.  Returns (trace, variations): the terms in basis
     order, and their sum taken left to right.
     """
-    variations = [second_variation(F, symmetry_variation(F, a), grid) for a in basis]
+    variations = [second_variation(symmetry_variation(F, a), grid) for a in basis]
     trace = 0.0
     for v in variations:
         trace += v

@@ -1,9 +1,10 @@
 """Maps between model manifolds and their first-order calculus.
 
-A :class:`MapObject` bundles a batch evaluator with an optional analytic
-differential.  When no analytic differential is present, directional
-derivatives are central differences pushed through the codomain
-logarithm, which keeps every computed vector an honest tangent vector.
+A :class:`MapObject` bundles a batch evaluator with an analytic
+differential.  A map with only an evaluator can be evaluated, sampled on
+a mesh and probed for second-order quantities, but first-order
+calculus (`differential_columns` and every functional built on it)
+refuses it by name: there is one derivative path, the analytic one.
 Per-node quantities are reductions of the differential's columns: |dF|^2
 (`energy_density`), sqrt(det G) (`volume_density`) and the pullback Gram
 matrix G (`pullback_gram`, the one Gram formula).  Maps x -> P(x) / |P(x)|
@@ -32,7 +33,7 @@ base point is done once per node, not once per vector.
 
 Only frames and differential columns of a batch of at least 8,192 nodes
 are computed in 4,096-node blocks, which bounds the temporaries of an
-analytic differential.  Gram matrices and densities are `reduce`s given
+differential.  Gram matrices and densities are `reduce`s given
 to `differential_columns`: each block reduces its own columns, and only
 the reduced values are copied out, so no grid-sized column array is
 built.  The frames are the one grid-sized array kept per grid.  The
@@ -55,15 +56,12 @@ from .manifolds import (
     ComplexProjective,
     GeometryError,
     _norm,
-    is_finite_real,
     is_integer,
     real_inner,
     sphere,
     sphere_volume,
 )
 from .rand import make_rng
-
-DEFAULT_FD_STEP = 1e-4
 
 # nodes per block of a batch split by `_by_node_chunks`
 NODE_BLOCK = 4096
@@ -102,13 +100,13 @@ def _pooled(block, starts, workers):
 
 def _by_node_chunks(fn, x, *arrays):
     """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis when
-    that axis holds at least two blocks; the results (a tuple of arrays)
-    are copied, in order as they arrive, into outputs allocated from the
+    that axis holds at least two blocks; each block's result, one array,
+    is copied, in order as it arrives, into an output allocated from the
     first block's result.  The blocks run on a
     thread pool, at most one block per worker ahead of that copy, when
     the process may use more than one CPU, and one after another
     otherwise.  So a block's temporaries bound the memory of a large
-    batch on any CPU count, and the outputs are not held twice.
+    batch on any CPU count, and the output is not held twice.
 
     `fn` must act on each node alone, so that blocks change no number.
     It runs on pool threads, so it must call no name that
@@ -128,13 +126,12 @@ def _by_node_chunks(fn, x, *arrays):
     starts = range(0, n, NODE_BLOCK)
     workers = len(os.sched_getaffinity(0))
     parts = _pooled(block, starts, workers) if workers > 1 else map(block, starts)
-    outputs = None
+    out = None
     for start, part in zip(starts, parts):
-        if outputs is None:
-            outputs = tuple(np.empty((n,) + p.shape[1:], p.dtype) for p in part)
-        for out, p in zip(outputs, part):
-            out[start:start + len(p)] = p
-    return outputs
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], part.dtype)
+        out[start:start + len(part)] = part
+    return out
 
 
 @dataclass
@@ -142,11 +139,11 @@ class MapObject:
     """Map between model manifolds.
 
     evaluator:    batch map of representatives, (..., amb_dom) -> (..., amb_cod)
-    differential: optional analytic pushforward (x, v) -> w; the base x
-                  broadcasts against the vectors v, (..., 1, amb_dom) against
+    differential: analytic pushforward (x, v) -> w; the base x broadcasts
+                  against the vectors v, (..., 1, amb_dom) against
                   (..., dim, amb_dom) when called for differential columns,
-                  and w has the broadcast batch shape; None means finite
-                  differences
+                  and w has the broadcast batch shape; None for a map with
+                  only an evaluator, which `differential_columns` refuses
     fused:        (x, v) -> (F(x), dF_x v) from one evaluation, F(x) bit for
                   bit the evaluator's; given by `normalized_map` and
                   `compose`, else evaluator and differential in turn
@@ -176,7 +173,7 @@ def tangent_frames(M, x):
     orthogonal to x.  They are the frame; on CP^N it is followed by i
     times each of them, which spans the rest of the horizontal space.
     """
-    return _by_node_chunks(lambda xb: (_reflection_frames(M, xb),), x)[0]
+    return _by_node_chunks(lambda xb: _reflection_frames(M, xb), x)
 
 
 def _reflection_frames(M, x):
@@ -195,47 +192,24 @@ def _reflection_frames(M, x):
     return frames
 
 
-def log_probes(F, x, v, h, y0):
-    """log_{y0} F(exp_x(h v)) and log_{y0} F(exp_x(-h v)), and where both
-    are defined; `y0` is F(x), evaluated once by the caller for all its probes."""
-    dom, cod = F.domain, F.codomain
-    vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
-    vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
-    return vp, vm, okp & okm
+def differential_columns(F, x, frames, reduce=None):
+    """Pushforwards of the frame vectors, (..., dim, amb_cod), through the
+    analytic differential of F; GeometryError naming F, before any node
+    is evaluated, when F has none.
 
-
-def differential_columns(F, x, frames, h=DEFAULT_FD_STEP, reduce=None):
-    """Pushforwards of the frame vectors, (..., dim, amb_cod), with validity mask.
-
-    Uses the analytic differential when available, else central
-    differences with the step `h`, a finite real > 0, through the
-    codomain logarithm.  With `reduce`, a per-node function of the
-    columns (..., dim, amb_cod), each node block is reduced as it is
-    computed and `reduce(columns)` is returned in place of the columns;
-    it runs on the block threads, under the rules `_by_node_chunks` sets
-    for its `fn`.
+    With `reduce`, a per-node function of the columns (..., dim,
+    amb_cod), each node block is reduced as it is computed and
+    `reduce(columns)` is returned in place of the columns; it runs on the
+    block threads, under the rules `_by_node_chunks` sets for its `fn`.
     """
-    if not (is_finite_real(h) and h > 0):
-        raise GeometryError(f"a finite-difference step is a finite real > 0, got {h!r}")
+    if F.differential is None:
+        raise GeometryError(f"map {F.name!r} has no differential")
 
     def block(xb, fb):
-        cols, ok = _columns(F, xb, fb, h)
-        return (cols if reduce is None else reduce(cols)), ok
+        cols = F.differential(xb[..., None, :], fb)
+        return cols if reduce is None else reduce(cols)
 
     return _by_node_chunks(block, x, frames)
-
-
-def _columns(F, x, frames, h):
-    if F.differential is not None:
-        return F.differential(x[..., None, :], frames), np.ones(x.shape[:-1], dtype=bool)
-    y0 = F(x)
-    cols = []
-    ok = np.ones(x.shape[:-1], dtype=bool)
-    for i in range(frames.shape[-2]):
-        vp, vm, ok_i = log_probes(F, x, frames[..., i, :], h, y0)
-        cols.append((vp - vm) / (2.0 * h))
-        ok &= ok_i
-    return np.stack(cols, axis=-2), ok
 
 
 def pullback_gram(F, x, frames):

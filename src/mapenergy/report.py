@@ -432,9 +432,7 @@ def _run_croke(seed, pairs):
             continue
         x = M.random_point(spawn(seed, index), size=(int(k),))
         density = croke_density(F, x)
-        trace, ok = differential_columns(F, x, tangent_frames(M, x), reduce=energy_density)
-        if not np.all(ok):
-            raise GeometryError("a probe point fell in the unreliable band")
+        trace = differential_columns(F, x, tangent_frames(M, x), reduce=energy_density)
         worst = max(worst, float(np.max(np.abs(density - trace) / np.abs(trace))))
     return {"order": 3}, worst
 

@@ -61,8 +61,6 @@ def test_p2_identity_cp2():
     E = p_energy(identity_map(M), grid, p=2.0)
     assert E.value == pytest.approx(np.pi**2, rel=5e-3)
     assert E.stderr is not None
-    assert E.dropped_fraction == 0.0
-    assert E.warning is None
 
 
 def test_p2_identity_rp3():
@@ -132,7 +130,7 @@ def test_croke_matches_trace_on_cp1():
     x = dom.random_point(rng, 8)
     from mapenergy.maps import pullback_gram, tangent_frames
 
-    G, _ = pullback_gram(F, x, tangent_frames(dom, x))
+    G = pullback_gram(F, x, tangent_frames(dom, x))
     np.testing.assert_allclose(
         croke_density(F, x), np.trace(G, axis1=-2, axis2=-1), rtol=1e-6, atol=1e-9
     )
@@ -276,20 +274,7 @@ def test_mesh_refinement_drift():
 
 
 # ---------------------------------------------------------------------------
-# dropped-node accounting
-
-
-def test_integrate_renormalizes_dropped_mass():
-    grid = build_grid(sphere(2), 1000, "monte_carlo", seed=30)
-    dens = np.full(len(grid), 2.5)
-    ok = np.ones(len(grid), dtype=bool)
-    ok[:50] = False
-    result = energy._integrate(grid, dens, ok, "probe")
-    assert isinstance(result, EnergyValue)
-    assert result.value == pytest.approx(2.5 * grid.total_mass, rel=1e-12)
-    assert result.dropped_fraction == pytest.approx(0.05, abs=1e-12)
-    assert result.warning is not None
-    assert result.stderr == pytest.approx(0.0, abs=1e-12)
+# integration and its values
 
 
 def test_integrate_names_its_label_when_the_sum_is_not_finite():
@@ -297,13 +282,7 @@ def test_integrate_names_its_label_when_the_sum_is_not_finite():
     dens = np.ones(50)
     dens[7] = np.inf
     with pytest.raises(GeometryError, match="^probe: .* not finite"):
-        energy._integrate(grid, dens, np.ones(50, dtype=bool), "probe")
-
-
-def test_integrate_all_failed_raises():
-    grid = build_grid(sphere(2), 50, "monte_carlo", seed=31)
-    with pytest.raises(GeometryError):
-        energy._integrate(grid, np.ones(50), np.zeros(50, dtype=bool), "probe")
+        energy._integrate(grid, dens, "probe")
 
 
 def test_energy_value_rejects_negative():
@@ -317,13 +296,12 @@ def test_energy_value_rejects_non_finite():
             EnergyValue(value)
 
 
-def test_energy_value_checks_its_error_and_dropped_fraction():
-    for stderr, dropped in ((float("nan"), 0.0), (float("inf"), 0.0), (-1e-3, 0.0),
-                            (None, 7.0), (None, -0.1), (None, float("nan")), (0.1, True)):
+def test_energy_value_checks_its_error():
+    for stderr in (float("nan"), float("inf"), -1e-3, True):
         with pytest.raises(GeometryError):
-            EnergyValue(2.0, stderr, dropped)
-    for stderr, dropped in ((None, 0.0), (0.0, 1.0), (np.float64(0.3), np.float64(0.5))):
-        assert EnergyValue(2.0, stderr, dropped).dropped_fraction == dropped
+            EnergyValue(2.0, stderr)
+    for stderr in (None, 0.0, np.float64(0.3)):
+        assert EnergyValue(2.0, stderr).stderr == stderr
 
 
 # ---------------------------------------------------------------------------
@@ -353,34 +331,6 @@ def test_curve_length_homothety():
     M = real_projective(2)
     F = homothety_map(M, real_projective(2, kappa))
     assert curve_length(F, GREAT_LOOP) == pytest.approx(kappa * np.pi, abs=1e-6)
-
-
-def test_curve_length_chord_fallback_on_jumps():
-    # piecewise-constant map between two points at distance pi/2 (= the cut
-    # distance): the differential fails on the two jump intervals and the
-    # chord fallback contributes exactly the jump distances
-    M = real_projective(2)
-    p = M.canonicalize(np.array([1.0, 0.0, 0.0]))
-    q = M.canonicalize(np.array([0.0, 1.0, 0.0]))
-
-    def ev(x):
-        pick = x[..., 0] >= x[..., 1]
-        return np.where(pick[..., None], p, q)
-
-    F = MapObject(M, M, ev, name="two-level")
-    assert curve_length(F, GREAT_LOOP) == pytest.approx(np.pi, abs=1e-9)
-
-
-def test_curve_length_of_an_analytic_map_measures_no_chords(monkeypatch):
-    # every segment has a valid differential, so no chord is needed
-    M = real_projective(2)
-    F = homothety_map(M, real_projective(2, 1.7))
-
-    def no_chords(x, y):
-        raise AssertionError("a chord was measured")
-
-    monkeypatch.setattr(F.codomain, "distance", no_chords)
-    assert curve_length(F, GREAT_LOOP) == pytest.approx(1.7 * np.pi, abs=1e-6)
 
 
 def test_p_energy_on_a_reused_grid_equals_a_fresh_grid_bit_for_bit():
@@ -420,8 +370,8 @@ def test_energy_does_not_depend_on_the_frames(case, seed):
     frames = grid_frames(grid)
     q, _ = np.linalg.qr(make_rng(seed).standard_normal((frames.shape[-2],) * 2))
     turned = np.einsum("ij,...ja->...ia", q, frames)
-    reference = energy_density(differential_columns(F, grid.nodes, frames)[0])
-    np.testing.assert_allclose(energy_density(differential_columns(F, grid.nodes, turned)[0]),
+    reference = energy_density(differential_columns(F, grid.nodes, frames))
+    np.testing.assert_allclose(energy_density(differential_columns(F, grid.nodes, turned)),
                                reference, rtol=rtol, atol=0)
 
 

@@ -47,6 +47,8 @@ from mapenergy.maps import (
     unit_tangent_quadrature,
 )
 
+from fd_oracle import fd_map
+
 
 def _hard_points(M):
     """Unit vectors where the reflection's pivot is hard: +-e_k, ties
@@ -88,8 +90,7 @@ def test_identity_gram_is_identity():
         rng = make_rng(17)
         x = M.random_point(rng, 25)
         fr = tangent_frames(M, x)
-        G, ok = pullback_gram(identity_map(M), x, fr)
-        assert ok.all()
+        G = pullback_gram(identity_map(M), x, fr)
         np.testing.assert_allclose(G, np.broadcast_to(np.eye(M.dim), G.shape), atol=1e-12)
         np.testing.assert_allclose(np.trace(G, axis1=-2, axis2=-1), M.dim, atol=1e-12)
 
@@ -103,12 +104,10 @@ def test_finite_difference_matches_analytic_o_h2():
     x = M.random_point(rng, 20)
     fr = tangent_frames(M, x)
     exact = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
-    F_fd = maps.MapObject(M, M, F.evaluator)
     hs = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
     errs = []
     for h in hs:
-        cols, ok = differential_columns(F_fd, x, fr, h=h)
-        assert ok.all()
+        cols = differential_columns(fd_map(F, h), x, fr)
         errs.append(np.max(np.abs(cols - exact)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.2
@@ -122,20 +121,27 @@ def test_fd_matches_analytic_on_complex_projective():
     x = M.random_point(rng, 15)
     fr = tangent_frames(M, x)
     exact = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
-    F_fd = maps.MapObject(M, M, F.evaluator)
-    cols, ok = differential_columns(F_fd, x, fr, h=1e-4)
-    assert ok.all()
+    cols = differential_columns(fd_map(F, 1e-4), x, fr)
     np.testing.assert_allclose(cols, exact, atol=1e-7)
 
 
-@pytest.mark.parametrize("h", [0, 0.0, -1e-4, math.nan, math.inf])
-def test_a_finite_difference_step_is_a_finite_real_above_zero(h):
+@pytest.mark.parametrize("first_order", [
+    lambda F, grid: differential_columns(F, grid.nodes, grid_frames(grid)),
+    energy.p_energy,
+    energy.pullback_volume,
+], ids=["differential_columns", "p_energy", "pullback_volume"])
+def test_first_order_calculus_refuses_a_map_without_a_differential_by_name(first_order):
     M = complex_projective(2)
-    x = M.random_point(make_rng(11), 15)
-    fr = tangent_frames(M, x)
-    for F in (identity_map(M), maps.MapObject(M, M, lambda y: y)):
-        with pytest.raises(GeometryError, match="finite-difference step"):
-            differential_columns(F, x, fr, h=h)
+    grid = build_grid(M, 50, seed=11)
+    calls = []
+
+    def ev(y):
+        calls.append(y)
+        return y
+
+    with pytest.raises(GeometryError, match="map 'evaluator-only' has no differential"):
+        first_order(maps.MapObject(M, M, ev, name="evaluator-only"), grid)
+    assert calls == []
 
 
 def test_frame_independence_of_gram_invariants():
@@ -147,8 +153,8 @@ def test_frame_independence_of_gram_invariants():
     f1 = tangent_frames(M, x)
     q, _ = np.linalg.qr(make_rng(2).standard_normal((M.dim, M.dim)))
     f2 = np.einsum("ij,kja->kia", q, f1)
-    G1, _ = pullback_gram(F, x, f1)
-    G2, _ = pullback_gram(F, x, f2)
+    G1 = pullback_gram(F, x, f1)
+    G2 = pullback_gram(F, x, f2)
     np.testing.assert_allclose(np.trace(G1, axis1=-2, axis2=-1), np.trace(G2, axis1=-2, axis2=-1),
                                atol=1e-8)
     np.testing.assert_allclose(np.linalg.det(G1), np.linalg.det(G2), atol=1e-8)
@@ -161,7 +167,7 @@ def test_homothety_distance_ratio_oracle():
     M = F.domain
     x = M.random_point(rng, 10)
     fr = tangent_frames(M, x)
-    G, _ = pullback_gram(F, x, fr)
+    G = pullback_gram(F, x, fr)
     np.testing.assert_allclose(np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)), 2.0, atol=1e-6)
     # homothety sends geodesics to geodesics, so the ratio is exact for any
     # step; 1e-3 keeps the arccos in distance() well conditioned
@@ -192,7 +198,7 @@ def test_inclusion_is_isometric():
     rng = make_rng(37)
     x = F.domain.random_point(rng, 10)
     fr = tangent_frames(F.domain, x)
-    G, _ = pullback_gram(F, x, fr)
+    G = pullback_gram(F, x, fr)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
 
@@ -205,7 +211,7 @@ def test_double_cover_local_isometry():
     d = s2.distance(x, y)
     np.testing.assert_allclose(rp2.distance(F(x), F(y)), np.minimum(d, math.pi - d), atol=1e-12)
     fr = tangent_frames(s2, x)
-    G, _ = pullback_gram(F, x, fr)
+    G = pullback_gram(F, x, fr)
     np.testing.assert_allclose(G, np.broadcast_to(np.eye(2), G.shape), atol=1e-10)
 
 
@@ -374,8 +380,7 @@ def test_compose_chains_differentials():
     x = M.random_point(rng, 8)
     fr = tangent_frames(M, x)
     cols_a = C.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
-    C_fd = maps.MapObject(M, M, C.evaluator)
-    cols_f, _ = differential_columns(C_fd, x, fr)
+    cols_f = differential_columns(fd_map(C), x, fr)
     np.testing.assert_allclose(cols_a, cols_f, atol=1e-7)
 
 
@@ -452,8 +457,8 @@ def test_a_per_node_base_gives_the_broadcast_base_columns_bit_for_bit(name):
     per_node = F.differential(x[:, None, :], fr)
     assert per_node.shape == broadcast.shape == fr.shape[:-1] + (F.codomain.ambient_dim,)
     assert np.array_equal(per_node, broadcast)
-    cols, ok = differential_columns(F, x, fr)
-    assert ok.all() and np.array_equal(cols, per_node)
+    cols = differential_columns(F, x, fr)
+    assert np.array_equal(cols, per_node)
 
 
 @pytest.mark.parametrize("name", COMPOSITE_CASES)
@@ -503,9 +508,8 @@ def test_perturbed_identity_differential_matches_finite_differences(M, flavor):
     F = perturbed_identity(M, 0.2, flavor, seed=1)
     x = M.random_point(make_rng(63), 200)
     fr = tangent_frames(M, x)
-    exact, _ = differential_columns(F, x, fr)
-    fd, ok = differential_columns(maps.MapObject(M, M, F.evaluator), x, fr)
-    assert ok.all()
+    exact = differential_columns(F, x, fr)
+    fd = differential_columns(fd_map(F), x, fr)
     np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-7)
 
 
@@ -517,10 +521,9 @@ def test_squeeze_perturbation_differential_is_the_identity_on_the_reference_line
     line = reference_line(2)
     grid = build_grid(complex_projective(1), 3, "mesh")
     x = line(grid.nodes)
-    fr, _ = differential_columns(line, grid.nodes, grid_frames(grid))
-    cols, ok = differential_columns(F, x, fr)
-    want, _ = differential_columns(identity_map(M), x, fr)
-    assert ok.all()
+    fr = differential_columns(line, grid.nodes, grid_frames(grid))
+    cols = differential_columns(F, x, fr)
+    want = differential_columns(identity_map(M), x, fr)
     np.testing.assert_allclose(cols, want, rtol=0, atol=1e-15)
 
 
@@ -546,10 +549,7 @@ def pooled(monkeypatch):
 def _single_blocks(fn, n):
     """fn(start, stop) over the node blocks of n nodes, each a single-block call,
     concatenated along the node axis."""
-    parts = [fn(s, s + maps.NODE_BLOCK) for s in range(0, n, maps.NODE_BLOCK)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    return np.concatenate(parts)
+    return np.concatenate([fn(s, s + maps.NODE_BLOCK) for s in range(0, n, maps.NODE_BLOCK)])
 
 
 def _in_a_child(fn, timeout=120.0):
@@ -585,7 +585,7 @@ def _blocked_case(name):
     if name == "fd-squeeze":
         M = complex_projective(2)
         squeeze = compose(perturbed_identity(M, 0.2, "squeeze"), make_projective_dilation(2, 1.5))
-        F = maps.MapObject(M, M, squeeze.evaluator, differential=None)
+        F = fd_map(squeeze)
     elif name == "dilation":
         F = make_projective_dilation(2, 2.0)
     elif name == "theta":
@@ -598,27 +598,26 @@ def _blocked_case(name):
 @pytest.mark.parametrize("name", BLOCKED_CASES + ["line"])
 def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
     F, grid = _blocked_case(name)
-    assert (F.differential is None) == (name == "fd-squeeze")
     x, fr = grid.nodes, grid_frames(grid)
     n = len(grid)
 
-    cols, ok = differential_columns(F, x, fr)
-    want_cols, want_ok = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
-    assert np.array_equal(cols, want_cols) and np.array_equal(ok, want_ok)
+    cols = differential_columns(F, x, fr)
+    want_cols = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(cols, want_cols)
 
-    G, ok = pullback_gram(F, x, fr)
-    want_G, want_ok = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
-    assert np.array_equal(G, want_G) and np.array_equal(ok, want_ok)
+    G = pullback_gram(F, x, fr)
+    want_G = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(G, want_G)
 
     for p in (2.0, 3.0):
         got = energy.p_energy(F, grid, p=p)
         want = energy._integrate(
-            grid, 0.5 * np.trace(want_G, axis1=-2, axis2=-1) ** (p / 2.0), want_ok, "p_energy")
+            grid, 0.5 * np.trace(want_G, axis1=-2, axis2=-1) ** (p / 2.0), "p_energy")
         assert (got.value, got.stderr) == (want.value, want.stderr)
 
     # sqrt(det G) as the product of the clamped eigenvalues of the whole grid's G
     eigenvalues = np.maximum(np.linalg.eigvalsh(want_G), 0.0)
-    volume = energy._integrate(grid, np.sqrt(np.prod(eigenvalues, axis=-1)), want_ok, "pullback_volume")
+    volume = energy._integrate(grid, np.sqrt(np.prod(eigenvalues, axis=-1)), "pullback_volume")
     assert energy.pullback_volume(F, grid) == volume.value
     assert bool(pooled) == (n >= 2 * maps.NODE_BLOCK)
 
@@ -680,7 +679,7 @@ def test_functionals_call_differential_columns_once_on_the_grid_nodes(monkeypatc
 @pytest.mark.parametrize("name", BLOCKED_CASES)
 def test_pullback_gram_is_exactly_symmetric(name):
     F, grid = _blocked_case(name)
-    G, _ = pullback_gram(F, grid.nodes, grid_frames(grid))
+    G = pullback_gram(F, grid.nodes, grid_frames(grid))
     assert np.array_equal(G, np.swapaxes(G, -1, -2))
 
 
@@ -698,13 +697,13 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
     grid = build_grid(F.domain, BLOCKED_NODES, seed=3)
     x, fr = grid.nodes, grid_frames(grid)
     n = len(grid)
-    cols, ok = differential_columns(F, x, fr)
+    cols = differential_columns(F, x, fr)
     assert seen == [maps.NODE_BLOCK, maps.NODE_BLOCK, n - 2 * maps.NODE_BLOCK]
-    want_cols, want_ok = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
-    assert np.array_equal(cols, want_cols) and np.array_equal(ok, want_ok)
-    G, ok = pullback_gram(F, x, fr)
-    want_G, want_ok = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
-    assert np.array_equal(G, want_G) and np.array_equal(ok, want_ok)
+    want_cols = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(cols, want_cols)
+    G = pullback_gram(F, x, fr)
+    want_G = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
+    assert np.array_equal(G, want_G)
     assert maps._POOLS == {}
 
 
@@ -740,13 +739,13 @@ def test_an_error_in_a_later_block_propagates_from_p_energy(pooled):
     grid = build_grid(M, BLOCKED_NODES, seed=4)
     marked = grid.nodes[-1]
 
-    def ev(x):
+    def diff(x, v):
         if np.any(np.all(x == marked, axis=-1)):
             raise GeometryError("the marked node")
-        return x
+        return v
 
     with pytest.raises(GeometryError, match="the marked node"):
-        energy.p_energy(maps.MapObject(M, M, ev), grid)
+        energy.p_energy(maps.MapObject(M, M, lambda x: x, diff), grid)
     assert pooled
 
 
@@ -754,10 +753,10 @@ def test_a_differential_that_calls_differential_columns_finishes(pooled):
     # each worker passes its one block on, which runs inline; a larger
     # batch would wait on the pool whose threads are all busy with it
     M = complex_projective(2)
-    inner = maps.MapObject(M, M, lambda x: x)
+    inner = identity_map(M)
 
     def diff(x, v):
-        return differential_columns(inner, x[..., 0, :], v)[0]
+        return differential_columns(inner, x[..., 0, :], v)
 
     F = maps.MapObject(M, M, lambda x: x, differential=diff)
     grid = build_grid(M, BLOCKED_NODES, seed=5)
@@ -765,7 +764,7 @@ def test_a_differential_that_calls_differential_columns_finishes(pooled):
 
     def nested_equals_direct():
         before = len(pooled)
-        nested, direct = differential_columns(F, x, fr)[0], differential_columns(inner, x, fr)[0]
+        nested, direct = differential_columns(F, x, fr), differential_columns(inner, x, fr)
         # one pool use each for the two whole batches, none for the blocks
         return np.array_equal(nested, direct) and len(pooled) == before + 2
 

@@ -5,11 +5,16 @@ differential through the codomain logarithm, so that the tests can check
 each analytic rule against an independent derivative.
 """
 
+import math
+
+from mapenergy.manifolds import GeometryError
 from mapenergy.maps import MapObject
 
 
 def fd_map(F, h=1e-4):
     """F with the differential (log_{F(x)} F(exp_x(h v)) - log_{F(x)} F(exp_x(-h v))) / 2h."""
+    if isinstance(h, bool) or not isinstance(h, (int, float)) or not math.isfinite(h) or h <= 0:
+        raise GeometryError(f"finite-difference step must be a finite real above zero, got {h!r}")
     dom, cod = F.domain, F.codomain
 
     def diff(x, v):

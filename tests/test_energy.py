@@ -333,6 +333,18 @@ def test_curve_length_homothety():
     assert curve_length(F, GREAT_LOOP) == pytest.approx(kappa * np.pi, abs=1e-6)
 
 
+def test_curve_length_of_an_analytic_map_measures_no_chords(monkeypatch):
+    # the length comes from the image speed alone, never from codomain distances
+    M = real_projective(2)
+    F = homothety_map(M, real_projective(2, 1.7))
+
+    def no_chords(x, y):
+        raise AssertionError("a chord was measured")
+
+    monkeypatch.setattr(F.codomain, "distance", no_chords)
+    assert curve_length(F, GREAT_LOOP) == pytest.approx(1.7 * np.pi, abs=1e-6)
+
+
 def test_p_energy_on_a_reused_grid_equals_a_fresh_grid_bit_for_bit():
     M = complex_projective(2)
     F = make_projective_dilation(2, 2.0)

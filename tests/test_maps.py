@@ -125,6 +125,15 @@ def test_fd_matches_analytic_on_complex_projective():
     np.testing.assert_allclose(cols, exact, atol=1e-7)
 
 
+@pytest.mark.parametrize("h", [0, 0.0, -1e-4, math.nan, math.inf])
+def test_a_finite_difference_step_is_a_finite_real_above_zero(h):
+    # the step lives in the oracle now; a bad one would turn its columns into nan
+    M = complex_projective(2)
+    for F in (identity_map(M), maps.MapObject(M, M, lambda y: y)):
+        with pytest.raises(GeometryError, match="finite-difference step"):
+            fd_map(F, h)
+
+
 @pytest.mark.parametrize("first_order", [
     lambda F, grid: differential_columns(F, grid.nodes, grid_frames(grid)),
     energy.p_energy,

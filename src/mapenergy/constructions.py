@@ -1,11 +1,12 @@
 """Explicit map families used as the test corpus for every functional.
 
 Rational curves (holomorphic normalized maps of homogeneous polynomials),
-projective dilations that squeeze a complex projective space onto a
-reference line, conformal dilations of the 3-sphere and their capped
-projective quotient variant, a catalog of standard maps, and reproducible
-non-holomorphic perturbations of the identity.  Dimensions and degrees
-are integers >= 1, checked where they enter.
+projective dilations that squeeze a complex projective space onto the
+line of its first two coordinates, where `intgeo.restriction_energies`
+gives the squeeze limit, conformal dilations of the 3-sphere and their
+capped projective quotient variant, a catalog of standard maps, and
+reproducible non-holomorphic perturbations of the identity.  Dimensions
+and degrees are integers >= 1, checked where they enter.
 
 Every map here of the form x -> P(x) / |P(x)| (curves, dilations of both
 kinds, conjugation) is a `normalized_map` of its P and dP, so it takes
@@ -32,7 +33,6 @@ from .manifolds import (
 )
 from .maps import (
     MapObject,
-    build_grid,
     compose,
     homothety_map,
     identity_map,
@@ -41,6 +41,7 @@ from .maps import (
     normalized_pushforward,
 )
 from .energy import p_energy
+from .intgeo import restriction_energies
 from .rand import make_rng
 
 
@@ -162,12 +163,6 @@ def random_curve(N, degree, seed=0):
 # projective dilations (squeeze toward the reference line)
 
 
-def reference_line(N):
-    """Embedding of CP^1 as the line spanned by the first two coordinate axes."""
-    return normalized_linear_map(complex_projective(1), complex_projective(N), np.eye(N + 1, 2),
-                                 name="line")
-
-
 def make_projective_dilation(N, lam):
     """[z0 : z1 : z2 : ...] -> [lam z0 : lam z1 : z2 : ...] on CP^N.
 
@@ -179,7 +174,7 @@ def make_projective_dilation(N, lam):
     M = complex_projective(N)
     scale = np.ones(N + 1, dtype=complex)
     scale[0] = scale[1] = lam
-    return normalized_linear_map(M, M, np.diag(scale), name=f"dilation-{lam:g}")
+    return normalized_map(M, M, lambda z: scale * z, lambda z, v: scale * v, f"dilation-{lam:g}")
 
 
 # level of the projective-line mesh that carries the restricted energy
@@ -191,18 +186,17 @@ def squeeze_limit(F, grid, lambdas):
 
     Returns (energies, restricted): one `EnergyValue` per lam in
     `lambdas`, all on `grid` so the trend is smooth in lam, and the
-    2-energy of F restricted to the reference line.  As lam grows the
-    energies descend to C_N * restricted, C_N = pi^(N-1)/(N-1)!; no
-    convergence assertion is made here.
+    2-energy of F restricted to the reference line [z0 : z1 : 0 : ...].
+    As lam grows the energies descend to C_N * restricted,
+    C_N = pi^(N-1)/(N-1)!; no convergence assertion is made here.
     """
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("squeeze limits need a complex projective domain")
     energies = [p_energy(compose(F, make_projective_dilation(M.N, lam)), grid, p=2.0)
                 for lam in lambdas]
-    line_grid = build_grid(complex_projective(1), _LINE_LEVEL, "mesh")
-    restricted = p_energy(compose(F, reference_line(M.N)), line_grid, p=2.0)
-    return energies, float(restricted.value)
+    restricted = restriction_energies(F, np.eye(M.N + 1, 2)[None], _LINE_LEVEL)[0]
+    return energies, float(restricted)
 
 
 # ---------------------------------------------------------------------------

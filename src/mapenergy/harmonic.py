@@ -15,7 +15,8 @@ Along a holomorphic symmetry direction the family is F after the
 projective flow x -> e^{t i a} x / |e^{t i a} x| of the Hermitian
 matrix i a, whose first-order field is dF(J K) for the Killing field K
 of the skew-Hermitian a; at a harmonic F its second derivative is the
-energy Hessian along dF(J K).
+energy Hessian along dF(J K).  Its energies sit at t = k * VARIATION_STEP,
+k = -2..2, and the Jacobi check pushes J K through `differential_columns`.
 """
 
 from __future__ import annotations
@@ -141,15 +142,6 @@ def hermitian_residual(F, x):
 # second variation of the energy
 
 
-def pushforward_field(F, vector_field):
-    """Variation field x -> dF_x(V(x)) from a domain vector field V."""
-
-    def push(x):
-        return differential_columns(F, x, vector_field(x)[..., None, :])[..., 0, :]
-
-    return push
-
-
 def symmetry_variation(F, generator):
     """The family t -> F after x -> e^{t i a} x / |e^{t i a} x| on the
     domain CP^N, for a skew-Hermitian generator a; its first-order field
@@ -173,7 +165,7 @@ def _warn_if_not_harmonic(F, probes):
         )
 
 
-def second_variation(family, grid, tau=VARIATION_STEP):
+def second_variation(family, grid):
     """Five-point second derivative at t = 0 of the energy t -> E_2(family(t)).
 
     `family` sends a real t to a map with an analytic differential; every
@@ -182,6 +174,7 @@ def second_variation(family, grid, tau=VARIATION_STEP):
     says when family(0) has tension above tolerance.
     """
     _warn_if_not_harmonic(family(0.0), grid.nodes[:3])
+    tau = VARIATION_STEP
     e = [p_energy(family(k * tau), grid, p=2.0).value for k in (-2, -1, 0, 1, 2)]
     return (-e[0] + 16.0 * e[1] - 30.0 * e[2] + 16.0 * e[3] - e[4]) / (12.0 * tau * tau)
 
@@ -198,11 +191,12 @@ def jacobi_identity_check(F, generator, grid):
     lhs = second_variation(symmetry_variation(F, generator), grid)
 
     M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
-    W = pushforward_field(F, lambda x: 1j * M.killing_field(a, x))
+    # the variation field dF(J K) at the nodes
+    W = differential_columns(F, x, (1j * M.killing_field(a, x))[..., None, :])[..., 0, :]
     fr, xb = tangent_frames(M, x), x[..., None, :]
     grad = 1j * M.killing_derivative(a, xb, fr)
     total = np.sum(second_fundamental_form(F, xb, grad, fr), axis=-2)
-    integrand = -2.0 * real_inner(total, W(x))
+    integrand = -2.0 * real_inner(total, W)
     rhs = float(np.sum(grid.weights * integrand))
     return lhs, rhs
 

@@ -11,7 +11,8 @@ with the weight mass / K shared by every sample.  Element i is the totally
 geodesic submanifold spanned by ``frames[i]``: a geodesic's frame holds
 its base point and unit direction (`energy.curve_length` measures its
 image), and a line or plane is embedded by
-``normalized_linear_map(sub, M, frames[i])``.
+``normalized_linear_map(sub, M, frames[i])`` in `restriction_energies`,
+the one rule that every line, plane and squeeze energy reads.
 """
 
 from __future__ import annotations
@@ -103,19 +104,27 @@ def sample_rp2_planes(n, K, seed=0):
 # averaging identities
 
 
+def restriction_energies(F, frames, level):
+    """2-energy of F on each totally geodesic subspace of a (K, amb, k) frame stack.
+
+    Subspace i is the image of ``normalized_linear_map(sub, M, frames[i])``,
+    with sub the (k-1)-dimensional model space of the kind of F's domain M;
+    each restricted energy is integrated on the level-`level` mesh of sub.
+    """
+    M = F.domain
+    sub = type(M)(frames.shape[-1] - 1)
+    grid = build_grid(sub, level, "mesh")
+    return np.array([p_energy(compose(F, normalized_linear_map(sub, M, A)), grid, p=2.0).value
+                     for A in frames])
+
+
 def _restricted_line_energies(F, K, line_resolution, seed):
     """Energies of F restricted to K random lines, with their shared weight."""
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("line averages need a complex projective domain")
     frames, weight = sample_lines(M.N, K, seed)
-    cp1 = complex_projective(1)
-    grid = build_grid(cp1, line_resolution, "mesh")
-    vals = np.array([
-        p_energy(compose(F, normalized_linear_map(cp1, M, A, name="line")), grid, p=2.0).value
-        for A in frames
-    ])
-    return vals, weight
+    return restriction_energies(F, frames, line_resolution), weight
 
 
 def line_energy_average(F, K=200, line_resolution=4, seed=0):
@@ -168,10 +177,7 @@ def rp2_family_average(F, K=64, seed=0):
     """Recover the 2-energy of a map of RP^n by averaging over planes."""
     _unit_real_projective(F, "the plane average")
     frames, weight = sample_rp2_planes(F.domain.dim, K, seed)
-    rp2 = real_projective(2)
-    grid = build_grid(rp2, PLANE_MESH_LEVEL, "mesh")
     total = 0.0
-    for A in frames:
-        plane = normalized_linear_map(rp2, F.domain, A, name="plane")
-        total += weight * p_energy(compose(F, plane), grid, p=2.0).value
+    for value in restriction_energies(F, frames, PLANE_MESH_LEVEL):
+        total += weight * value
     return float(total)

@@ -332,7 +332,7 @@ def identity_map(M):
     return MapObject(M, M, lambda x: x, differential=lambda x, v: v, name="identity")
 
 
-def compose(outer, inner, name=""):
+def compose(outer, inner):
     """outer after inner; chains analytic differentials through the inner
     map's fused rule when both exist.  GeometryError unless inner's
     codomain is outer's domain."""
@@ -351,7 +351,7 @@ def compose(outer, inner, name=""):
         inner.domain, outer.codomain,
         lambda x: outer(inner(x)),
         differential=diff,
-        name=name or f"{outer.name}∘{inner.name}",
+        name=f"{outer.name}∘{inner.name}",
         fused=fused,
     )
 
@@ -407,11 +407,11 @@ def normalized_linear_map(dom, cod, A, name=""):
     return normalized_map(dom, cod, P, lambda x, v: P(v), name or "normalized_linear")
 
 
-def homothety_map(dom, cod, name="homothety"):
+def homothety_map(dom, cod):
     """Identity on representatives between rescaled copies of the same model."""
     if dom.ambient_dim != cod.ambient_dim or dom.kind != cod.kind:
         raise GeometryError("homothety requires rescaled copies of one model")
-    return normalized_linear_map(dom, cod, np.eye(dom.ambient_dim), name)
+    return normalized_linear_map(dom, cod, np.eye(dom.ambient_dim), "homothety")
 
 
 # ---------------------------------------------------------------------------

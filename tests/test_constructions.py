@@ -14,7 +14,6 @@ from mapenergy.constructions import (
     make_theta,
     perturbed_identity,
     random_curve,
-    reference_line,
     squeeze_limit,
     standard_maps,
     veronese_curve,
@@ -35,6 +34,7 @@ from mapenergy.maps import (
     differential_columns,
     homothety_map,
     identity_map,
+    normalized_linear_map,
     normalized_pushforward,
     pullback_gram,
     tangent_frames,
@@ -220,9 +220,24 @@ def test_dilation_energy_is_constant_pi_squared():
         assert E.value == pytest.approx(np.pi**2, rel=0.01)
 
 
+def test_dilation_multiplies_as_its_diagonal_matrix_bit_for_bit():
+    # the elementwise scale is the dense diagonal map, values and differentials,
+    # signed zeros too: random points and points with zero coordinates
+    M = complex_projective(2)
+    axes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [complex(1, -0.0), -0.0, 0], [0.6, -0.8j, 0]])
+    x = np.concatenate([M.random_point(make_rng(31), 2000), M.canonicalize(axes)])
+    fr = tangent_frames(M, x)
+    for lam in (0.25, 1.0, 4.0, 16.0):
+        scale = np.array([lam, lam, 1.0], dtype=complex)
+        T = make_projective_dilation(2, lam)
+        dense = normalized_linear_map(M, M, np.diag(scale))
+        assert T(x).tobytes() == dense(x).tobytes()
+        assert differential_columns(T, x, fr).tobytes() == differential_columns(dense, x, fr).tobytes()
+
+
 def test_dilation_fixes_reference_line_pointwise():
     M = complex_projective(2)
-    line = reference_line(2)
+    line = standard_maps("inclusion_cp", k=1, N=2)
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(13), 100)
     pts = line(z)
@@ -589,7 +604,7 @@ def test_squeeze_flavor_fixes_reference_line():
     M = complex_projective(2)
     F = perturbed_identity(M, magnitude=0.3, flavor="squeeze", seed=4)
     cp1 = complex_projective(1)
-    pts = reference_line(2)(cp1.random_point(make_rng(28), 40))
+    pts = standard_maps("inclusion_cp", k=1, N=2)(cp1.random_point(make_rng(28), 40))
     assert np.max(np.linalg.norm(F(pts) - pts, axis=-1)) < 1e-12
 
 

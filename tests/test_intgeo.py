@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from mapenergy import intgeo, make_rng
-from mapenergy.constructions import perturbed_identity
+from mapenergy.constructions import (
+    make_projective_dilation,
+    perturbed_identity,
+    squeeze_limit,
+    standard_maps,
+)
 from mapenergy.energy import CURVE_STEPS, curve_length, p_energy
 from mapenergy.intgeo import (
     _restricted_line_energies,
@@ -13,6 +18,7 @@ from mapenergy.intgeo import (
     line_energy_average,
     line_energy_spread,
     line_space_mass,
+    restriction_energies,
     rp2_family_average,
     rp2_family_mass,
     sample_geodesics,
@@ -157,6 +163,48 @@ def test_samplers_take_an_integer_count_of_at_least_one():
     with pytest.raises(GeometryError, match="integer >= 1"):
         line_energy_average(F, K=2.5)
     assert line_energy_average(F, K=np.int64(3)) == line_energy_average(F, K=3)
+
+
+# ---------------------------------------------------------------------------
+# the restriction rule
+
+
+def _restriction_loop(F, sub, frames, level):
+    """The restricted energies as one explicit compose-and-p_energy per frame."""
+    grid = build_grid(sub, level, "mesh")
+    return [p_energy(compose(F, normalized_linear_map(sub, F.domain, A)), grid, p=2.0).value
+            for A in frames]
+
+
+@pytest.mark.parametrize("case", ["identity-cp2-lines", "dilation-cp2-lines", "identity-rp3-planes",
+                                  "squeeze-rp3-planes"])
+def test_restriction_energies_are_the_explicit_loop_bit_for_bit(case):
+    cp2, rp3 = complex_projective(2), real_projective(3)
+    F, sub, frames = {
+        "identity-cp2-lines": lambda: (identity_map(cp2), complex_projective(1),
+                                       sample_lines(2, 6, seed=3)[0]),
+        "dilation-cp2-lines": lambda: (make_projective_dilation(2, 4.0), complex_projective(1),
+                                       sample_lines(2, 6, seed=3)[0]),
+        "identity-rp3-planes": lambda: (identity_map(rp3), real_projective(2),
+                                        sample_rp2_planes(3, 5, seed=4)[0]),
+        "squeeze-rp3-planes": lambda: (perturbed_identity(rp3, 0.2, "squeeze", seed=1),
+                                       real_projective(2), sample_rp2_planes(3, 5, seed=4)[0]),
+    }[case]()
+    got = restriction_energies(F, frames, 3)
+    assert got.shape == (len(frames),)
+    np.testing.assert_array_equal(got, _restriction_loop(F, sub, frames, 3))
+
+
+def test_the_squeeze_restriction_is_the_coordinate_line_inclusion():
+    # the squeeze's one float frame is the catalog's inclusion of CP^1 as the
+    # span of the first two coordinate axes
+    M = complex_projective(2)
+    F = perturbed_identity(M, 0.2, "squeeze", seed=2)
+    line = standard_maps("inclusion_cp", k=1, N=2)
+    want = p_energy(compose(F, line), build_grid(complex_projective(1), 4, "mesh"), p=2.0).value
+    assert restriction_energies(F, np.eye(3, 2)[None], 4)[0] == want
+    _, restricted = squeeze_limit(F, build_grid(M, 50, "monte_carlo", seed=1), (2.0,))
+    assert restricted == want
 
 
 # ---------------------------------------------------------------------------

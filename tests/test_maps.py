@@ -20,7 +20,6 @@ from mapenergy.constructions import (
     make_theta,
     perturbed_identity,
     random_curve,
-    reference_line,
     standard_maps,
 )
 from mapenergy.manifolds import (
@@ -30,7 +29,7 @@ from mapenergy.manifolds import (
     sphere,
     sphere_volume,
 )
-from mapenergy import maps
+from mapenergy import constructions, maps
 from mapenergy.intgeo import sample_lines, sample_rp2_planes
 from mapenergy.maps import (
     build_grid,
@@ -436,7 +435,7 @@ def _composite_parts(name):
         "compose": lambda: (conjugation_map(2), make_projective_dilation(2, 2.0)),
         "squeeze-after-dilation": lambda: (squeeze, make_projective_dilation(2, 4.0)),
         "squeeze-after-dilation-16": lambda: (squeeze, make_projective_dilation(2, 16.0)),
-        "squeeze-on-line": lambda: (squeeze, reference_line(2)),
+        "squeeze-on-line": lambda: (squeeze, standard_maps("inclusion_cp", k=1, N=2)),
         "identity-on-line": lambda: (identity_map(cp2), line()),
         "dilation-on-line": lambda: (make_projective_dilation(2, 4.0), line()),
         "identity-on-plane": lambda: (identity_map(rp3), plane()),
@@ -494,8 +493,10 @@ def test_a_composite_differential_evaluates_each_normalized_layer_once(monkeypat
             return P(x)
         return original(dom, cod, counted, dP, name)
 
-    # normalized_linear_map's dP applies its P to the vectors, not the counted one
+    # normalized_linear_map's dP applies its P to the vectors, not the counted one;
+    # the dilation builds its normalized map from the constructions namespace
     monkeypatch.setattr(maps, "normalized_map", counting)
+    monkeypatch.setattr(constructions, "normalized_map", counting)
     cp1, cp2 = complex_projective(1), complex_projective(2)
     line = normalized_linear_map(cp1, cp2, sample_lines(2, 1, seed=5)[0][0], name="line")
     x = cp1.random_point(make_rng(69), 10)
@@ -527,7 +528,7 @@ def test_squeeze_perturbation_differential_is_the_identity_on_the_reference_line
     # takes the theta -> 0 branch and returns the frame vector itself
     M = complex_projective(2)
     F = perturbed_identity(M, 0.2, "squeeze", seed=1)
-    line = reference_line(2)
+    line = standard_maps("inclusion_cp", k=1, N=2)
     grid = build_grid(complex_projective(1), 3, "mesh")
     x = line(grid.nodes)
     fr = differential_columns(line, grid.nodes, grid_frames(grid))
@@ -589,7 +590,7 @@ def _blocked_case(name):
     """A map and a grid on its domain: BLOCKED_NODES Monte Carlo nodes, or for
     "line" the one-block CP^1 mesh under a line of CP^2 that line averages use."""
     if name == "line":
-        F = compose(make_projective_dilation(2, 4.0), reference_line(2))
+        F = compose(make_projective_dilation(2, 4.0), standard_maps("inclusion_cp", k=1, N=2))
         return F, build_grid(F.domain, 3, "mesh")
     if name == "fd-squeeze":
         M = complex_projective(2)

@@ -70,6 +70,9 @@ def _load_config(path):
                              + ", ".join(sorted(EXPERIMENTS)))
         if not isinstance(record, dict):
             raise UsageError(f"the config record of {name!r} must be a JSON object, got {record!r}")
+        if "name" in record:
+            raise UsageError(f"the config record of {name!r} may not set 'name'; "
+                             "its key names the experiment")
     return table
 
 

@@ -8,10 +8,11 @@ capped projective quotient variant, a catalog of standard maps, and
 reproducible non-holomorphic perturbations of the identity.  Dimensions
 and degrees are integers >= 1, checked where they enter.
 
-Every map here of the form x -> P(x) / |P(x)| (curves, dilations of both
-kinds, conjugation) is a `normalized_map` of its P and dP, so it takes
-its differential from the one pushforward through y -> y / |y|; only
-`perturbed_identity` writes an analytic differential of its own.
+Every map here except the identity is of the form x -> P(x) / |P(x)|
+(curves, dilations of both kinds, conjugation, the perturbed identities)
+and is a `normalized_map` of its P and dP, so it takes its fused rule
+from the one pushforward through y -> y / |y|; none writes a
+differential of its own.
 """
 
 from __future__ import annotations
@@ -27,18 +28,15 @@ from .manifolds import (
     complex_projective,
     is_finite_real,
     is_integer,
-    real_inner,
     real_projective,
     sphere,
 )
 from .maps import (
-    MapObject,
     compose,
     homothety_map,
     identity_map,
     normalized_linear_map,
     normalized_map,
-    normalized_pushforward,
 )
 from .energy import p_energy
 from .intgeo import restriction_energies
@@ -301,14 +299,19 @@ def standard_maps(key, **kw):
 
 
 def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
-    """Exp-push of the identity along a fixed polynomial tangent field.
+    """The identity pushed along a fixed polynomial tangent field V by the
+    projection retraction x -> (x + m V(x)) / |x + m V(x)|, m = `magnitude`.
 
-    flavor "generic": the field is the tangent projection of a fixed
-    linear ambient field.  flavor "squeeze": the same field modulated by
-    the squared modulus of the last coordinate, so it vanishes on the
-    reference line (and on the equator plane in the real case).
+    flavor "generic": V(x) is the tangent projection P_x(S x) of a fixed
+    seeded linear ambient field S.  flavor "squeeze": the same field
+    times |x_N|^2, so it vanishes on the reference line (and on the
+    equator plane in the real case).  V is tangent, so |x + m V|^2 =
+    1 + m^2 |V|^2 >= 1 never vanishes, and the image lies within
+    distance m * radius of x.  V(-x) = -V(x) and V(e^{i phi} x) =
+    e^{i phi} V(x), so the map is well defined on projective spaces.
     Smooth, deterministic in (seed, magnitude), homotopic to the
-    identity by scaling the magnitude.  Its differential is analytic.
+    identity by scaling the magnitude; on unit-radius spaces it agrees
+    with the exponential push exp_x(m V) through second order in m.
     """
     if flavor not in ("generic", "squeeze"):
         raise GeometryError(f"unknown perturbation flavor {flavor!r}")
@@ -326,34 +329,17 @@ def perturbed_identity(M, magnitude=0.2, flavor="generic", seed=0):
             v = v * (np.abs(x[..., -1]) ** 2)[..., None]
         return v
 
-    def ev(x):
-        return M.exp(x, magnitude * field(x))
-
-    def diff(x, u):
-        # v = m s P_x(Sx) with dP = P_x(Su) - <u,Sx> x - <x,Sx> u and, for
+    def dfield(x, u):
+        # V = s P_x(Sx) with dP_x(Sx) = P_x(Su) - <u,Sx> x - <x,Sx> u and, for
         # the squeeze, s = |x_N|^2 with ds = 2 Re(conj(x_N) u_N)
         Sx = np.einsum("ij,...j->...i", S, x)
-        P = M.project_tangent(x, Sx)
-        dP = (M.project_tangent(x, np.einsum("ij,...j->...i", S, u))
+        dV = (M.project_tangent(x, np.einsum("ij,...j->...i", S, u))
               - _dot(u, Sx)[..., None] * x - _dot(x, Sx)[..., None] * u)
         if flavor == "squeeze":
             s = np.abs(x[..., -1:]) ** 2
-            dP = 2.0 * (x[..., -1:].conj() * u[..., -1:]).real * P + s * dP
-            P = P * s
-        v, dv = magnitude * P, magnitude * dP
-        # y = cos(theta) x + sin(theta) e with e = v / |v| and theta = |v| / r,
-        # differentiated through e so that small theta loses no digits
-        r = M.radius
-        theta = M.norm(v)[..., None] / r
-        small = theta < 1e-300
-        t = np.where(small, 1.0, theta)
-        sinc = np.where(small, 1.0, np.sin(t) / t) / r
-        e = v / (t * r)
-        dtheta = np.where(small, 0.0, real_inner(e, dv)[..., None] / r)
-        cos, sin = np.cos(theta), np.sin(theta)
-        y = cos * x + sinc * v
-        dy = cos * u + sinc * dv + dtheta * ((cos - r * sinc) * e - sin * x)
-        return normalized_pushforward(M, y, dy)
+            dV = 2.0 * (x[..., -1:].conj() * u[..., -1:]).real * M.project_tangent(x, Sx) + s * dV
+        return dV
 
-    return MapObject(M, M, ev, differential=diff, name=f"perturbed-{flavor}-{magnitude:g}")
-
+    return normalized_map(M, M, lambda x: x + magnitude * field(x),
+                          lambda x, u: u + magnitude * dfield(x, u),
+                          f"perturbed-{flavor}-{magnitude:g}")

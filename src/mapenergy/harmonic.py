@@ -5,9 +5,12 @@ Hermitian-symmetry residuals, second variations of the Dirichlet energy,
 and the Jacobi-field identity for symmetry directions.  Everything is
 chart-free: intrinsic accelerations come from second differences through
 the codomain logarithm, combined by one Richardson step, which is exact
-for geodesics and O(h^4) otherwise; F(x) is evaluated once for both steps.
-Frame vectors or frame pairs share one batch axis, so the F calls of a
-probe do not grow with the dimension; Gram matrices come from `pullback_gram`.
+for geodesics and O(h^4) otherwise.  An acceleration calls F twice, once
+at the base point and once at its four probe points stacked on one
+leading axis; the two polarized directions of a second fundamental form
+share one acceleration, and frame vectors or frame pairs share one batch
+axis, so the F calls of a probe do not grow with the dimension.  Gram
+matrices come from `pullback_gram`.
 
 A second variation is the five-point second derivative in t of the
 energy of a family of maps t -> F_t, each with an analytic differential.
@@ -17,6 +20,9 @@ matrix i a, whose first-order field is dF(J K) for the Killing field K
 of the skew-Hermitian a; at a harmonic F its second derivative is the
 energy Hessian along dF(J K).  Its energies sit at t = k * VARIATION_STEP,
 k = -2..2, and the Jacobi check pushes J K through `differential_columns`.
+Its trace form, the one probe taken over a whole grid, runs in blocks of
+`TRACE_FORM_BLOCK` nodes, so the temporaries of the stacked probe points
+stay bounded.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .maps import (
 SECOND_DIFF_STEP = 1e-3
 VARIATION_STEP = 1e-2
 TENSION_TOLERANCE = 1e-3
+# nodes per block of the Jacobi check's trace form: an acceleration puts
+# eight probe points per node and frame vector into one F call
+TRACE_FORM_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -57,29 +66,19 @@ def _acceleration(F, x, v):
     Second differences through the codomain logarithm at steps h and h/2,
     combined by one Richardson step (4 a(h/2) - a(h)) / 3, which cancels
     their O(h^2) truncation; exact (up to rounding) when the image curve
-    is a geodesic.
+    is a geodesic.  F is called twice: at x, and at the four probe points
+    exp_x(+-h/2 v), exp_x(+-h v) stacked on one leading axis.
     """
-    h, y0 = SECOND_DIFF_STEP, F(x)
-    return (4.0 * _second_difference(F, x, v, 0.5 * h, y0)
-            - _second_difference(F, x, v, h, y0)) / 3.0
-
-
-def _log_probes(F, x, v, h, y0):
-    """log_{y0} F(exp_x(h v)) and log_{y0} F(exp_x(-h v)), and where both
-    are defined; `y0` is F(x), evaluated once by the caller for all its probes."""
-    dom, cod = F.domain, F.codomain
-    vp, okp = cod.log_masked(y0, F(dom.exp(x, h * v)))
-    vm, okm = cod.log_masked(y0, F(dom.exp(x, -h * v)))
-    return vp, vm, okp & okm
-
-
-def _second_difference(F, x, v, h, y0):
-    vp, vm, ok = _log_probes(F, x, v, h, y0)
+    h = SECOND_DIFF_STEP
+    half = 0.5 * h
+    steps = np.array([half, -half, h, -h]).reshape((4,) + (1,) * np.broadcast(x, v).ndim)
+    logs, ok = F.codomain.log_masked(F(x), F(F.domain.exp(x, steps * v)))
     if not np.all(ok):
         raise CutLocusError(
             "second difference crossed the cut locus; resample the probe point"
         )
-    return (vp + vm) / (h * h)
+    return (4.0 * ((logs[0] + logs[1]) / (half * half))
+            - (logs[2] + logs[3]) / (h * h)) / 3.0
 
 
 def second_fundamental_form(F, x, v, w):
@@ -87,10 +86,10 @@ def second_fundamental_form(F, x, v, w):
 
     Computed as the geodesic acceleration of the pushed curve for the
     diagonal and polarized off the diagonal, so symmetry in (v, w) is
-    exact by construction.
+    exact by construction; v + w and v - w share one acceleration.
     """
-    plus = _acceleration(F, x, v + w)
-    minus = _acceleration(F, x, v - w)
+    pair = np.stack(np.broadcast_arrays(x, v + w, v - w)[1:])
+    plus, minus = _acceleration(F, x, pair)
     return 0.25 * (plus - minus)
 
 
@@ -195,7 +194,9 @@ def jacobi_identity_check(F, generator, grid):
     W = differential_columns(F, x, (1j * M.killing_field(a, x))[..., None, :])[..., 0, :]
     fr, xb = tangent_frames(M, x), x[..., None, :]
     grad = 1j * M.killing_derivative(a, xb, fr)
-    total = np.sum(second_fundamental_form(F, xb, grad, fr), axis=-2)
+    total = np.concatenate([
+        np.sum(second_fundamental_form(F, *(b[k:k + TRACE_FORM_BLOCK] for b in (xb, grad, fr))), axis=-2)
+        for k in range(0, len(x), TRACE_FORM_BLOCK)])
     integrand = -2.0 * real_inner(total, W)
     rhs = float(np.sum(grid.weights * integrand))
     return lhs, rhs

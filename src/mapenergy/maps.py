@@ -1,22 +1,22 @@
 """Maps between model manifolds and their first-order calculus.
 
-A :class:`MapObject` bundles a batch evaluator with an analytic
-differential.  A map with only an evaluator can be evaluated, sampled on
-a mesh and probed for second-order quantities, but first-order
-calculus (`differential_columns` and every functional built on it)
-refuses it by name: there is one derivative path, the analytic one.
+A :class:`MapObject` bundles a batch evaluator with one analytic rule,
+the fused rule (x, v) -> (F(x), dF_x v); its `differential` is the
+second half of that rule.  A map with only an evaluator can be
+evaluated, sampled on a mesh and probed for second-order quantities, but
+first-order calculus (`differential_columns` and every functional built
+on it) refuses it by name: there is one derivative path, the analytic one.
 Per-node quantities are reductions of the differential's columns: |dF|^2
 (`energy_density`), sqrt(det G) (`volume_density`) and the pullback Gram
 matrix G (`pullback_gram`, the one Gram formula).  Maps x -> P(x) / |P(x)|
 share one builder, `normalized_map`: linear maps, embeddings, rational
-curves, dilations, conjugation and homotheties.  Its pushforward scales
-lengths by the radius ratio cod.radius / dom.radius, as representatives
-are unit vectors.  `identity_map`, `compose` and `normalized_map` are the
-only builders here with an analytic differential of their own.  Such a
-map also has a fused rule (x, v) -> (F(x), dF_x v): `normalized_map`
-gets both from one normalization of P(x), and `compose` hands the inner
-fused pair to the outer differential, so each inner layer is evaluated
-once.  `differential_columns` reads only the pushforward.
+curves, dilations, conjugation, homotheties and the perturbed identities.
+Its pushforward scales lengths by the radius ratio cod.radius /
+dom.radius, as representatives are unit vectors, and its fused rule takes
+the value and the pushforward from one normalization of P(x).
+`identity_map`, `compose` and `normalized_map` are the only builders of
+a fused rule: `compose` hands the inner fused pair to the outer fused
+rule, so each inner layer is evaluated once.
 Quadrature grids and exact low-degree unit-tangent designs live here as
 well.
 
@@ -25,15 +25,15 @@ random draw: the energy density is a trace, so any orthonormal frame
 gives it.  A `QuadratureGrid` owns the frames `grid_frames` derives from
 it: built once, read-only, and gone with the grid.
 
-An analytic differential takes the base point once per node: it is
-called as ``differential(x, v)`` with ``x`` of shape ``(..., 1, amb_dom)``
-and the vectors ``v`` of shape ``(..., dim, amb_dom)``, and it must
-broadcast the one base against the ``dim`` vectors, so that work on the
-base point is done once per node, not once per vector.
+A fused rule takes the base point once per node: it is called as
+``fused(x, v)`` with ``x`` of shape ``(..., 1, amb_dom)`` and the vectors
+``v`` of shape ``(..., dim, amb_dom)``, and it must broadcast the one base
+against the ``dim`` vectors, so that work on the base point is done once
+per node, not once per vector.
 
 Only frames and differential columns of a batch of at least 8,192 nodes
-are computed in 4,096-node blocks, which bounds the temporaries of an
-differential.  Gram matrices and densities are `reduce`s given
+are computed in 4,096-node blocks, which bounds the temporaries of a
+fused rule.  Gram matrices and densities are `reduce`s given
 to `differential_columns`: each block reduces its own columns, and only
 the reduced values are copied out, so no grid-sized column array is
 built.  The frames are the one grid-sized array kept per grid.  The
@@ -139,26 +139,26 @@ class MapObject:
     """Map between model manifolds.
 
     evaluator:    batch map of representatives, (..., amb_dom) -> (..., amb_cod)
-    differential: analytic pushforward (x, v) -> w; the base x broadcasts
+    fused:        analytic rule (x, v) -> (F(x), dF_x v) from one evaluation,
+                  F(x) bit for bit the evaluator's; the base x broadcasts
                   against the vectors v, (..., 1, amb_dom) against
                   (..., dim, amb_dom) when called for differential columns,
-                  and w has the broadcast batch shape; None for a map with
-                  only an evaluator, which `differential_columns` refuses
-    fused:        (x, v) -> (F(x), dF_x v) from one evaluation, F(x) bit for
-                  bit the evaluator's; given by `normalized_map` and
-                  `compose`, else evaluator and differential in turn
+                  and dF_x v has the broadcast batch shape; None for a map
+                  with only an evaluator, which `differential_columns` refuses
     """
 
     domain: object
     codomain: object
     evaluator: object
-    differential: object = None
-    name: str = ""
     fused: object = field(default=None, repr=False, compare=False)
+    name: str = ""
 
-    def __post_init__(self):
-        if self.fused is None and self.differential is not None:
-            self.fused = lambda x, v: (self.evaluator(x), self.differential(x, v))
+    @property
+    def differential(self):
+        """The pushforward (x, v) -> dF_x v of the fused rule, or None without one."""
+        if self.fused is None:
+            return None
+        return lambda x, v: self.fused(x, v)[1]
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -329,31 +329,23 @@ def cp1_from_sphere(p):
 
 
 def identity_map(M):
-    return MapObject(M, M, lambda x: x, differential=lambda x, v: v, name="identity")
+    return MapObject(M, M, lambda x: x, lambda x, v: (x, v), "identity")
 
 
 def compose(outer, inner):
-    """outer after inner; chains analytic differentials through the inner
-    map's fused rule when both exist.  GeometryError unless inner's
-    codomain is outer's domain."""
+    """outer after inner; chains the fused rules when both maps have one, so
+    the inner map is evaluated once per pushforward.  GeometryError unless
+    inner's codomain is outer's domain."""
     # a model space's repr names its kind, dimension and radius
     if repr(inner.codomain) != repr(outer.domain):
         raise GeometryError(f"cannot compose {outer.name!r} on {outer.domain!r} after "
                             f"{inner.name!r} into {inner.codomain!r}")
-    diff = fused = None
-    if outer.differential is not None and inner.differential is not None:
-        def diff(x, v):
-            return outer.differential(*inner.fused(x, v))
-
+    fused = None
+    if outer.fused is not None and inner.fused is not None:
         def fused(x, v):
             return outer.fused(*inner.fused(x, v))
-    return MapObject(
-        inner.domain, outer.codomain,
-        lambda x: outer(inner(x)),
-        differential=diff,
-        name=f"{outer.name}∘{inner.name}",
-        fused=fused,
-    )
+    return MapObject(inner.domain, outer.codomain, lambda x: outer(inner(x)), fused,
+                     f"{outer.name}∘{inner.name}")
 
 
 def normalized_map(dom, cod, P, dP, name):
@@ -372,7 +364,7 @@ def normalized_map(dom, cod, P, dP, name):
         y, push = _normalization(cod, P(x), name)
         return y, scale * push(dP(x, v))
 
-    return MapObject(dom, cod, ev, lambda x, v: fused(x, v)[1], name, fused)
+    return MapObject(dom, cod, ev, fused, name)
 
 
 def _normalization(cod, y, name):
@@ -384,11 +376,6 @@ def _normalization(cod, y, name):
     u = y / n
     c, f = cod.canonicalize_with_factor(u)
     return c, lambda dy: f[..., None] * cod.project_tangent(u, dy / n)
-
-
-def normalized_pushforward(cod, y, dy):
-    """Pushforward of dy at y through y -> y / |y|, at the canonical representative."""
-    return _normalization(cod, y, "y -> y / |y|")[1](dy)
 
 
 def normalized_linear_map(dom, cod, A, name=""):

@@ -97,6 +97,7 @@ def test_config_file_feeds_parameters_and_flags_override(tmp_path, capsys):
     ({"croke": [1, 2]}, "must be a JSON object"),
     ({"croke": None}, "must be a JSON object"),
     ({"theta": 3}, "must be a JSON object"),
+    ({"croke": {"name": "theta"}}, "may not set 'name'"),
 ])
 def test_config_names_experiments_and_maps_them_to_objects(monkeypatch, tmp_path, capsys,
                                                            table, message):

@@ -22,20 +22,19 @@ from mapenergy.constructions import _homogeneous_derivative, _homogeneous_eval
 from mapenergy.energy import p_energy, surface_area
 from mapenergy.manifolds import (
     GeometryError,
-    _dot,
+    _norm,
     complex_projective,
-    real_inner,
     real_projective,
     sphere,
 )
 from mapenergy.maps import (
     MapObject,
+    _normalization,
     build_grid,
     differential_columns,
     homothety_map,
     identity_map,
     normalized_linear_map,
-    normalized_pushforward,
     pullback_gram,
     tangent_frames,
 )
@@ -262,7 +261,7 @@ def test_squeeze_limit_constant_map():
     q = M.canonicalize(np.array([1.0 + 0j, 0.0, 0.0]))
     F = MapObject(
         M, M, lambda x: np.broadcast_to(q, x.shape).copy(),
-        differential=lambda x, v: np.zeros_like(v), name="constant",
+        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)), name="constant",
     )
     grid = build_grid(M, 2000, "monte_carlo", seed=15)
     energies, restricted = squeeze_limit(F, grid, LAMBDAS)
@@ -419,7 +418,7 @@ def test_capped_theta_collar_is_the_normalized_pushforward():
     s = np.where(x[:, None, 3:] >= 0.0, 1.0, -1.0)
     xr, vr = s * x[:, None, :], s * fr
     xr[..., 3], vr[..., 3] = 0.0, 0.0
-    assert np.array_equal(cols, normalized_pushforward(M, xr, vr))
+    assert np.array_equal(cols, _normalization(M, xr, "collar")[1](vr))
     # the hand-written rule it replaced, (v - <x^, v> x^) / |x| with x^ = x / |x|, to rounding
     n = np.linalg.norm(xr, axis=-1, keepdims=True)
     _, f = M.canonicalize_with_factor(xr / n)
@@ -608,10 +607,9 @@ def test_squeeze_flavor_fixes_reference_line():
     assert np.max(np.linalg.norm(F(pts) - pts, axis=-1)) < 1e-12
 
 
-def _old_perturbed_closures(M, magnitude, flavor, seed):
-    """The evaluator and differential `perturbed_identity` built before the
-    last step of its differential became the shared pushforward through
-    y -> y / |y|."""
+def _perturbation_field(M, flavor, seed):
+    """The tangent field V of `perturbed_identity`, written out: P_x(S x)
+    for a seeded S of unit spectral norm, times |x_N|^2 for the squeeze."""
     amb = M.ambient_dim
     rng = make_rng(seed)
     S = rng.standard_normal((amb, amb))
@@ -625,44 +623,38 @@ def _old_perturbed_closures(M, magnitude, flavor, seed):
             v = v * (np.abs(x[..., -1]) ** 2)[..., None]
         return v
 
-    def ev(x):
-        return M.exp(x, magnitude * field(x))
+    return field
 
-    def diff(x, u):
-        Sx = np.einsum("ij,...j->...i", S, x)
-        P = M.project_tangent(x, Sx)
-        dP = (M.project_tangent(x, np.einsum("ij,...j->...i", S, u))
-              - _dot(u, Sx)[..., None] * x - _dot(x, Sx)[..., None] * u)
-        if flavor == "squeeze":
-            s = np.abs(x[..., -1:]) ** 2
-            dP = 2.0 * (x[..., -1:].conj() * u[..., -1:]).real * P + s * dP
-            P = P * s
-        v, dv = magnitude * P, magnitude * dP
-        r = M.radius
-        theta = M.norm(v)[..., None] / r
-        small = theta < 1e-300
-        t = np.where(small, 1.0, theta)
-        sinc = np.where(small, 1.0, np.sin(t) / t) / r
-        e = v / (t * r)
-        dtheta = np.where(small, 0.0, real_inner(e, dv)[..., None] / r)
-        cos, sin = np.cos(theta), np.sin(theta)
-        y = cos * x + sinc * v
-        dy = cos * u + sinc * dv + dtheta * ((cos - r * sinc) * e - sin * x)
-        n = M.norm(y)[..., None]
-        _, f = M.canonicalize_with_factor(y / n)
-        return f[..., None] * M.project_tangent(y / n, dy / n)
 
-    return ev, diff
+def _old_exponential_push(M, magnitude, flavor, seed):
+    """The evaluator `perturbed_identity` had before it became a normalized
+    map: the exponential push x -> exp_x(m V(x))."""
+    field = _perturbation_field(M, flavor, seed)
+    return lambda x: M.exp(x, magnitude * field(x))
 
 
 @pytest.mark.parametrize("M", [complex_projective(2), real_projective(3), sphere(2, 2.0)],
                          ids=repr)
 @pytest.mark.parametrize("flavor", ["generic", "squeeze"])
-def test_perturbed_identity_matches_its_old_differential_bit_for_bit(M, flavor):
+def test_perturbed_identity_is_the_normalized_retraction_bit_for_bit(M, flavor):
     F = perturbed_identity(M, magnitude=0.3, flavor=flavor, seed=5)
+    field = _perturbation_field(M, flavor, 5)
     x = M.random_point(make_rng(32), 64)
     x[0] = M.canonicalize(np.eye(M.ambient_dim, dtype=M.dtype)[0])  # a zero of the squeeze field
-    _assert_same_map(F, *_old_perturbed_closures(M, 0.3, flavor, 5), x, tangent_frames(M, x))
+    y = x + 0.3 * field(x)
+    assert F(x).tobytes() == M.canonicalize(y / _norm(y)[..., None]).tobytes()
+
+
+@pytest.mark.parametrize("M", [complex_projective(2), real_projective(3), sphere(2)], ids=repr)
+@pytest.mark.parametrize("flavor", ["generic", "squeeze"])
+def test_perturbed_identity_leaves_the_exponential_push_at_third_order(M, flavor):
+    # both pushes move x along the same geodesic, by arctan(m |V|) and by m |V|
+    x = M.random_point(make_rng(33), 200)
+    gaps = [np.max(M.distance(perturbed_identity(M, m, flavor, seed=5)(x),
+                              _old_exponential_push(M, m, flavor, 5)(x)))
+            for m in (0.1, 0.05, 0.025)]
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((ratios > 7.5) & (ratios < 8.5)), ratios
 
 
 def test_perturbed_identity_unknown_flavor():

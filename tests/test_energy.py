@@ -163,7 +163,7 @@ def test_pullback_volume_constant_map():
         M,
         M,
         lambda x: np.broadcast_to(q, x.shape).copy(),
-        differential=lambda x, v: np.zeros_like(v),
+        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)),
         name="constant",
     )
     grid = build_grid(M, 500, "monte_carlo", seed=15)
@@ -175,7 +175,7 @@ def test_a_differential_that_is_nan_at_some_nodes_raises(functional):
     # energies and volumes share one integration path, so both refuse
     M = sphere(2)
     F = MapObject(M, M, lambda x: x,
-                  differential=lambda x, v: np.where(x[..., :1] > 0.5, np.nan, v), name="nan-cap")
+                  lambda x, v: (x, np.where(x[..., :1] > 0.5, np.nan, v)), name="nan-cap")
     grid = build_grid(M, 500, "monte_carlo", seed=16)
     with pytest.raises(GeometryError, match=f"^{functional.__name__}: .* not finite"):
         functional(F, grid)

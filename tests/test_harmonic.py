@@ -50,7 +50,7 @@ def _constant_map(M, rep):
     q = M.canonicalize(np.asarray(rep, dtype=M.dtype))
     return MapObject(
         M, M, lambda x: np.broadcast_to(q, x.shape).copy(),
-        differential=lambda x, v: np.zeros_like(v), name="constant",
+        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)), name="constant",
     )
 
 
@@ -232,7 +232,7 @@ def _counting(F):
         calls.append(np.array(x))
         return F(x)
 
-    return MapObject(F.domain, F.codomain, ev, F.differential, F.name), calls
+    return MapObject(F.domain, F.codomain, ev, F.fused, F.name), calls
 
 
 def test_tension_evaluates_the_base_point_once_per_richardson_pair():
@@ -243,7 +243,9 @@ def test_tension_evaluates_the_base_point_once_per_richardson_pair():
     base = x[..., None, :]
     at_base = [c for c in calls if c.shape == base.shape and np.array_equal(c, base)]
     assert len(at_base) == 1
-    assert len(calls) == 5  # the base point and two probes at each of two steps
+    # the base point, and the two probes at each of two steps on one leading axis
+    assert len(calls) == 2
+    assert calls[1].shape == (4,) + base.shape[:-2] + (M.dim, M.ambient_dim)
 
 
 def test_pluriharmonic_residual_calls_do_not_grow_with_the_dimension():
@@ -253,7 +255,8 @@ def test_pluriharmonic_residual_calls_do_not_grow_with_the_dimension():
         F, calls = _counting(F)
         pluriharmonic_residual(F, F.domain.random_point(make_rng(16), 4))
         counts[F.domain.dim] = len(calls)
-    assert counts == {2: 20, 4: 20, 6: 20}
+    # two second fundamental forms, each one acceleration of two F calls
+    assert counts == {2: 4, 4: 4, 6: 4}
 
 
 def test_residuals_flag_non_pluriharmonic_maps():
@@ -410,9 +413,14 @@ def test_jacobi_check_puts_its_frame_vectors_on_one_batch_axis(monkeypatch, N):
 
     monkeypatch.setattr(harmonic, "_acceleration", counted)
     assert jacobi_identity_check(F, a, grid) == want
-    # one for the tension check, and the two polarized accelerations of the
-    # second fundamental form at every frame vector at once
-    assert len(calls) == 3
+    # one for the tension check, and one for both polarized directions of
+    # the second fundamental form at every frame vector at once
+    assert len(calls) == 2
+    # the trace form in blocks of 100 nodes: the same numbers, one acceleration per block
+    calls.clear()
+    monkeypatch.setattr(harmonic, "TRACE_FORM_BLOCK", 100)
+    assert jacobi_identity_check(F, a, grid) == want
+    assert len(calls) == 1 + -(-len(grid) // 100)
 
 
 def test_symmetry_trace_vanishes():

@@ -225,8 +225,11 @@ def test_samplers_keep_their_gaussian_draws_bit_for_bit(M, seed):
 
     S = _old_gaussian(M, make_rng(seed), (amb, amb))
     S = (S / np.linalg.norm(S, 2)).astype(M.dtype)
-    F = perturbed_identity(M, seed=seed)
-    assert inspect.getclosurevars(F.differential).nonlocals["S"].tobytes() == S.tobytes()
+    # S sits in the closure of the field derivative inside the fused rule
+    closure = perturbed_identity(M, seed=seed).fused
+    for name in ("dP", "dfield"):
+        closure = inspect.getclosurevars(closure).nonlocals[name]
+    assert inspect.getclosurevars(closure).nonlocals["S"].tobytes() == S.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

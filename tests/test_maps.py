@@ -13,6 +13,7 @@ import pytest
 
 from mapenergy import energy, make_rng
 from mapenergy.constructions import (
+    MAP_CATALOG,
     conjugation_map,
     make_capped_theta,
     make_projective_dilation,
@@ -483,6 +484,34 @@ def test_a_composite_differential_is_the_outer_one_at_the_inner_value_bit_for_bi
     assert np.array_equal(value, F(x)) and np.array_equal(cols, want)
 
 
+# keyword arguments of one map of each MAP_CATALOG key
+CATALOG_ARGS = {
+    "identity": {"manifold": complex_projective(2)},
+    "inclusion_rp": {"k": 2, "n": 3},
+    "inclusion_cp": {"k": 1, "N": 2},
+    "double_cover": {},
+    "homothety": {"kappa": 1.7},
+    "conjugation": {"N": 2},
+}
+
+
+def test_every_catalog_key_has_arguments_for_the_fused_contract():
+    assert sorted(CATALOG_ARGS) == sorted(MAP_CATALOG)
+
+
+@pytest.mark.parametrize("name", ANALYTIC_CASES + [f"catalog:{key}" for key in sorted(CATALOG_ARGS)])
+def test_a_fused_rule_gives_the_evaluator_and_the_differential_bit_for_bit(name):
+    key = name.removeprefix("catalog:")
+    F = standard_maps(key, **CATALOG_ARGS[key]) if key != name else _analytic_case(name)
+    M = F.domain
+    x = M.random_point(make_rng(71), 40)[:, None, :]
+    fr = tangent_frames(M, x[:, 0])
+    value, cols = F.fused(x, fr)
+    want = F(x)
+    assert value.shape == want.shape and value.tobytes() == want.tobytes()
+    assert F.differential(x, fr).tobytes() == cols.tobytes()
+
+
 def test_a_composite_differential_evaluates_each_normalized_layer_once(monkeypatch):
     seen = []
     original = maps.normalized_map
@@ -524,8 +553,8 @@ def test_perturbed_identity_differential_matches_finite_differences(M, flavor):
 
 
 def test_squeeze_perturbation_differential_is_the_identity_on_the_reference_line():
-    # the field and its first derivative vanish on the line, so the pushforward
-    # takes the theta -> 0 branch and returns the frame vector itself
+    # the field and its first derivative vanish on the line, so P(x) = x and
+    # dP(x, v) = v there, and the pushforward is the frame vector itself
     M = complex_projective(2)
     F = perturbed_identity(M, 0.2, "squeeze", seed=1)
     line = standard_maps("inclusion_cp", k=1, N=2)
@@ -699,11 +728,11 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
     dilation = make_projective_dilation(2, 2.0)
     seen = []
 
-    def diff(x, v):
+    def fused(x, v):
         seen.append(len(x))
-        return dilation.differential(x, v)
+        return dilation.fused(x, v)
 
-    F = maps.MapObject(dilation.domain, dilation.codomain, dilation.evaluator, differential=diff)
+    F = maps.MapObject(dilation.domain, dilation.codomain, dilation.evaluator, fused)
     grid = build_grid(F.domain, BLOCKED_NODES, seed=3)
     x, fr = grid.nodes, grid_frames(grid)
     n = len(grid)
@@ -749,13 +778,13 @@ def test_an_error_in_a_later_block_propagates_from_p_energy(pooled):
     grid = build_grid(M, BLOCKED_NODES, seed=4)
     marked = grid.nodes[-1]
 
-    def diff(x, v):
+    def fused(x, v):
         if np.any(np.all(x == marked, axis=-1)):
             raise GeometryError("the marked node")
-        return v
+        return x, v
 
     with pytest.raises(GeometryError, match="the marked node"):
-        energy.p_energy(maps.MapObject(M, M, lambda x: x, diff), grid)
+        energy.p_energy(maps.MapObject(M, M, lambda x: x, fused), grid)
     assert pooled
 
 
@@ -765,10 +794,10 @@ def test_a_differential_that_calls_differential_columns_finishes(pooled):
     M = complex_projective(2)
     inner = identity_map(M)
 
-    def diff(x, v):
-        return differential_columns(inner, x[..., 0, :], v)
+    def fused(x, v):
+        return x, differential_columns(inner, x[..., 0, :], v)
 
-    F = maps.MapObject(M, M, lambda x: x, differential=diff)
+    F = maps.MapObject(M, M, lambda x: x, fused)
     grid = build_grid(M, BLOCKED_NODES, seed=5)
     x, fr = grid.nodes, grid_frames(grid)
 

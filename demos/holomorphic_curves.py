@@ -7,6 +7,10 @@ metric-compatibility residuals vanish, the tension field vanishes, and
 the second variation of energy along every direction generated by an
 ambient symmetry is zero, because those directions integrate to
 energy-preserving holomorphic flows.
+
+Each curve is built from its coefficient matrix alone: its shape gives
+the target CP^N and the degree, and one monomial rule gives both the
+value and the derivative.
 """
 
 import numpy as np
@@ -14,7 +18,6 @@ import numpy as np
 from mapenergy.constructions import (
     conic_curve,
     line_curve,
-    make_rational_curve,
     random_curve,
     veronese_curve,
 )
@@ -34,10 +37,10 @@ grid = build_grid(cp1, 4, "mesh")
 probes = cp1.random_point(make_rng(4), (100,))
 
 curves = [
-    ("line (d=1)", make_rational_curve(line_curve(2)), 1),
-    ("conic (d=2)", make_rational_curve(conic_curve()), 2),
-    ("veronese (d=2)", make_rational_curve(veronese_curve()), 2),
-    ("random cubic (d=3)", make_rational_curve(random_curve(2, 3, seed=7)), 3),
+    ("line (d=1)", line_curve(2), 1),
+    ("conic (d=2)", conic_curve(), 2),
+    ("veronese (d=2)", veronese_curve(), 2),
+    ("random cubic (d=3)", random_curve(2, 3, seed=7), 3),
 ]
 
 print(f"{'curve':20s} {'energy':>10s} {'area':>10s} {'d*pi':>10s}"
@@ -52,7 +55,7 @@ for label, F, degree in curves:
           f" {tau:9.1e} {plh:9.1e} {herm:9.1e}")
 
 print()
-veronese = make_rational_curve(veronese_curve())
+veronese = veronese_curve()
 trace, _ = index_trace_over_symmetries(veronese, grid, su_basis(2))
 print(f"summed second variation of the veronese curve over the domain")
 print(f"symmetry directions: {trace:.2e}  (energy scale"

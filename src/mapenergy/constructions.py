@@ -1,10 +1,12 @@
 """Explicit map families used as the test corpus for every functional.
 
-Rational curves (holomorphic normalized maps of homogeneous polynomials),
-projective dilations that squeeze a complex projective space onto the
-line of its first two coordinates, where `intgeo.restriction_energies`
-gives the squeeze limit, conformal dilations of the 3-sphere and their
-capped projective quotient variant, a catalog of standard maps, and
+Rational curves, each built by `make_rational_curve` from its coefficient
+matrix, whose shape gives the target CP^N and the degree and whose value
+and derivative come from one monomial rule; projective dilations that
+squeeze a complex projective space onto the line of its first two
+coordinates, where `intgeo.restriction_energies` gives the squeeze
+limit; conformal dilations of the 3-sphere and their capped projective
+quotient variant, a catalog of standard maps, and
 reproducible non-holomorphic perturbations of the identity.  Dimensions
 and degrees are integers >= 1, checked where they enter.
 
@@ -16,8 +18,6 @@ differential of its own.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,33 +47,40 @@ from .rand import make_rng
 # rational curves
 
 
-@dataclass
-class RationalCurveSpec:
-    """Degree-d holomorphic curve given by N+1 homogeneous polynomials.
+def make_rational_curve(coefficients):
+    """The holomorphic curve [a : b] -> [p_0 : ... : p_N] of CP^1 into CP^N.
 
-    ``coefficients[i, k]`` multiplies a^(d-k) b^k inside the i-th
-    component; the polynomials must have no common zero, checked at 10^3
-    random probe points plus the roots of the best-conditioned component
-    (any common zero must be among them) after normalizing coefficients.
+    N and the degree d are read off the (N + 1, d + 1) shape of the
+    complex `coefficients`, each at least 1: p_i = sum_k c[i, k]
+    a^(d-k) b^k.  The polynomials must be finite, not all zero, and have
+    no common zero, checked at 10^3 random probe points plus the roots of
+    the best-conditioned component (any common zero must be among them)
+    after normalizing coefficients.  The value and the derivative come
+    from one monomial rule: the partials in a and b are the degree-(d-1)
+    tuples of the shifted coefficients c[i, k] (d - k) and c[i, k] k.
     """
+    c = np.asarray(coefficients, dtype=complex)
+    if c.ndim != 2 or min(c.shape) < 2:
+        raise GeometryError("curve coefficients must be an (N + 1, degree + 1) matrix "
+                            f"with N, degree >= 1, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise GeometryError("curve coefficients must be finite")
+    scale = np.max(np.abs(c))
+    if scale == 0:
+        raise GeometryError("curve coefficients are all zero")
+    z = complex_projective(1).random_point(make_rng(0), 1000)
+    probes = np.concatenate([z, _candidate_zeros(c)], axis=0)
+    if np.min(np.linalg.norm(_homogeneous_eval(c, probes), axis=-1)) / scale < 1e-8:
+        raise GeometryError("curve polynomials share a zero")
+    d = c.shape[1] - 1
+    k = np.arange(d + 1)
+    ca, cb = (c * (d - k))[:, :-1], (c * k)[:, 1:]
 
-    N: int
-    degree: int
-    coefficients: np.ndarray
+    def dP(z, v):
+        return _homogeneous_eval(ca, z) * v[..., :1] + _homogeneous_eval(cb, z) * v[..., 1:]
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.shape != _curve_shape(self.N, self.degree):
-            raise GeometryError("curve coefficients must have shape (N+1, degree+1)")
-        object.__setattr__(self, "coefficients", c)
-        scale = np.max(np.abs(c))
-        if scale == 0:
-            raise GeometryError("curve coefficients are all zero")
-        z = complex_projective(1).random_point(make_rng(0), 1000)
-        probes = np.concatenate([z, _candidate_zeros(c)], axis=0)
-        vals = _homogeneous_eval(c, self.degree, probes)
-        if np.min(np.linalg.norm(vals, axis=-1)) / scale < 1e-8:
-            raise GeometryError("curve polynomials share a zero")
+    return normalized_map(complex_projective(1), complex_projective(c.shape[0] - 1),
+                          lambda z: _homogeneous_eval(c, z), dP, f"curve-deg{d}")
 
 
 def _curve_shape(N, degree):
@@ -93,34 +100,12 @@ def _candidate_zeros(c):
     return np.stack(pts, axis=0)
 
 
-def _homogeneous_eval(c, d, z):
+def _homogeneous_eval(c, z):
+    """The tuple of degree-d polynomials with (N + 1, d + 1) coefficients c at z."""
+    d = c.shape[1] - 1
     a, b = z[..., 0], z[..., 1]
     mono = np.stack([a ** (d - k) * b**k for k in range(d + 1)], axis=-1)
     return np.einsum("nk,...k->...n", c, mono)
-
-
-def _homogeneous_derivative(c, d, z, v):
-    """Directional derivative of the polynomial tuple along (va, vb)."""
-    a, b = z[..., 0], z[..., 1]
-    va, vb = v[..., 0], v[..., 1]
-    zero = np.zeros_like(a)
-    mono_a = np.stack(
-        [(d - k) * a ** (d - k - 1) * b**k if k < d else zero for k in range(d + 1)],
-        axis=-1,
-    )
-    mono_b = np.stack(
-        [k * a ** (d - k) * b ** (k - 1) if k > 0 else zero for k in range(d + 1)],
-        axis=-1,
-    )
-    return np.einsum("nk,...k->...n", c, mono_a * va[..., None] + mono_b * vb[..., None])
-
-
-def make_rational_curve(spec):
-    """MapObject of the holomorphic curve described by a RationalCurveSpec."""
-    c, d = spec.coefficients, spec.degree
-    return normalized_map(complex_projective(1), complex_projective(spec.N),
-                          lambda z: _homogeneous_eval(c, d, z),
-                          lambda z, v: _homogeneous_derivative(c, d, z, v), f"curve-deg{d}")
 
 
 def line_curve(N=2):
@@ -128,7 +113,7 @@ def line_curve(N=2):
     c = np.zeros(_curve_shape(N, 1), dtype=complex)
     c[0, 0] = 1.0
     c[1, 1] = 1.0
-    return RationalCurveSpec(N, 1, c)
+    return make_rational_curve(c)
 
 
 def conic_curve():
@@ -136,25 +121,18 @@ def conic_curve():
 
     Its components satisfy p0^2 + p1^2 + p2^2 = 0 identically.
     """
-    c = np.array(
-        [[1.0, 0.0, -1.0], [1j, 0.0, 1j], [0.0, 2.0, 0.0]], dtype=complex
-    )
-    return RationalCurveSpec(2, 2, c)
+    return make_rational_curve([[1.0, 0.0, -1.0], [1j, 0.0, 1j], [0.0, 2.0, 0.0]])
 
 
 def veronese_curve():
     """The quadric Veronese curve [a^2 : sqrt(2) ab : b^2]."""
-    c = np.array(
-        [[1.0, 0.0, 0.0], [0.0, np.sqrt(2.0), 0.0], [0.0, 0.0, 1.0]], dtype=complex
-    )
-    return RationalCurveSpec(2, 2, c)
+    return make_rational_curve(np.diag([1.0, np.sqrt(2.0), 1.0]))
 
 
 def random_curve(N, degree, seed=0):
-    """A random curve spec with Gaussian coefficients (no common zero a.s.)."""
+    """A random curve with Gaussian coefficients (no common zero a.s.)."""
     shape = _curve_shape(N, degree)
-    c = complex_projective(N).gaussian(make_rng(seed), shape)
-    return RationalCurveSpec(N, degree, c)
+    return make_rational_curve(complex_projective(N).gaussian(make_rng(seed), shape))
 
 
 # ---------------------------------------------------------------------------

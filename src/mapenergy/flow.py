@@ -74,6 +74,9 @@ class MeshMap:
         target = domain.volume
         if abs(float(np.sum(self.areas)) - target) > 1e-3 * target:
             raise GeometryError("vertex areas do not sum to the domain area")
+        # representatives are unit vectors whatever the codomain radius
+        if not np.max(np.abs(_norm(self.images) - 1.0)) <= 1e-10:
+            raise GeometryError("images must be unit vectors, the codomain's representatives")
         canon = self.codomain.canonicalize(self.images)
         if np.max(_norm(canon - self.images)) > 1e-10:
             raise GeometryError("images must be canonical points of the codomain")

@@ -32,7 +32,6 @@ from .constructions import (
     conic_curve,
     line_curve,
     make_capped_theta,
-    make_rational_curve,
     make_projective_dilation,
     make_theta,
     perturbed_identity,
@@ -404,35 +403,27 @@ def _relerr(value, reference):
 @_experiment("croke", "pairs", 1000, EXACT)
 def _run_croke(seed, pairs):
     """Spherical mean of |dF(u)|^2 against the trace of the pullback Gram."""
-    pools = [
-        (sphere(2), [
-            identity_map(sphere(2)),
-            homothety_map(sphere(2), sphere(2, 1.7)),
-            normalized_linear_map(sphere(2), sphere(2), np.diag([1.0, 1.3, 0.8]),
-                                  name="stretch"),
-        ]),
-        (real_projective(3), [
-            identity_map(real_projective(3)),
-            homothety_map(real_projective(3), real_projective(3, 2.0)),
-            normalized_linear_map(real_projective(3), real_projective(3),
-                                  np.diag([1.0, 1.2, 0.9, 1.1]), name="stretch"),
-        ]),
-        (complex_projective(2), [
-            identity_map(complex_projective(2)),
-            make_projective_dilation(2, 2.0),
-            standard_maps("conjugation", N=2),
-        ]),
-    ]
-    flat = [(M, F) for M, maps in pools for F in maps]
-    counts = np.full(len(flat), pairs // len(flat))
+    maps = (
+        identity_map(sphere(2)),
+        homothety_map(sphere(2), sphere(2, 1.7)),
+        normalized_linear_map(sphere(2), sphere(2), np.diag([1.0, 1.3, 0.8]), name="stretch"),
+        identity_map(real_projective(3)),
+        homothety_map(real_projective(3), real_projective(3, 2.0)),
+        normalized_linear_map(real_projective(3), real_projective(3),
+                              np.diag([1.0, 1.2, 0.9, 1.1]), name="stretch"),
+        identity_map(complex_projective(2)),
+        make_projective_dilation(2, 2.0),
+        standard_maps("conjugation", N=2),
+    )
+    counts = np.full(len(maps), pairs // len(maps))
     counts[: pairs - int(np.sum(counts))] += 1
     worst = 0.0
-    for index, ((M, F), k) in enumerate(zip(flat, counts)):
+    for index, (F, k) in enumerate(zip(maps, counts)):
         if k == 0:
             continue
-        x = M.random_point(spawn(seed, index), size=(int(k),))
+        x = F.domain.random_point(spawn(seed, index), size=(int(k),))
         density = croke_density(F, x)
-        trace = differential_columns(F, x, tangent_frames(M, x), reduce=energy_density)
+        trace = differential_columns(F, x, tangent_frames(F.domain, x), reduce=energy_density)
         worst = max(worst, float(np.max(np.abs(density - trace) / np.abs(trace))))
     return {"order": 3}, worst
 
@@ -560,9 +551,9 @@ def _run_holomorphic_corpus(seed, level):
     value below one means every check passed.
     """
     grid = build_grid(complex_projective(1), level, "mesh")
-    curves = {"line": (make_rational_curve(line_curve(2)), 1),
-              "conic": (make_rational_curve(conic_curve()), 2),
-              "cubic": (make_rational_curve(random_curve(2, 3, seed=seed + 1)), 3)}
+    curves = {"line": (line_curve(2), 1),
+              "conic": (conic_curve(), 2),
+              "cubic": (random_curve(2, 3, seed=seed + 1), 3)}
     probes = complex_projective(1).random_point(spawn(seed, 2), size=(100,))
     worst = 0.0
     breakdown = {}
@@ -596,8 +587,8 @@ def _run_harmonic_diagnostics(seed, probes):
         "identity-rp2": identity_map(real_projective(2)),
         "line-inclusion": standard_maps("inclusion_cp", k=1, N=2),
         "double-cover": standard_maps("double_cover"),
-        "conic": make_rational_curve(conic_curve()),
-        "veronese": make_rational_curve(veronese_curve()),
+        "conic": conic_curve(),
+        "veronese": veronese_curve(),
     }
     worst = 0.0
     breakdown = {}
@@ -618,7 +609,7 @@ def _run_harmonic_diagnostics(seed, probes):
 @_experiment("jacobi", "level", 4, 0.05)
 def _run_jacobi(seed, level):
     """Second variations match the index-form shortcut on a degree-2 curve."""
-    F = make_rational_curve(veronese_curve())
+    F = veronese_curve()
     grid = build_grid(complex_projective(1), level, "mesh")
     scale = p_energy(F, grid, p=2.0).value
     worst = 0.0

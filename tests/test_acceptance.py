@@ -12,7 +12,7 @@ it.
 import numpy as np
 import pytest
 
-from mapenergy.constructions import make_rational_curve, make_theta, veronese_curve
+from mapenergy.constructions import make_theta, veronese_curve
 from mapenergy.harmonic import second_fundamental_form, tension
 from mapenergy.intgeo import line_energy_average, line_space_mass, rp2_family_mass
 from mapenergy.energy import p_energy
@@ -207,7 +207,7 @@ def test_criterion_12_structural_property_suite():
 
     # frame independence of the tension vector
     cp1 = complex_projective(1)
-    F = make_rational_curve(veronese_curve())
+    F = veronese_curve()
     x = cp1.random_point(make_rng(6), (10,))
     fr = tangent_frames(cp1, x)
     q = np.linalg.qr(make_rng(7).standard_normal((2, 2)))[0]
@@ -225,7 +225,7 @@ def test_criterion_12_structural_property_suite():
                            + 1j * rng.standard_normal((3, 3)))[0]
     rotation = normalized_linear_map(cp2, cp2, unitary, name="isometry")
     grid = build_grid(cp2, 5000, "monte_carlo", seed=9)
-    base = make_rational_curve(veronese_curve())
+    base = veronese_curve()
     probe = identity_map(cp2)
     e_direct = p_energy(probe, grid, p=2.0).value
     e_rotated = p_energy(compose(rotation, probe), grid, p=2.0).value

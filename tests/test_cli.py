@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from mapenergy import constructions
 from mapenergy.cli import main
+from mapenergy.manifolds import complex_projective
+from mapenergy.maps import MapObject
+from mapenergy.rand import make_rng
 from mapenergy.report import EXPERIMENTS
 
 
@@ -11,6 +15,31 @@ def test_corpus_list_names_the_catalog(capsys):
     out = capsys.readouterr().out
     for key in ("identity", "double_cover", "conic", "croke", "pu", "flow"):
         assert key in out
+
+
+# keyword arguments of each curve builder and the N of CP^N it maps into
+_CURVE_ARGS = {"line": ({"N": 3}, 3), "conic": ({}, 2), "veronese": ({}, 2),
+               "random": ({"N": 4, "degree": 3, "seed": 2}, 4)}
+
+
+def test_corpus_list_curves_are_the_curve_builders(capsys):
+    assert main(["corpus", "list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("curves:") + 1
+    stop = next(i for i in range(start, len(lines)) if not lines[i].startswith("  "))
+    listed = [line.strip() for line in lines[start:stop]]
+    builders = {name[: -len("_curve")] for name, obj in vars(constructions).items()
+                if name.endswith("_curve") and callable(obj) and name != "make_rational_curve"}
+    assert sorted(listed) == sorted(builders) == sorted(_CURVE_ARGS)
+    z = complex_projective(1).random_point(make_rng(0), 8)
+    for name in listed:
+        kwargs, N = _CURVE_ARGS[name]
+        F = getattr(constructions, f"{name}_curve")(**kwargs)
+        assert isinstance(F, MapObject)
+        assert [(M.kind, M.N) for M in (F.domain, F.codomain)] == \
+            [("complex_projective", 1), ("complex_projective", N)]
+        # one coefficient row per homogeneous coordinate of CP^N
+        assert F(z).shape == (8, N + 1)
 
 
 def test_verify_writes_report_and_twin(tmp_path, capsys):

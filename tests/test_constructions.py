@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mapenergy.constructions import (
-    RationalCurveSpec,
     conic_curve,
     conjugation_map,
     line_curve,
@@ -18,7 +17,7 @@ from mapenergy.constructions import (
     standard_maps,
     veronese_curve,
 )
-from mapenergy.constructions import _homogeneous_derivative, _homogeneous_eval
+from mapenergy.constructions import _homogeneous_eval
 from mapenergy.energy import p_energy, surface_area
 from mapenergy.manifolds import (
     GeometryError,
@@ -47,34 +46,59 @@ from fd_oracle import fd_map
 # rational curves
 
 
-def test_curve_spec_rejects_common_zero():
-    bad = np.array(
-        [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex
+@pytest.mark.parametrize("coefficients, match", [
+    ([[1.0, np.nan], [0.0, 1.0]], "must be finite"),
+    ([[1.0, np.inf], [0.0, 1.0]], "must be finite"),
+    ([[1.0, complex(0.0, np.nan)], [0.0, 1.0]], "must be finite"),
+    ([1.0, 2.0, 3.0], "matrix"),
+    (np.ones((1, 3)), "matrix"),
+    (np.ones((3, 1)), "matrix"),
+    (np.zeros((3, 3)), "all zero"),
+    ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "share a zero"),
+    (np.ones((2, 2)), "share a zero"),
+], ids=["nan", "inf", "complex-nan", "1-d", "1xk", "kx1", "all-zero", "shared-zero",
+        "shared-zero-line"])
+def test_make_rational_curve_rejects_bad_coefficients(coefficients, match):
+    # rejected where the matrix enters, with no warning from np.roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=f"curve (coefficients|polynomials) .*{match}"):
+            make_rational_curve(coefficients)
+
+
+def _old_homogeneous_derivative(c, z, v):
+    """The hand-written monomial table of the curve derivative that the
+    shifted coefficient tuples replaced."""
+    d = c.shape[1] - 1
+    a, b = z[..., 0], z[..., 1]
+    va, vb = v[..., 0], v[..., 1]
+    zero = np.zeros_like(a)
+    mono_a = np.stack(
+        [(d - k) * a ** (d - k - 1) * b**k if k < d else zero for k in range(d + 1)],
+        axis=-1,
     )
-    with pytest.raises(GeometryError):
-        RationalCurveSpec(2, 2, bad)
-    with pytest.raises(GeometryError):
-        RationalCurveSpec(2, 2, np.zeros((3, 3)))
-    with pytest.raises(GeometryError):
-        RationalCurveSpec(2, 2, np.ones((2, 2)))
+    mono_b = np.stack(
+        [k * a ** (d - k) * b ** (k - 1) if k > 0 else zero for k in range(d + 1)],
+        axis=-1,
+    )
+    return np.einsum("nk,...k->...n", c, mono_a * va[..., None] + mono_b * vb[..., None])
 
 
-def _old_curve_closures(spec):
+def _old_curve_closures(c):
     """The evaluator and differential `make_rational_curve` built before
     normalized maps shared one builder."""
-    cod = complex_projective(spec.N)
-    c, d = spec.coefficients, spec.degree
+    cod = complex_projective(c.shape[0] - 1)
 
     def ev(z):
-        y = _homogeneous_eval(c, d, z)
+        y = _homogeneous_eval(c, z)
         n = np.linalg.norm(y, axis=-1, keepdims=True)
         return cod.canonicalize(y / n)
 
     def diff(z, v):
-        y = _homogeneous_eval(c, d, z)
+        y = _homogeneous_eval(c, z)
         n = np.linalg.norm(y, axis=-1, keepdims=True)
         yh = y / n
-        dy = _homogeneous_derivative(c, d, z, v)
+        dy = _old_homogeneous_derivative(c, z, v)
         w = cod.project_tangent(yh, dy / n)
         _, f = cod.canonicalize_with_factor(yh)
         return f[..., None] * w
@@ -82,23 +106,39 @@ def _old_curve_closures(spec):
     return ev, diff
 
 
-def _assert_same_map(F, ev, diff, x, frames):
-    """F agrees bit for bit with (ev, diff) on points and on frame columns."""
-    assert F(x).tobytes() == ev(x).tobytes()
-    base = x[..., None, :]
-    assert F.differential(base, frames).tobytes() == diff(base, frames).tobytes()
-    v = frames[..., 0, :]
-    assert F.differential(x, v).tobytes() == diff(x, v).tobytes()
+_LINE3 = np.eye(4, 2, dtype=complex)
+_CONIC = np.array([[1.0, 0.0, -1.0], [1j, 0.0, 1j], [0.0, 2.0, 0.0]], dtype=complex)
+_VERONESE = np.diag([1.0, np.sqrt(2.0), 1.0]).astype(complex)
 
 
-@pytest.mark.parametrize("spec", [line_curve(3), conic_curve(), veronese_curve(),
-                                  random_curve(2, 3, seed=4), random_curve(4, 5, seed=9)],
-                         ids=["line", "conic", "veronese", "cubic", "quintic"])
-def test_rational_curve_matches_its_old_closures_bit_for_bit(spec):
+@pytest.mark.parametrize("build, c", [
+    (lambda: line_curve(3), _LINE3),
+    (conic_curve, _CONIC),
+    (veronese_curve, _VERONESE),
+    (lambda: random_curve(2, 3, seed=4), complex_projective(2).gaussian(make_rng(4), (3, 4))),
+    (lambda: random_curve(4, 5, seed=9), complex_projective(4).gaussian(make_rng(9), (5, 6))),
+], ids=["line", "conic", "veronese", "cubic", "quintic"])
+def test_rational_curve_matches_its_old_closures(build, c):
+    # each builder is the curve of its matrix, values and differentials bit
+    # for bit; the values equal the old closure's bit for bit, and the
+    # differentials, now from the shifted coefficient tuples, the old
+    # monomial table's to rounding
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(31), 64)
-    _assert_same_map(make_rational_curve(spec), *_old_curve_closures(spec), z,
-                     tangent_frames(cp1, z))
+    fr = tangent_frames(cp1, z)
+    F, G = build(), make_rational_curve(c)
+    assert [(M.kind, M.N) for M in (F.domain, F.codomain)] == \
+        [("complex_projective", 1), ("complex_projective", c.shape[0] - 1)]
+    assert F.name == f"curve-deg{c.shape[1] - 1}"
+    assert F(z).tobytes() == G(z).tobytes()
+    assert differential_columns(F, z, fr).tobytes() == differential_columns(G, z, fr).tobytes()
+    ev, diff = _old_curve_closures(c)
+    assert F(z).tobytes() == ev(z).tobytes()
+    base = z[..., None, :]
+    for x, v in ((base, fr), (z, fr[..., 0, :])):
+        new, old = F.differential(x, v), diff(x, v)
+        assert new.shape == old.shape
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-14 * np.max(np.abs(old)))
 
 
 @pytest.mark.parametrize("build", [
@@ -113,10 +153,10 @@ def test_rational_curve_matches_its_old_closures_bit_for_bit(spec):
     lambda: make_projective_dilation(2.5, 2.0),
     lambda: make_projective_dilation(0, 2.0),
     lambda: make_projective_dilation(True, 2.0),
-    lambda: RationalCurveSpec(2, True, np.eye(3, 2)),
-    lambda: RationalCurveSpec(2, 0, np.eye(3, 1)),
-    lambda: RationalCurveSpec(2, 1.0, np.eye(3, 2)),
-    lambda: RationalCurveSpec(2.0, 1, np.eye(3, 2)),
+    lambda: random_curve(2, True),
+    lambda: make_rational_curve(np.eye(3, 1)),
+    lambda: random_curve(2, 2.5),
+    lambda: random_curve(2.0, 1),
     lambda: random_curve(2, 1.0),
     lambda: random_curve(2, 0),
     lambda: random_curve(True, 2),
@@ -134,13 +174,12 @@ def test_dimension_and_degree_arguments_must_be_integers_at_least_one(build):
 
 def test_curve_energies_match_degree_times_pi():
     grid = build_grid(complex_projective(1), 4, "mesh")
-    for spec, d in (
+    for F, d in (
         (line_curve(), 1),
         (conic_curve(), 2),
         (veronese_curve(), 2),
         (random_curve(2, 3, seed=4), 3),
     ):
-        F = make_rational_curve(spec)
         E = p_energy(F, grid, p=2.0).value
         A = surface_area(F, grid)
         assert E == pytest.approx(d * np.pi, rel=5e-3)
@@ -149,7 +188,7 @@ def test_curve_energies_match_degree_times_pi():
 
 
 def test_curve_differential_matches_finite_differences():
-    F = make_rational_curve(random_curve(2, 3, seed=4))
+    F = random_curve(2, 3, seed=4)
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(8), 25)
     fr = tangent_frames(cp1, z)
@@ -161,7 +200,7 @@ def test_curve_differential_matches_finite_differences():
 def test_holomorphy_witness():
     # dF(iv) = i dF(v) for curves and dilations
     rng = make_rng(9)
-    F = make_rational_curve(conic_curve())
+    F = conic_curve()
     cp1 = complex_projective(1)
     z = cp1.random_point(rng, 20)
     v = cp1.random_unit_tangent(rng, z)

@@ -9,7 +9,6 @@ from mapenergy import energy, make_rng
 from mapenergy.constructions import (
     conic_curve,
     make_projective_dilation,
-    make_rational_curve,
     make_theta,
     perturbed_identity,
     random_curve,
@@ -365,8 +364,8 @@ PROPERTY = settings(derandomize=True, deadline=None)
 # finite differences along different frames differ by their truncation error
 ENERGY_CASES = [
     (make_projective_dilation(2, 3.0), build_grid(complex_projective(2), 200, "monte_carlo", seed=4), 1e-12),
-    (make_rational_curve(conic_curve()), build_grid(complex_projective(1), 2, "mesh"), 1e-12),
-    (make_rational_curve(random_curve(2, 3, seed=1)), build_grid(complex_projective(1), 2, "mesh"), 1e-12),
+    (conic_curve(), build_grid(complex_projective(1), 2, "mesh"), 1e-12),
+    (random_curve(2, 3, seed=1), build_grid(complex_projective(1), 2, "mesh"), 1e-12),
     (make_theta(2.0), build_grid(sphere(3), 200, "monte_carlo", seed=5), 1e-12),
     (perturbed_identity(sphere(2), 0.2, seed=1), build_grid(sphere(2), 2, "mesh"), 1e-9),
     (perturbed_identity(real_projective(2), 0.2, seed=2), build_grid(real_projective(2), 2, "mesh"), 1e-9),

@@ -63,11 +63,12 @@ def test_meshmap_validation():
         MeshMap(mesh, s2, np.zeros((5, 3)))
     bad = rp2.canonicalize(mesh.vertices.copy())
     bad[0] = -bad[0]  # not the canonical representative
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="canonical"):
         MeshMap(mesh, rp2, bad)
     asym = rp2.canonicalize(mesh.vertices)
-    asym[3] = rp2.canonicalize(np.array([0.3, 0.1, 0.95]))
-    with pytest.raises(GeometryError):
+    # a unit vector, so the antipodal check, not the norm check, rejects it
+    asym[3] = rp2.canonicalize(np.array([0.3, 0.1, 0.95]) / np.sqrt(1.0025))
+    with pytest.raises(GeometryError, match="antipodally equal"):
         MeshMap(mesh, rp2, asym, antipodal_quotient=True)
     for level in (-1, True, 1.5, "2", None):
         with pytest.raises(GeometryError, match="integer resolution >= 0"):
@@ -119,6 +120,30 @@ def test_double_cover_energy_matches_smooth_module():
 def test_quotient_identity_energy():
     E = discrete_energy(sample_map(identity_map(rp2), 4, antipodal_quotient=True))
     assert E == pytest.approx(2.0 * np.pi, rel=0.01)
+
+
+def test_meshmap_images_must_be_unit_vectors():
+    # representatives are unit vectors for every codomain radius: doubled
+    # images on S^2 and canonical non-unit images on CP^2 are refused where
+    # they enter, and the images of a radius-2 sphere are the unit vertices
+    mesh = icosphere(3)
+    x = mesh.vertices
+    with pytest.raises(GeometryError, match="unit vectors"):
+        MeshMap(mesh, s2, 2.0 * x)
+    unit = discrete_energy(MeshMap(mesh, s2, x))
+    assert unit == pytest.approx(4.0 * np.pi, rel=5e-3)
+    assert discrete_energy(MeshMap(mesh, sphere(2, 2.0), x)) == pytest.approx(4.0 * unit, rel=1e-14)
+    cp2 = complex_projective(2)
+    imgs = cp2.random_point(make_rng(3), len(x))
+    for scale in (2.0, 1.0 + 1e-9):
+        with pytest.raises(GeometryError, match="unit vectors"):
+            MeshMap(mesh, cp2, cp2.canonicalize(scale * imgs))
+    for scale in (1.0, 1.0 + 1e-12):
+        MeshMap(mesh, cp2, cp2.canonicalize(scale * imgs))
+    blank = cp2.canonicalize(imgs)
+    blank[5] = np.nan
+    with pytest.raises(GeometryError, match="unit vectors"):
+        MeshMap(mesh, cp2, blank)
 
 
 def test_constant_map_is_flow_fixed_point():

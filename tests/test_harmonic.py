@@ -6,7 +6,6 @@ from mapenergy.constructions import (
     conjugation_map,
     line_curve,
     make_projective_dilation,
-    make_rational_curve,
     perturbed_identity,
     random_curve,
     standard_maps,
@@ -60,7 +59,7 @@ def _constant_map(M, rep):
 
 def test_second_form_symmetric_and_typed():
     cp1, cp2 = complex_projective(1), complex_projective(2)
-    F = make_rational_curve(veronese_curve())
+    F = veronese_curve()
     x = cp1.random_point(make_rng(1), 20)
     fr = tangent_frames(cp1, x)
     v, w = fr[..., 0, :], fr[..., 1, :]
@@ -137,14 +136,13 @@ def test_tension_vanishes_for_identity_and_curves():
 
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(7), 50)
-    for spec in (line_curve(), conic_curve(), veronese_curve()):
-        F = make_rational_curve(spec)
+    for F in (line_curve(), conic_curve(), veronese_curve()):
         assert np.max(F.codomain.norm(tension(F, z))) < 1e-4
 
 
 def test_tension_is_frame_independent():
     cp1 = complex_projective(1)
-    F = make_rational_curve(conic_curve())
+    F = conic_curve()
     x = cp1.random_point(make_rng(8), 10)
     fr = tangent_frames(cp1, x)
     q = np.linalg.qr(make_rng(9).standard_normal((2, 2)))[0]
@@ -161,7 +159,7 @@ def test_tension_is_frame_independent():
 def test_residuals_small_on_holomorphic_corpus():
     cp1 = complex_projective(1)
     z = cp1.random_point(make_rng(10), 30)
-    for F in (make_rational_curve(conic_curve()), make_rational_curve(line_curve())):
+    for F in (conic_curve(), line_curve()):
         assert np.max(pluriharmonic_residual(F, z)) < 1e-3
         assert np.max(hermitian_residual(F, z)) < 1e-5
     cp2 = complex_projective(2)
@@ -187,8 +185,8 @@ def _old_pluriharmonic_residual(F, x):
 
 
 _RESIDUAL_MAPS = {
-    "conic": lambda: make_rational_curve(conic_curve()),
-    "cubic": lambda: make_rational_curve(random_curve(2, 3, seed=6)),
+    "conic": conic_curve,
+    "cubic": lambda: random_curve(2, 3, seed=6),
     "perturbed-cp2": lambda: perturbed_identity(complex_projective(2), magnitude=0.2, seed=0),
     "conjugation-cp2": lambda: conjugation_map(2),
 }
@@ -250,7 +248,7 @@ def test_tension_evaluates_the_base_point_once_per_richardson_pair():
 
 def test_pluriharmonic_residual_calls_do_not_grow_with_the_dimension():
     counts = {}
-    for F in (make_rational_curve(conic_curve()), perturbed_identity(complex_projective(2), 0.2),
+    for F in (conic_curve(), perturbed_identity(complex_projective(2), 0.2),
               perturbed_identity(complex_projective(3), 0.2)):
         F, calls = _counting(F)
         pluriharmonic_residual(F, F.domain.random_point(make_rng(16), 4))
@@ -282,12 +280,12 @@ def test_second_variation_neutral_along_symmetry_directions():
     # is conformally invariant, so each second variation is zero up to rounding
     cp1 = complex_projective(1)
     grid = build_grid(cp1, 4, "mesh")
-    for F in (identity_map(cp1), make_rational_curve(veronese_curve())):
+    for F in (identity_map(cp1), veronese_curve()):
         for a in su_basis(2):
             assert abs(second_variation(symmetry_variation(F, a), grid)) < 1e-9
 
 
-@pytest.mark.parametrize("F", [make_rational_curve(veronese_curve()), conjugation_map(2)],
+@pytest.mark.parametrize("F", [veronese_curve(), conjugation_map(2)],
                          ids=["veronese-cp1", "conjugation-cp2"])
 def test_the_symmetry_family_starts_along_the_pushforward_of_j_k(F):
     M, cod = F.domain, F.codomain
@@ -338,7 +336,7 @@ def test_second_variation_negative_for_unstable_sphere_identity():
 def test_second_variation_zero_field_and_evenness():
     cp1 = complex_projective(1)
     grid = build_grid(cp1, 4, "mesh")
-    F = make_rational_curve(veronese_curve())
+    F = veronese_curve()
 
     # a constant family has the zero field
     assert abs(second_variation(lambda t: F, grid)) < 1e-9
@@ -364,7 +362,7 @@ def test_second_variation_warns_for_non_harmonic_map():
 def test_jacobi_identity_on_degree_two_curve():
     cp1 = complex_projective(1)
     grid = build_grid(cp1, 4, "mesh")
-    F = make_rational_curve(veronese_curve())
+    F = veronese_curve()
     floor = 1e-3 * p_energy(F, grid, p=2.0).value
     for a in su_basis(2)[:2]:
         lhs, rhs = jacobi_identity_check(F, a, grid)
@@ -377,7 +375,7 @@ def test_jacobi_identity_trivial_cases():
     lhs, rhs = jacobi_identity_check(identity_map(cp1), su_basis(2)[1], grid)
     assert abs(lhs) < 1e-6 and abs(rhs) < 1e-6
     lhs0, rhs0 = jacobi_identity_check(
-        make_rational_curve(veronese_curve()), np.zeros((2, 2)), grid
+        veronese_curve(), np.zeros((2, 2)), grid
     )
     assert abs(lhs0) < 1e-9 and rhs0 == 0.0
 
@@ -399,7 +397,7 @@ def _trace_form_one_vector_at_a_time(F, generator, grid):
 @pytest.mark.parametrize("N", [1, 2], ids=["cp1", "cp2"])
 def test_jacobi_check_puts_its_frame_vectors_on_one_batch_axis(monkeypatch, N):
     if N == 1:
-        F, grid = make_rational_curve(veronese_curve()), build_grid(complex_projective(1), 3, "mesh")
+        F, grid = veronese_curve(), build_grid(complex_projective(1), 3, "mesh")
     else:
         F, grid = conjugation_map(2), build_grid(complex_projective(2), 300, seed=5)
     a = su_basis(N + 1)[1]
@@ -427,7 +425,7 @@ def test_symmetry_trace_vanishes():
     cp1 = complex_projective(1)
     grid = build_grid(cp1, 4, "mesh")
     basis = su_basis(2)
-    for F in (identity_map(cp1), make_rational_curve(veronese_curve())):
+    for F in (identity_map(cp1), veronese_curve()):
         scale = p_energy(F, grid, p=2.0).value
         assert abs(index_trace_over_symmetries(F, grid, basis)[0]) < 1e-3 * scale
     C = _constant_map(cp1, np.array([1.0, 0.0], dtype=complex))

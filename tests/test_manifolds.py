@@ -238,7 +238,9 @@ def test_curve_and_plane_samplers_keep_their_gaussian_draws_bit_for_bit(seed):
         rng = make_rng(seed)
         shape = (N + 1, degree + 1)
         c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert random_curve(N, degree, seed=seed).coefficients.tobytes() == c.tobytes()
+        # c sits in the closure of the polynomial tuple inside the evaluator
+        P = inspect.getclosurevars(random_curve(N, degree, seed=seed).evaluator).nonlocals["P"]
+        assert inspect.getclosurevars(P).nonlocals["c"].tobytes() == c.tobytes()
     for n, K in ((3, 5), (4, 17)):
         q, _ = np.linalg.qr(make_rng(seed).standard_normal((K, n + 1, 3)))
         assert sample_rp2_planes(n, K, seed=seed)[0].tobytes() == q.tobytes()

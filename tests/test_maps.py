@@ -17,7 +17,6 @@ from mapenergy.constructions import (
     conjugation_map,
     make_capped_theta,
     make_projective_dilation,
-    make_rational_curve,
     make_theta,
     perturbed_identity,
     random_curve,
@@ -407,7 +406,7 @@ def _analytic_case(name):
         "stretch-s2": lambda: normalized_linear_map(sphere(2), sphere(2), np.diag([1.0, 1.3, 0.8])),
         "homothety": lambda: homothety_map(sphere(2), sphere(2, 1.7)),
         "dilation": lambda: make_projective_dilation(2, 2.0),
-        "curve": lambda: make_rational_curve(random_curve(2, 3, seed=1)),
+        "curve": lambda: random_curve(2, 3, seed=1),
         "theta": lambda: make_theta(4.0),
         "capped-theta": lambda: make_capped_theta(2.0),
         "conjugation": lambda: conjugation_map(2),

@@ -17,7 +17,6 @@ from mapenergy.constructions import (
     line_curve,
     make_capped_theta,
     make_projective_dilation,
-    make_rational_curve,
 )
 from mapenergy.report import (
     EXPERIMENTS,
@@ -100,7 +99,7 @@ def test_bound_validation_rejects_bad_input():
 def test_corpus_energies_respect_their_bounds():
     cp1_grid = build_grid(complex_projective(1), 4, "mesh")
     for builder, degree in ((line_curve, 1), (conic_curve, 2)):
-        F = make_rational_curve(builder())
+        F = builder()
         energy = p_energy(F, cp1_grid, p=2.0).value
         bound = eval_bound(BoundSpec("CPN_P", {"N": 1, "p": 2.0, "area": degree * np.pi}))
         assert energy >= bound - 1e-2 * bound

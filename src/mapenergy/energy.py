@@ -76,13 +76,16 @@ def p_energy(F, grid, p=2.0):
     |dF|^2 at a node is the sum of the squared lengths of the
     differential's columns on the grid's reflection frame (`grid_frames`),
     the trace of the pullback Gram matrix, which is not built.  Each node
-    block reduces its columns to |dF|^2 as it is computed, so only the
-    grid's frames and densities are grid-sized.  `p` is a finite real
-    >= 1, checked before any node is evaluated.  Returns an EnergyValue.
+    block completes its kept frame, reduces its columns to |dF|^2 as it
+    is computed, and drops both, so only the grid's kept frames (half
+    the frames on CP^N) and densities are grid-sized.  `p` is a finite
+    real >= 1, checked before any node is evaluated.  Returns an
+    EnergyValue.
     """
     if not (is_finite_real(p) and p >= 1.0):
         raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
-    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density)
+    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density,
+                                kept_frames=True)
     return _integrate(grid, 0.5 * dens ** (p / 2.0), "p_energy")
 
 
@@ -109,7 +112,8 @@ def pullback_volume(F, grid):
     block reduces its columns as `p_energy` reduces them to |dF|^2; images
     traversed with multiplicity count with multiplicity.
     """
-    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=volume_density)
+    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=volume_density,
+                                kept_frames=True)
     return _integrate(grid, dens, "pullback_volume").value
 
 

@@ -110,8 +110,19 @@ def restriction_energies(F, frames, level):
     Subspace i is the image of ``normalized_linear_map(sub, M, frames[i])``,
     with sub the (k-1)-dimensional model space of the kind of F's domain M;
     each restricted energy is integrated on the level-`level` mesh of sub.
+    GeometryError, before any energy, unless K >= 1, amb is M's ambient
+    dimension, k >= 2 and each frame has orthonormal columns, real ones
+    on a complex domain too.
     """
     M = F.domain
+    frames = np.asarray(frames)
+    if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] != M.ambient_dim or frames.shape[2] < 2:
+        raise GeometryError(f"frames of subspaces of {M!r} are a (K >= 1, {M.ambient_dim}, k >= 2) "
+                            f"stack, got shape {frames.shape}")
+    if np.iscomplexobj(frames) and not M.is_complex:
+        raise GeometryError(f"frames of subspaces of {M!r} are real")
+    if not np.max(np.abs(np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(frames.shape[2]))) <= 1e-10:
+        raise GeometryError("each frame needs orthonormal columns")
     sub = type(M)(frames.shape[-1] - 1)
     grid = build_grid(sub, level, "mesh")
     return np.array([p_energy(compose(F, normalized_linear_map(sub, M, A)), grid, p=2.0).value

@@ -23,7 +23,8 @@ well.
 Tangent frames come from one Householder reflection per node, with no
 random draw: the energy density is a trace, so any orthonormal frame
 gives it.  A `QuadratureGrid` owns the frames `grid_frames` derives from
-it: built once, read-only, and gone with the grid.
+it: built once, read-only, and gone with the grid; its nodes and weights
+are read-only, so the frames cannot go stale under them.
 
 A fused rule takes the base point once per node: it is called as
 ``fused(x, v)`` with ``x`` of shape ``(..., 1, amb_dom)`` and the vectors
@@ -36,7 +37,9 @@ are computed in 4,096-node blocks, which bounds the temporaries of a
 fused rule.  Gram matrices and densities are `reduce`s given
 to `differential_columns`: each block reduces its own columns, and only
 the reduced values are copied out, so no grid-sized column array is
-built.  The frames are the one grid-sized array kept per grid.  The
+built.  The frames are the one grid-sized array kept per grid, half of
+it on CP^N: a grid keeps the reflected columns h of each frame (h, i h),
+and each block completes its own just before the fused call.  The
 blocks run on a thread pool as wide as the CPUs the process may use
 when it may use more than one, and one after another otherwise.
 Every step is per node, so the numbers are bit-identical to one serial
@@ -173,10 +176,18 @@ def tangent_frames(M, x):
     orthogonal to x.  They are the frame; on CP^N it is followed by i
     times each of them, which spans the rest of the horizontal space.
     """
-    return _by_node_chunks(lambda xb: _reflection_frames(M, xb), x)
+    return _by_node_chunks(lambda xb: _completed(M, _reflection_frames(xb)), x)
 
 
-def _reflection_frames(M, x):
+def _completed(M, h):
+    """The frame (h, i h) on a complex space, h itself on a real one."""
+    if M.is_complex:
+        return np.concatenate([h, 1j * h], axis=-2)
+    return h
+
+
+def _reflection_frames(x):
+    """The reflected columns H e_j, j != k, at points (..., amb): (..., amb - 1, amb)."""
     amb = x.shape[-1]
     k = np.argmax(np.abs(x), axis=-1)[..., None]
     xk = np.take_along_axis(x, k, axis=-1)
@@ -186,13 +197,10 @@ def _reflection_frames(M, x):
     # H e_j = e_j - w conj(x_j) / (1 + |x_k|)
     j = np.arange(amb - 1) + (np.arange(amb - 1) >= k)
     c = np.take_along_axis(x, j, axis=-1).conj() / (1.0 + a)
-    frames = (j[..., None] == np.arange(amb)) - c[..., None] * w[..., None, :]
-    if M.is_complex:
-        return np.concatenate([frames, 1j * frames], axis=-2)
-    return frames
+    return (j[..., None] == np.arange(amb)) - c[..., None] * w[..., None, :]
 
 
-def differential_columns(F, x, frames, reduce=None):
+def differential_columns(F, x, frames, reduce=None, kept_frames=False):
     """Pushforwards of the frame vectors, (..., dim, amb_cod), through the
     analytic differential of F; GeometryError naming F, before any node
     is evaluated, when F has none.
@@ -201,11 +209,16 @@ def differential_columns(F, x, frames, reduce=None):
     amb_cod), each node block is reduced as it is computed and
     `reduce(columns)` is returned in place of the columns; it runs on the
     block threads, under the rules `_by_node_chunks` sets for its `fn`.
+    With `kept_frames`, `frames` are a grid's kept frames (`grid_frames`),
+    and each block completes its own to the full tangent frames, (h, i h)
+    on CP^N, just before the fused call.
     """
     if F.differential is None:
         raise GeometryError(f"map {F.name!r} has no differential")
 
     def block(xb, fb):
+        if kept_frames:
+            fb = _completed(F.domain, fb)
         cols = F.differential(xb[..., None, :], fb)
         return cols if reduce is None else reduce(cols)
 
@@ -240,13 +253,29 @@ def energy_density(cols):
 # Quadrature grids
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
+    """Nodes (n, amb) with one finite weight >= 0 each, both made read-only
+    here, since `grid_frames` keeps arrays derived from them; grids compare
+    by identity."""
+
     manifold: object
     nodes: np.ndarray
     weights: np.ndarray
     scheme: str
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        nodes, weights = np.asarray(self.nodes), np.asarray(self.weights)
+        amb = self.manifold.ambient_dim
+        if weights.ndim != 1 or nodes.shape != (len(weights), amb):
+            raise GeometryError(f"a grid needs nodes of shape (n, {amb}) and one weight per node, "
+                                f"got {nodes.shape} and {weights.shape}")
+        if not (weights.dtype.kind in "iuf" and np.all(np.isfinite(weights) & (weights >= 0))):
+            raise GeometryError("grid weights must be finite reals >= 0")
+        nodes.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def total_mass(self):
@@ -300,8 +329,10 @@ def _mesh_grid(M, level):
 
 
 def grid_frames(grid):
-    """`tangent_frames` at the grid nodes, built once and kept, read-only, on the grid."""
-    return meshes.kept(grid.derived, "frames", lambda: tangent_frames(grid.manifold, grid.nodes))
+    """`tangent_frames` at the grid nodes, built once and kept, read-only, on
+    the grid; on CP^N only the columns h of each frame (h, i h), which
+    `differential_columns(..., kept_frames=True)` completes block by block."""
+    return meshes.kept(grid.derived, "frames", lambda: _by_node_chunks(_reflection_frames, grid.nodes))
 
 
 # ---------------------------------------------------------------------------

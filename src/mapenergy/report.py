@@ -452,6 +452,8 @@ def _run_bounds_identity(seed, nodes, p=None):
             value = p_energy(identity_map(M), grid, p=q).value
             worst = max(worst, _relerr(value, bound))
             checked.append(f"{label}-p{q:g}")
+        # free this grid and its kept frames before the next case builds its own
+        del grid
     return {"checked": checked}, worst
 
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapenergy import energy, make_rng
+from mapenergy import constructions, energy, make_rng, maps
 from mapenergy.constructions import (
     conic_curve,
+    conjugation_map,
     make_projective_dilation,
     make_theta,
     perturbed_identity,
     random_curve,
+    squeeze_limit,
 )
 from mapenergy.energy import (
     EnergyValue,
@@ -33,11 +35,13 @@ from mapenergy.maps import (
     compose,
     differential_columns,
     energy_density,
-    grid_frames,
     homothety_map,
     identity_map,
     normalized_linear_map,
+    tangent_frames,
+    volume_density,
 )
+from mapenergy.intgeo import restriction_energies, sample_lines
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +360,82 @@ def test_p_energy_on_a_reused_grid_equals_a_fresh_grid_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
+# the kept half frame: a CP^N grid keeps the columns h of each frame (h, i h),
+# and every functional on it equals its full-frame reference byte for byte
+
+HALF_FRAME_GRIDS = {
+    "cp1-mc-one-block": lambda: build_grid(complex_projective(1), 700, seed=1),
+    "cp1-mc-blocked": lambda: build_grid(complex_projective(1), 2 * maps.NODE_BLOCK + 700, seed=2),
+    "cp2-mc-one-block": lambda: build_grid(complex_projective(2), 700, seed=3),
+    "cp2-mc-blocked": lambda: build_grid(complex_projective(2), 2 * maps.NODE_BLOCK + 700, seed=4),
+    "cp1-mesh-3": lambda: build_grid(complex_projective(1), 3, "mesh"),
+    "cp1-mesh-4": lambda: build_grid(complex_projective(1), 4, "mesh"),
+}
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _full_frame_density(F, grid, reduce):
+    return differential_columns(F, grid.nodes, tangent_frames(grid.manifold, grid.nodes), reduce=reduce)
+
+
+def _full_frame_energy(F, grid, p):
+    """The p-energy, as `p_energy` integrates it, from the full frames."""
+    dens = 0.5 * _full_frame_density(F, grid, energy_density) ** (p / 2.0)
+    return dens, energy._integrate(grid, dens, "p_energy")
+
+
+@pytest.mark.parametrize("name", HALF_FRAME_GRIDS)
+def test_functionals_on_kept_half_frames_equal_full_frame_references_byte_for_byte(monkeypatch, name):
+    grid = HALF_FRAME_GRIDS[name]()
+    M = grid.manifold
+    integrate, densities = energy._integrate, []
+    monkeypatch.setattr(energy, "_integrate",
+                        lambda g, density, label: densities.append(density) or integrate(g, density, label))
+    # holomorphic, antiholomorphic and neither
+    for F in (identity_map(M), make_projective_dilation(M.N, 4.0), conjugation_map(M.N),
+              perturbed_identity(M, 0.2, seed=3)):
+        for p in (1.0, 2.0, 3.0, 4.0):
+            densities.clear()
+            got = p_energy(F, grid, p)
+            want_density, want = _full_frame_energy(F, grid, p)
+            assert _same_bytes(densities[0], want_density)
+            assert _same_bytes(got.value, want.value) and _same_bytes(got.stderr, want.stderr)
+        want_volume = integrate(grid, _full_frame_density(F, grid, volume_density), "pullback_volume").value
+        assert _same_bytes(pullback_volume(F, grid), want_volume)
+        if M.dim == 2:
+            assert _same_bytes(surface_area(F, grid), want_volume)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_restriction_energies_equal_full_frame_references_byte_for_byte(level):
+    M, sub = complex_projective(2), complex_projective(1)
+    F = perturbed_identity(M, 0.2, seed=2)
+    frames, _ = sample_lines(2, 5, seed=6)
+    grid = build_grid(sub, level, "mesh")
+    want = [_full_frame_energy(compose(F, normalized_linear_map(sub, M, A)), grid, 2.0)[1].value
+            for A in frames]
+    assert _same_bytes(restriction_energies(F, frames, level), np.array(want))
+
+
+def test_squeeze_limit_equals_full_frame_references_byte_for_byte():
+    M, sub = complex_projective(2), complex_projective(1)
+    F = perturbed_identity(M, 0.2, "squeeze", seed=0)
+    grid = build_grid(M, 2 * maps.NODE_BLOCK + 700, seed=3)
+    lambdas = (1.0, 4.0, 16.0)
+    energies, restricted = squeeze_limit(F, grid, lambdas)
+    for lam, got in zip(lambdas, energies):
+        want = _full_frame_energy(compose(F, make_projective_dilation(2, lam)), grid, 2.0)[1]
+        assert _same_bytes(got.value, want.value) and _same_bytes(got.stderr, want.stderr)
+    line = normalized_linear_map(sub, M, np.eye(3, 2))
+    want = _full_frame_energy(compose(F, line), build_grid(sub, constructions._LINE_LEVEL, "mesh"), 2.0)[1]
+    assert _same_bytes(restricted, want.value)
+
+
+# ---------------------------------------------------------------------------
 # properties: the energy depends on neither the frames nor the codomain's position
 
 PROPERTY = settings(derandomize=True, deadline=None)
@@ -378,7 +458,7 @@ ENERGY_CASES = [
 @given(st.sampled_from(ENERGY_CASES), st.integers(0, 2**32 - 1))
 def test_energy_does_not_depend_on_the_frames(case, seed):
     F, grid, rtol = case
-    frames = grid_frames(grid)
+    frames = tangent_frames(grid.manifold, grid.nodes)
     q, _ = np.linalg.qr(make_rng(seed).standard_normal((frames.shape[-2],) * 2))
     turned = np.einsum("ij,...ja->...ia", q, frames)
     reference = energy_density(differential_columns(F, grid.nodes, frames))

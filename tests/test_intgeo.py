@@ -195,6 +195,40 @@ def test_restriction_energies_are_the_explicit_loop_bit_for_bit(case):
     np.testing.assert_array_equal(got, _restriction_loop(F, sub, frames, 3))
 
 
+def _nearly_parallel_line():
+    # two unit columns 1e-6 apart: a line frame whose span is nearly degenerate
+    second = np.array([1.0, 1e-6, 0.0])
+    return np.stack([np.eye(3)[0], second / np.linalg.norm(second)], axis=-1)[None]
+
+
+# (domain, frame stack, message) of stacks refused where they enter
+REJECTED_FRAMES = {
+    "no-stack-axis": (complex_projective(2), np.eye(3, 2), "stack, got shape"),
+    "empty-stack": (complex_projective(2), np.zeros((0, 3, 2)), "stack, got shape"),
+    "wrong-ambient": (complex_projective(2), np.zeros((3, 4, 2)), r"\(K >= 1, 3, k >= 2\) stack"),
+    "one-column": (complex_projective(2), np.eye(3, 1)[None], "stack, got shape"),
+    "nearly-parallel": (complex_projective(2), _nearly_parallel_line(), "orthonormal columns"),
+    "stretched": (complex_projective(2), 2.0 * np.eye(3, 2)[None], "orthonormal columns"),
+    "too-many-columns": (real_projective(3), np.eye(4, 5)[None], "orthonormal columns"),
+    "nan": (real_projective(3), np.full((1, 4, 3), np.nan), "orthonormal columns"),
+    "complex-on-rp3": (real_projective(3), 1j * np.eye(4, 3)[None], "are real"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_FRAMES)
+def test_restriction_energies_refuse_a_bad_frame_stack_before_any_energy(monkeypatch, case):
+    M, frames, message = REJECTED_FRAMES[case]
+    monkeypatch.setattr(intgeo, "p_energy", lambda *args, **kwargs: pytest.fail("an energy was computed"))
+    with pytest.raises(GeometryError, match=message):
+        restriction_energies(identity_map(M), frames, 2)
+
+
+def test_restriction_energies_take_real_frames_on_a_complex_domain():
+    # the squeeze restricts to the span of the first two coordinate axes
+    F = identity_map(complex_projective(2))
+    assert restriction_energies(F, np.eye(3, 2)[None], 3)[0] == pytest.approx(np.pi, rel=1e-12)
+
+
 def test_the_squeeze_restriction_is_the_coordinate_line_inclusion():
     # the squeeze's one float frame is the catalog's inclusion of CP^1 as the
     # span of the first two coordinate axes

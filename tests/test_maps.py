@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -5,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from mapenergy.maps import (
 )
 
 from fd_oracle import fd_map
+from traced import traced_peak
 
 
 def _hard_points(M):
@@ -134,7 +135,7 @@ def test_a_finite_difference_step_is_a_finite_real_above_zero(h):
 
 
 @pytest.mark.parametrize("first_order", [
-    lambda F, grid: differential_columns(F, grid.nodes, grid_frames(grid)),
+    lambda F, grid: differential_columns(F, grid.nodes, tangent_frames(grid.manifold, grid.nodes)),
     energy.p_energy,
     energy.pullback_volume,
 ], ids=["differential_columns", "p_energy", "pullback_volume"])
@@ -343,6 +344,48 @@ def test_grid_masses():
             build_grid(sphere(2), 4, scheme)
 
 
+def test_a_grid_cannot_go_stale_under_its_kept_frames():
+    M = complex_projective(2)
+    F = make_projective_dilation(2, 4.0)
+    grid = build_grid(M, 2000, seed=1)
+    first = energy.p_energy(F, grid).value
+    other = M.random_point(make_rng(2), 2000)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.nodes[:] = other
+    with pytest.raises(ValueError, match="read-only"):
+        grid.weights[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.nodes = other
+    assert energy.p_energy(F, grid).value == first
+
+
+def test_grids_compare_by_identity():
+    g1, g2 = build_grid(sphere(2), 20, seed=1), build_grid(sphere(2), 20, seed=1)
+    assert g1 == g1 and g1 != g2 and len({g1, g2}) == 2
+
+
+# (nodes, weights, message) of grids of CP^2 refused where they are built
+_CP2_NODES = complex_projective(2).random_point(make_rng(3), 1000)
+REJECTED_GRIDS = {
+    "five-weights": (_CP2_NODES, np.ones(5), "one weight per node"),
+    "weight-matrix": (_CP2_NODES, np.ones((1000, 1)), "one weight per node"),
+    "scalar-weight": (_CP2_NODES, np.float64(1.0), "one weight per node"),
+    "nan-weight": (_CP2_NODES, np.r_[np.ones(999), np.nan], "finite reals >= 0"),
+    "inf-weight": (_CP2_NODES, np.r_[np.ones(999), np.inf], "finite reals >= 0"),
+    "negative-weight": (_CP2_NODES, np.r_[np.ones(999), -1e-9], "finite reals >= 0"),
+    "complex-weights": (_CP2_NODES, np.ones(1000, dtype=complex), "finite reals >= 0"),
+    "flat-nodes": (_CP2_NODES.ravel(), np.ones(3000), r"nodes of shape \(n, 3\)"),
+    "wrong-ambient": (_CP2_NODES[:, :2], np.ones(1000), r"nodes of shape \(n, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_GRIDS)
+def test_a_grid_needs_one_finite_nonnegative_weight_per_node(case):
+    nodes, weights, message = REJECTED_GRIDS[case]
+    with pytest.raises(GeometryError, match=message):
+        maps.QuadratureGrid(complex_projective(2), nodes, weights, "monte_carlo")
+
+
 def test_grid_determinism_and_frames():
     M = complex_projective(2)
     g1 = build_grid(M, 100, seed=9)
@@ -360,7 +403,21 @@ def test_grid_frames_are_kept_once_per_grid_and_read_only():
     assert grid_frames(g) is f
     with pytest.raises(ValueError):
         f[0, 0, 0] = 0.0
-    np.testing.assert_array_equal(f, tangent_frames(g.manifold, g.nodes))
+
+
+@pytest.mark.parametrize("M", [complex_projective(1), complex_projective(2), real_projective(3), sphere(2)],
+                         ids=["cp1", "cp2", "rp3", "s2"])
+def test_a_complex_grid_keeps_half_of_its_frames(M):
+    g = build_grid(M, 50, seed=9)
+    kept, full = grid_frames(g), tangent_frames(M, g.nodes)
+    if M.is_complex:
+        # the kept columns h of the frame (h, i h)
+        assert 2 * kept.nbytes == full.nbytes
+        np.testing.assert_array_equal(kept, full[:, :M.N])
+        np.testing.assert_array_equal(1j * kept, full[:, M.N:])
+    else:
+        assert kept.nbytes == full.nbytes
+        np.testing.assert_array_equal(kept, full)
 
 
 def test_hopf_chart_round_trip_and_isometry():
@@ -559,7 +616,7 @@ def test_squeeze_perturbation_differential_is_the_identity_on_the_reference_line
     line = standard_maps("inclusion_cp", k=1, N=2)
     grid = build_grid(complex_projective(1), 3, "mesh")
     x = line(grid.nodes)
-    fr = differential_columns(line, grid.nodes, grid_frames(grid))
+    fr = differential_columns(line, grid.nodes, tangent_frames(grid.manifold, grid.nodes))
     cols = differential_columns(F, x, fr)
     want = differential_columns(identity_map(M), x, fr)
     np.testing.assert_allclose(cols, want, rtol=0, atol=1e-15)
@@ -636,7 +693,7 @@ def _blocked_case(name):
 @pytest.mark.parametrize("name", BLOCKED_CASES + ["line"])
 def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
     F, grid = _blocked_case(name)
-    x, fr = grid.nodes, grid_frames(grid)
+    x, fr = grid.nodes, tangent_frames(F.domain, grid.nodes)
     n = len(grid)
 
     cols = differential_columns(F, x, fr)
@@ -669,16 +726,13 @@ def _traced_peak_and_column_bytes(monkeypatch, functional):
     M = complex_projective(2)
     F = identity_map(M)
     grid = build_grid(M, 8 * maps.NODE_BLOCK, seed=1)
-    frames = grid_frames(grid)
     functional(F, grid)
-    tracemalloc.start()
-    try:
-        functional(F, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the columns of the identity are its frames, one (dim, amb) complex block per node
-    return peak, frames.nbytes
+    peak = traced_peak(functional, F, grid)
+    # the columns of the identity are its full frames, one (dim, amb)
+    # complex block per node: twice the kept half
+    column_bytes = len(grid) * M.dim * M.ambient_dim * np.dtype(complex).itemsize
+    assert column_bytes == 2 * grid_frames(grid).nbytes
+    return peak, column_bytes
 
 
 def test_p_energy_builds_no_grid_sized_column_array(monkeypatch):
@@ -717,7 +771,7 @@ def test_functionals_call_differential_columns_once_on_the_grid_nodes(monkeypatc
 @pytest.mark.parametrize("name", BLOCKED_CASES)
 def test_pullback_gram_is_exactly_symmetric(name):
     F, grid = _blocked_case(name)
-    G = pullback_gram(F, grid.nodes, grid_frames(grid))
+    G = pullback_gram(F, grid.nodes, tangent_frames(F.domain, grid.nodes))
     assert np.array_equal(G, np.swapaxes(G, -1, -2))
 
 
@@ -733,7 +787,7 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
 
     F = maps.MapObject(dilation.domain, dilation.codomain, dilation.evaluator, fused)
     grid = build_grid(F.domain, BLOCKED_NODES, seed=3)
-    x, fr = grid.nodes, grid_frames(grid)
+    x, fr = grid.nodes, tangent_frames(F.domain, grid.nodes)
     n = len(grid)
     cols = differential_columns(F, x, fr)
     assert seen == [maps.NODE_BLOCK, maps.NODE_BLOCK, n - 2 * maps.NODE_BLOCK]
@@ -749,7 +803,7 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
                          ids=["cp2", "rp3", "s3"])
 def test_blocked_tangent_frames_equal_one_serial_pass(pooled, M):
     x = M.random_point(make_rng(1), BLOCKED_NODES)
-    assert np.array_equal(tangent_frames(M, x), maps._reflection_frames(M, x))
+    assert np.array_equal(tangent_frames(M, x), maps._completed(M, maps._reflection_frames(x)))
     assert pooled
 
 
@@ -798,7 +852,7 @@ def test_a_differential_that_calls_differential_columns_finishes(pooled):
 
     F = maps.MapObject(M, M, lambda x: x, fused)
     grid = build_grid(M, BLOCKED_NODES, seed=5)
-    x, fr = grid.nodes, grid_frames(grid)
+    x, fr = grid.nodes, tangent_frames(M, grid.nodes)
 
     def nested_equals_direct():
         before = len(pooled)

@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +30,8 @@ from mapenergy.report import (
     systole_rp2,
     write_reports,
 )
+
+from traced import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +249,7 @@ def test_systole_search_reaches_half_of_the_best_loop_plus_the_longest_chord(mon
 def test_warm_systole_search_holds_a_few_source_rows_at_a_time():
     # the chord graph is kept on the mesh after the first call
     systole_rp2(_bump, level=4)
-    tracemalloc.start()
-    try:
-        systole_rp2(_bump, level=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced_peak(systole_rp2, _bump, level=4) < 4 * 2**20
 
 
 def test_systole_and_area_take_an_integer_level_of_at_least_zero():
@@ -336,6 +332,26 @@ def test_bounds_identity_checks_the_bounds_that_hold_for_a_given_p():
     high = run_experiment({"name": "bounds-identity", "resolution": 2000, "p": 2.5})
     assert high.passed
     assert high.inputs["checked"] == ["cp1-p2.5", "cp2-p2.5", "rp2-p2.5", "rp3-p2.5"]
+
+
+@pytest.mark.parametrize("p", [None, 1.5], ids=["all-exponents", "p1.5"])
+def test_bounds_identity_holds_one_grid_at_a_time(monkeypatch, p):
+    original, grids, alive = report_module.build_grid, [], []
+
+    def watched(*args, **kwargs):
+        # the earlier grids still alive as the next one is built
+        alive.append(sum(ref() is not None for ref in grids))
+        grid = original(*args, **kwargs)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(report_module, "build_grid", watched)
+    config = {"name": "bounds-identity", "resolution": 20000}
+    if p is not None:
+        config["p"] = p
+    report = run_experiment(config)
+    assert report.passed
+    assert alive == [0] * (4 if p is None else 2)
 
 
 def test_trace_ii_computes_each_symmetry_variation_once(monkeypatch):

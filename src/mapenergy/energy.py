@@ -1,11 +1,12 @@
 """Scalar functionals of smooth maps: energies, volumes, areas, and lengths.
 
 Every functional integrates a pointwise density of the map's analytic
-differential over a quadrature grid: energies read |dF|^2 from the
-differential's columns, volumes integrate sqrt(det G) of the pullback
-Gram matrix G.  Every node counts with its full weight, and a map with
-no differential is refused by name.  Monte Carlo grids carry a standard
-error; mesh grids are deterministic.
+differential over a quadrature grid of its domain, in one pass shared by
+energies and volumes: energies read |dF|^2 from the differential's
+columns, volumes integrate sqrt(det G) of the pullback Gram matrix G.
+A grid of another space is refused by name before any node is
+evaluated.  Every node counts with its full weight.  Monte Carlo grids
+carry a standard error; mesh grids are deterministic.
 """
 
 from __future__ import annotations
@@ -51,6 +52,18 @@ class EnergyValue:
         return float(self.value)
 
 
+def _grid_density(F, grid, reduce, label):
+    """reduce(columns) at each node of a grid of F's domain, each node block
+    reducing the columns of its completed kept frame (`grid_frames`);
+    GeometryError naming `label`, before any node is evaluated or any
+    frame is kept, when the grid is one of another space."""
+    # a model space's repr names its kind, dimension and radius
+    if repr(grid.manifold) != repr(F.domain):
+        raise GeometryError(f"{label}: a grid of {grid.manifold!r} is not a grid of the domain "
+                            f"{F.domain!r} of map {F.name!r}")
+    return differential_columns(F, grid.nodes, grid_frames(grid), reduce=reduce, kept_frames=True)
+
+
 def _integrate(grid, density, label):
     """EnergyValue of the weighted sum of a node density; a density whose
     weighted sum is not finite (NaN or infinite at some node) raises a
@@ -74,18 +87,13 @@ def p_energy(F, grid, p=2.0):
     """The p-energy of a map: half the integral of |dF|^p over the domain.
 
     |dF|^2 at a node is the sum of the squared lengths of the
-    differential's columns on the grid's reflection frame (`grid_frames`),
-    the trace of the pullback Gram matrix, which is not built.  Each node
-    block completes its kept frame, reduces its columns to |dF|^2 as it
-    is computed, and drops both, so only the grid's kept frames (half
-    the frames on CP^N) and densities are grid-sized.  `p` is a finite
-    real >= 1, checked before any node is evaluated.  Returns an
-    EnergyValue.
+    differential's columns on the grid's reflection frame, the trace of
+    the pullback Gram matrix, which is not built.  `p` is a finite real
+    >= 1, checked before any node is evaluated.  Returns an EnergyValue.
     """
     if not (is_finite_real(p) and p >= 1.0):
         raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
-    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=energy_density,
-                                kept_frames=True)
+    dens = _grid_density(F, grid, energy_density, "p_energy")
     return _integrate(grid, 0.5 * dens ** (p / 2.0), "p_energy")
 
 
@@ -112,8 +120,7 @@ def pullback_volume(F, grid):
     block reduces its columns as `p_energy` reduces them to |dF|^2; images
     traversed with multiplicity count with multiplicity.
     """
-    dens = differential_columns(F, grid.nodes, grid_frames(grid), reduce=volume_density,
-                                kept_frames=True)
+    dens = _grid_density(F, grid, volume_density, "pullback_volume")
     return _integrate(grid, dens, "pullback_volume").value
 
 
@@ -132,13 +139,19 @@ def curve_length(F, frame):
     where antipodal representatives are identified); its points and
     velocities are transported to the canonical representatives.
     Composite trapezoid rule on the image speed |dF(velocity)|.
+    GeometryError unless the frame is one geodesic of the domain: an
+    (amb, 2) array, real on a real domain, of orthonormal columns.
     """
     M = F.domain
+    frame = np.asarray(frame)
+    if frame.shape != (M.ambient_dim, 2) or (np.iscomplexobj(frame) and not M.is_complex):
+        raise GeometryError(f"a geodesic frame of {M!r} is an ({M.ambient_dim}, 2) array, real on a "
+                            f"real space, got {frame.dtype} of shape {frame.shape}")
     base, direction = frame[:, 0], frame[:, 1]
     if abs(np.vdot(base, direction)) > 1e-10:
         raise GeometryError("geodesic direction must be tangent at the base")
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-10:
-        raise GeometryError("geodesic direction must be a unit vector")
+    if np.max(np.abs(np.linalg.norm(frame, axis=0) - 1.0)) > 1e-10:
+        raise GeometryError("geodesic base point and direction must be unit vectors")
     t = np.linspace(0.0, 2.0 * M.cut_distance, CURVE_STEPS + 1)
     ang = t[:, None] / M.radius
     x, f = M.canonicalize_with_factor(np.cos(ang) * base + np.sin(ang) * direction)

@@ -9,8 +9,8 @@ for geodesics and O(h^4) otherwise.  An acceleration calls F twice, once
 at the base point and once at its four probe points stacked on one
 leading axis; the two polarized directions of a second fundamental form
 share one acceleration, and frame vectors or frame pairs share one batch
-axis, so the F calls of a probe do not grow with the dimension.  Gram
-matrices come from `pullback_gram`.
+axis, so the F calls of a probe do not grow with the dimension.  The
+Hermitian residual reads the `pullback_gram` of the tangent frame alone.
 
 A second variation is the five-point second derivative in t of the
 energy of a family of maps t -> F_t, each with an analytic differential.
@@ -93,14 +93,13 @@ def second_fundamental_form(F, x, v, w):
     return 0.25 * (plus - minus)
 
 
-def tension(F, x, frame=None):
-    """Trace of the second fundamental form over an orthonormal frame.
+def tension(F, x):
+    """Trace of the second fundamental form over the tangent frame at x.
 
     Vanishes exactly for harmonic maps; frame independent up to the
-    finite-difference tolerance (any orthonormal frame may be passed).
+    finite-difference tolerance.
     """
-    fr = tangent_frames(F.domain, x) if frame is None else frame
-    acc = _acceleration(F, x[..., None, :], fr)
+    acc = _acceleration(F, x[..., None, :], tangent_frames(F.domain, x))
     return np.sum(acc, axis=-2)
 
 
@@ -126,15 +125,18 @@ def hermitian_residual(F, x):
 
     Zero whenever the metric pullback is invariant under the domain
     complex structure (holomorphic, antiholomorphic, and more generally
-    pluriharmonic maps).
+    pluriharmonic maps).  J sends the tangent frame (h, i h) to (i h, -h),
+    so with its Gram matrix G = [[A, B], [B^T, C]] the residual is
+    max(|C - A|, |B + B^T|), read from G alone.
     """
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("Hermitian symmetry needs a complex projective domain")
-    fr = tangent_frames(M, x)
-    G = pullback_gram(F, x, np.concatenate([fr, 1j * fr], axis=-2))
-    d = M.dim
-    return np.max(np.abs(G[..., d:, d:] - G[..., :d, :d]), axis=(-2, -1))
+    G = pullback_gram(F, x, tangent_frames(M, x))
+    n = M.N
+    A, B, C = G[..., :n, :n], G[..., :n, n:], G[..., n:, n:]
+    return np.maximum(np.max(np.abs(C - A), axis=(-2, -1)),
+                      np.max(np.abs(B + np.swapaxes(B, -1, -2)), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,14 @@ def restriction_energies(F, frames, level):
     with sub the (k-1)-dimensional model space of the kind of F's domain M;
     each restricted energy is integrated on the level-`level` mesh of sub.
     GeometryError, before any energy, unless K >= 1, amb is M's ambient
-    dimension, k >= 2 and each frame has orthonormal columns, real ones
-    on a complex domain too.
+    dimension, k >= 2 and each frame has orthonormal columns: real or
+    complex on CP^N, real elsewhere (`normalized_linear_map` checks that).
     """
     M = F.domain
     frames = np.asarray(frames)
     if frames.ndim != 3 or frames.shape[0] < 1 or frames.shape[1] != M.ambient_dim or frames.shape[2] < 2:
         raise GeometryError(f"frames of subspaces of {M!r} are a (K >= 1, {M.ambient_dim}, k >= 2) "
                             f"stack, got shape {frames.shape}")
-    if np.iscomplexobj(frames) and not M.is_complex:
-        raise GeometryError(f"frames of subspaces of {M!r} are real")
     if not np.max(np.abs(np.swapaxes(frames.conj(), -1, -2) @ frames - np.eye(frames.shape[2]))) <= 1e-10:
         raise GeometryError("each frame needs orthonormal columns")
     sub = type(M)(frames.shape[-1] - 1)

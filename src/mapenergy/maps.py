@@ -1,11 +1,10 @@
 """Maps between model manifolds and their first-order calculus.
 
-A :class:`MapObject` bundles a batch evaluator with one analytic rule,
-the fused rule (x, v) -> (F(x), dF_x v); its `differential` is the
-second half of that rule.  A map with only an evaluator can be
-evaluated, sampled on a mesh and probed for second-order quantities, but
-first-order calculus (`differential_columns` and every functional built
-on it) refuses it by name: there is one derivative path, the analytic one.
+A :class:`MapObject` is a batch evaluator and the one analytic rule it
+is built with, the fused rule (x, v) -> (F(x), dF_x v); its
+`differential` is the second half of that rule.  A map cannot be built
+without a callable rule, so first-order calculus has one derivative
+path, the analytic one.
 Per-node quantities are reductions of the differential's columns: |dF|^2
 (`energy_density`), sqrt(det G) (`volume_density`) and the pullback Gram
 matrix G (`pullback_gram`, the one Gram formula).  Maps x -> P(x) / |P(x)|
@@ -25,12 +24,6 @@ random draw: the energy density is a trace, so any orthonormal frame
 gives it.  A `QuadratureGrid` owns the frames `grid_frames` derives from
 it: built once, read-only, and gone with the grid; its nodes and weights
 are read-only, so the frames cannot go stale under them.
-
-A fused rule takes the base point once per node: it is called as
-``fused(x, v)`` with ``x`` of shape ``(..., 1, amb_dom)`` and the vectors
-``v`` of shape ``(..., dim, amb_dom)``, and it must broadcast the one base
-against the ``dim`` vectors, so that work on the base point is done once
-per node, not once per vector.
 
 Only frames and differential columns of a batch of at least 8,192 nodes
 are computed in 4,096-node blocks, which bounds the temporaries of a
@@ -139,28 +132,31 @@ def _by_node_chunks(fn, x, *arrays):
 
 @dataclass
 class MapObject:
-    """Map between model manifolds.
+    """Map between model manifolds; GeometryError naming it unless both parts are callable.
 
     evaluator:    batch map of representatives, (..., amb_dom) -> (..., amb_cod)
     fused:        analytic rule (x, v) -> (F(x), dF_x v) from one evaluation,
                   F(x) bit for bit the evaluator's; the base x broadcasts
                   against the vectors v, (..., 1, amb_dom) against
                   (..., dim, amb_dom) when called for differential columns,
-                  and dF_x v has the broadcast batch shape; None for a map
-                  with only an evaluator, which `differential_columns` refuses
+                  so work on the base is done once per node, and dF_x v
+                  has the broadcast batch shape
     """
 
     domain: object
     codomain: object
     evaluator: object
-    fused: object = field(default=None, repr=False, compare=False)
+    fused: object = field(repr=False, compare=False)
     name: str = ""
+
+    def __post_init__(self):
+        for part in ("evaluator", "fused"):
+            if not callable(getattr(self, part)):
+                raise GeometryError(f"map {self.name!r} needs a callable {part}, got {getattr(self, part)!r}")
 
     @property
     def differential(self):
-        """The pushforward (x, v) -> dF_x v of the fused rule, or None without one."""
-        if self.fused is None:
-            return None
+        """The pushforward (x, v) -> dF_x v, the second half of the fused rule."""
         return lambda x, v: self.fused(x, v)[1]
 
     def __call__(self, x):
@@ -202,8 +198,7 @@ def _reflection_frames(x):
 
 def differential_columns(F, x, frames, reduce=None, kept_frames=False):
     """Pushforwards of the frame vectors, (..., dim, amb_cod), through the
-    analytic differential of F; GeometryError naming F, before any node
-    is evaluated, when F has none.
+    analytic differential of F.
 
     With `reduce`, a per-node function of the columns (..., dim,
     amb_cod), each node block is reduced as it is computed and
@@ -213,9 +208,6 @@ def differential_columns(F, x, frames, reduce=None, kept_frames=False):
     and each block completes its own to the full tangent frames, (h, i h)
     on CP^N, just before the fused call.
     """
-    if F.differential is None:
-        raise GeometryError(f"map {F.name!r} has no differential")
-
     def block(xb, fb):
         if kept_frames:
             fb = _completed(F.domain, fb)
@@ -364,17 +356,17 @@ def identity_map(M):
 
 
 def compose(outer, inner):
-    """outer after inner; chains the fused rules when both maps have one, so
-    the inner map is evaluated once per pushforward.  GeometryError unless
-    inner's codomain is outer's domain."""
+    """outer after inner; chains the fused rules, so the inner map is
+    evaluated once per pushforward.  GeometryError unless inner's codomain
+    is outer's domain."""
     # a model space's repr names its kind, dimension and radius
     if repr(inner.codomain) != repr(outer.domain):
         raise GeometryError(f"cannot compose {outer.name!r} on {outer.domain!r} after "
                             f"{inner.name!r} into {inner.codomain!r}")
-    fused = None
-    if outer.fused is not None and inner.fused is not None:
-        def fused(x, v):
-            return outer.fused(*inner.fused(x, v))
+
+    def fused(x, v):
+        return outer.fused(*inner.fused(x, v))
+
     return MapObject(inner.domain, outer.codomain, lambda x: outer(inner(x)), fused,
                      f"{outer.name}∘{inner.name}")
 
@@ -414,15 +406,21 @@ def normalized_linear_map(dom, cod, A, name=""):
 
     Covers isometries, projective-linear maps, totally geodesic
     inclusions (rectangular A), quotient covers, and smooth
-    'linear stretch' test maps.  A has shape (amb_cod, amb_dom).
+    'linear stretch' test maps.  A has shape (amb_cod, amb_dom), and is
+    real when the codomain is; GeometryError naming the map otherwise.
     """
-    A = np.asarray(A)
+    A, name = np.asarray(A), name or "normalized_linear"
+    if A.shape != (cod.ambient_dim, dom.ambient_dim):
+        raise GeometryError(f"map {name!r} from {dom!r} into {cod!r} needs a matrix of shape "
+                            f"({cod.ambient_dim}, {dom.ambient_dim}), got {A.shape}")
+    if np.iscomplexobj(A) and not cod.is_complex:
+        raise GeometryError(f"map {name!r} into {cod!r} needs a real matrix")
 
     def P(x):
         return np.einsum("ij,...j->...i", A, x)
 
     # a linear map is its own derivative
-    return normalized_map(dom, cod, P, lambda x, v: P(v), name or "normalized_linear")
+    return normalized_map(dom, cod, P, lambda x, v: P(v), name)
 
 
 def homothety_map(dom, cod):
@@ -437,26 +435,12 @@ def homothety_map(dom, cod):
 
 
 def _design_coefficients(d):
-    """Direction coefficients and weights on S^{d-1}, exact through degree 3.
-
-    d = 2: 6 equally spaced angles (exact through degree 5);
-    d = 3: rotated icosahedron (a spherical 5-design);
-    d >= 4: rotated cross-polytope (exact through degree 3).
-    """
-    if d == 2:
-        t = 2 * np.pi * np.arange(6) / 6
-        return np.stack([np.cos(t), np.sin(t)], axis=-1), np.full(6, 2 * np.pi / 6)
-    if d == 3:
-        ico = meshes.icosahedron()[0]
-        q = _fixed_rotation(3)
-        return ico @ q.T, np.full(12, sphere_volume(2) / 12.0)
-    q = _fixed_rotation(d)
-    coeffs = np.concatenate([q, -q], axis=0)
-    return coeffs, np.full(2 * d, sphere_volume(d - 1) / (2 * d))
-
-
-def _fixed_rotation(d):
-    return sphere(d - 1).random_isometry(make_rng(7 * d + 1))
+    """Direction coefficients and weights on S^{d-1}, exact through degree 3:
+    the rotated cross-polytope, the rows of a fixed rotation q and of -q,
+    each of weight sigma(d-1) / 2d.  The rotation keeps the directions off
+    the frame vectors, so the average is not the frame's own sum."""
+    q = sphere(d - 1).random_isometry(make_rng(7 * d + 1))
+    return np.concatenate([q, -q], axis=0), np.full(2 * d, sphere_volume(d - 1) / (2 * d))
 
 
 def unit_tangent_quadrature(M, x):

@@ -1,8 +1,8 @@
 """Every map the package builds carries one analytic rule, and three
 builders write it.
 
-First-order calculus has one path, the analytic one: `differential_columns`
-refuses a map without a fused rule (x, v) -> (F(x), dF_x v).  The scan
+First-order calculus has one path, the analytic one: a `MapObject` is
+not built without a callable fused rule (x, v) -> (F(x), dF_x v).  The scan
 below fails when a `MapObject(...)` call in `src/mapenergy` sits outside
 the three builders `identity_map`, `compose` and `normalized_map`, or
 passes no fused rule, as the fourth positional argument or the `fused`

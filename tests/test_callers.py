@@ -12,6 +12,8 @@ only its tests call then cannot stay in the package unnoticed.
 import ast
 from pathlib import Path
 
+from support import is_experiment_run
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src/mapenergy").glob("*.py"))
 CALLERS = PACKAGE + sorted(p for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py"))
@@ -23,17 +25,11 @@ ALLOWED = {
 }
 
 
-def _is_experiment_run(node):
-    """True for a function registered by an `@_experiment(...)` decorator."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_experiment"
-               for d in node.decorator_list)
-
-
 def _definitions(tree):
     """(line, name) of the module-level functions and classes, and the
     non-dunder methods of those classes; experiment runs aside."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_experiment_run(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not is_experiment_run(node):
             yield node.lineno, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:

@@ -27,7 +27,6 @@ from mapenergy.manifolds import (
     sphere,
 )
 from mapenergy.maps import (
-    MapObject,
     _normalization,
     build_grid,
     differential_columns,
@@ -40,6 +39,7 @@ from mapenergy.maps import (
 from mapenergy.rand import make_rng
 
 from fd_oracle import fd_map
+from support import constant_map
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +297,7 @@ def test_squeeze_limit_identity():
 
 def test_squeeze_limit_constant_map():
     M = complex_projective(2)
-    q = M.canonicalize(np.array([1.0 + 0j, 0.0, 0.0]))
-    F = MapObject(
-        M, M, lambda x: np.broadcast_to(q, x.shape).copy(),
-        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)), name="constant",
-    )
+    F = constant_map(M, [1.0, 0.0, 0.0])
     grid = build_grid(M, 2000, "monte_carlo", seed=15)
     energies, restricted = squeeze_limit(F, grid, LAMBDAS)
     np.testing.assert_allclose([ev.value for ev in energies], 0.0, atol=1e-12)

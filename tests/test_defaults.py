@@ -14,24 +14,19 @@ import ast
 import math
 from pathlib import Path
 
+from support import is_experiment_run
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src/mapenergy").glob("*.py"))
 CALLERS = PACKAGE + sorted(p for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py"))
 
 # `function.parameter` kept with no caller that sets it, with the reason
 ALLOWED = {
-    "tension.frame": "the tests pass their own frames to check frame independence",
     "line_energy_spread.K": "perfbench wraps line_energy_spread by name, with this signature",
     "line_energy_spread.line_resolution": "perfbench wraps line_energy_spread by name, with this signature",
     "line_energy_spread.seed": "perfbench wraps line_energy_spread by name, with this signature",
     "main.argv": "the command line passes none; the tests pass their own arguments",
 }
-
-
-def _is_experiment_run(node):
-    """True for a function registered by an `@_experiment(...)` decorator."""
-    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_experiment"
-               for d in node.decorator_list)
 
 
 def _functions(tree):
@@ -52,7 +47,7 @@ def _functions(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
         if node not in methods:
-            yield ("run" if _is_experiment_run(node) else node.name), node, False
+            yield ("run" if is_experiment_run(node) else node.name), node, False
             continue
         static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
         yield (methods[node] if node.name == "__init__" else node.name), node, not static

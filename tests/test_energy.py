@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,9 @@ from mapenergy.maps import (
     volume_density,
 )
 from mapenergy.intgeo import restriction_energies, sample_lines
+
+from fd_oracle import evaluator_map
+from support import constant_map
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,28 @@ def test_p_energy_rejects_small_p():
         p_energy(identity_map(M), grid, p=0.5)
 
 
+@pytest.mark.parametrize("functional", [p_energy, pullback_volume], ids=["p_energy", "pullback_volume"])
+@pytest.mark.parametrize("dom, grid_of", [
+    (complex_projective(1), lambda: build_grid(real_projective(3), 200, seed=1)),
+    (complex_projective(3), lambda: build_grid(complex_projective(2), 200, seed=1)),
+    (real_projective(3, 2.0), lambda: build_grid(real_projective(3), 200, seed=1)),
+    (complex_projective(2), lambda: build_grid(complex_projective(1), 2, "mesh")),
+], ids=["cp1-on-rp3", "cp3-on-cp2", "rp3-radius-2-on-rp3", "cp2-on-cp1-mesh"])
+def test_a_grid_of_another_space_is_refused_before_any_node_is_evaluated(functional, dom, grid_of):
+    calls = []
+
+    def rule(x, v):
+        calls.append(len(x))
+        return x, v
+
+    grid = grid_of()
+    F = MapObject(dom, dom, lambda x: x, rule, "identity")
+    with pytest.raises(GeometryError, match=(f"^{functional.__name__}: a grid of {re.escape(repr(grid.manifold))} "
+                                             f"is not a grid of the domain {re.escape(repr(dom))} of map 'identity'")):
+        functional(F, grid)
+    assert calls == [] and grid.derived == {}
+
+
 @pytest.mark.parametrize("p", [True, float("nan"), float("inf"), 0.5, "2"], ids=repr)
 def test_p_energy_checks_p_before_any_node_is_evaluated(p):
     M = sphere(2)
@@ -99,7 +125,7 @@ def test_p_energy_checks_p_before_any_node_is_evaluated(p):
         return x
 
     with pytest.raises(GeometryError, match="finite real p >= 1"):
-        p_energy(MapObject(M, M, ev), grid, p=p)
+        p_energy(evaluator_map(M, M, ev, "recorder"), grid, p=p)
     assert calls == [] and grid.derived == {}
 
 
@@ -161,14 +187,7 @@ def test_pullback_volume_identity_cp2():
 
 def test_pullback_volume_constant_map():
     M = sphere(2)
-    q = np.array([0.0, 0.0, 1.0])
-    F = MapObject(
-        M,
-        M,
-        lambda x: np.broadcast_to(q, x.shape).copy(),
-        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)),
-        name="constant",
-    )
+    F = constant_map(M, [0.0, 0.0, 1.0])
     grid = build_grid(M, 500, "monte_carlo", seed=15)
     assert pullback_volume(F, grid) == 0.0
 

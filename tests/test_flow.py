@@ -20,7 +20,6 @@ from mapenergy.flow import (
 from mapenergy.harmonic import tension as fd_tension
 from mapenergy.manifolds import GeometryError, complex_projective, real_projective, sphere
 from mapenergy.maps import (
-    MapObject,
     build_grid,
     compose,
     cp1_from_sphere,
@@ -30,6 +29,9 @@ from mapenergy.maps import (
 from mapenergy import flow, meshes
 from mapenergy.meshes import icosphere
 from mapenergy.rand import make_rng
+
+from fd_oracle import evaluator_map
+
 
 s2 = sphere(2)
 rp2 = real_projective(2)
@@ -50,7 +52,7 @@ def latitude_squash(amplitude=0.2):
         out[..., 2] = np.cos(t2)
         return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
-    return MapObject(s2, s2, ev, name="latitude-squash")
+    return evaluator_map(s2, s2, ev, "latitude-squash")
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,7 @@ def test_sample_map_rejects_a_domain_the_icosphere_cannot_sample(M):
         raise AssertionError("F was evaluated before its domain was checked")
 
     with pytest.raises(GeometryError, match=r"2-sphere or RP\^2 domain, got " + re.escape(repr(M))):
-        sample_map(MapObject(M, M, never), 2)
+        sample_map(evaluator_map(M, M, never, "never"), 2)
     with pytest.raises(GeometryError, match=r"2-sphere or RP\^2 domain"):
         sample_map(identity_map(M), 2)
 

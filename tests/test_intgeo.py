@@ -41,7 +41,8 @@ from mapenergy.maps import (
     tangent_frames,
 )
 
-from fd_oracle import fd_map
+from fd_oracle import evaluator_map, fd_map
+from support import constant_map
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,24 @@ def test_curve_length_checks_its_geodesic_frame():
         curve_length(F, np.stack([x, np.array([1.0, 0.0, 0.0])], axis=-1))
     with pytest.raises(GeometryError, match="unit vector"):
         curve_length(F, np.stack([x, np.array([0.0, 2.0, 0.0])], axis=-1))
+
+
+_E0, _E1 = np.eye(4)[0], np.eye(4)[1]
+
+
+@pytest.mark.parametrize("frame, message", [
+    (np.stack([2.0 * _E0, _E1], axis=-1), "base point and direction must be unit vectors"),
+    (np.stack([_E0, _E1, np.eye(4)[2]], axis=-1), r"got float64 of shape \(4, 3\)"),
+    (np.eye(3), r"got float64 of shape \(3, 3\)"),
+    (np.stack([_E0[:3], _E1[:3]], axis=-1), r"got float64 of shape \(3, 2\)"),
+    (_E0, r"got float64 of shape \(4,\)"),
+    (np.stack([_E0, 1j * _E1], axis=-1), r"got complex128 of shape \(4, 2\)"),
+    (np.stack([_E0, _E1], axis=-1).astype(complex), r"got complex128 of shape \(4, 2\)"),
+], ids=["base-2e0", "frame-4x3", "frame-3x3", "frame-3x2", "vector", "complex", "complex-dtype"])
+def test_curve_length_refuses_a_frame_that_is_not_one_geodesic_of_its_domain(frame, message):
+    F = identity_map(real_projective(3))
+    with pytest.raises(GeometryError, match=message):
+        curve_length(F, frame)
 
 
 def test_fubini_over_geodesics():
@@ -211,7 +230,7 @@ REJECTED_FRAMES = {
     "stretched": (complex_projective(2), 2.0 * np.eye(3, 2)[None], "orthonormal columns"),
     "too-many-columns": (real_projective(3), np.eye(4, 5)[None], "orthonormal columns"),
     "nan": (real_projective(3), np.full((1, 4, 3), np.nan), "orthonormal columns"),
-    "complex-on-rp3": (real_projective(3), 1j * np.eye(4, 3)[None], "are real"),
+    "complex-on-rp3": (real_projective(3), 1j * np.eye(4, 3)[None], "needs a real matrix"),
 }
 
 
@@ -253,11 +272,7 @@ def test_line_average_identity_cp2():
 
 def test_line_average_constant():
     M = complex_projective(2)
-    q = M.canonicalize(np.array([1.0 + 0j, 0.0, 0.0]))
-    F = MapObject(
-        M, M, lambda x: np.broadcast_to(q, x.shape).copy(),
-        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)), name="constant",
-    )
+    F = constant_map(M, [1.0 + 0j, 0.0, 0.0])
     assert line_energy_average(F, K=10, seed=12) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -288,7 +303,7 @@ def _warp_map(M, mag=1.2):
         v = M.project_tangent(x, np.einsum("ij,...j->...i", S.astype(complex), x))
         return M.exp(x, mag * v)
 
-    return fd_map(MapObject(M, M, ev, name="warp"))
+    return evaluator_map(M, M, ev, "warp")
 
 
 def test_line_average_isometry_equivariance():
@@ -336,11 +351,7 @@ def test_e1_bound_identity_rp2():
 
 def test_e1_bound_constant():
     M = real_projective(3)
-    q = M.canonicalize(np.array([1.0, 0.0, 0.0, 0.0]))
-    F = MapObject(
-        M, M, lambda x: np.broadcast_to(q, x.shape).copy(),
-        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)), name="constant",
-    )
+    F = constant_map(M, [1.0, 0.0, 0.0, 0.0])
     assert e1_geodesic_bound(F, K=10, seed=26) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -388,11 +399,7 @@ def test_rp2_family_mass_values():
 
 def test_rp2_family_constant():
     M = real_projective(3)
-    q = M.canonicalize(np.array([1.0, 0.0, 0.0, 0.0]))
-    F = MapObject(
-        M, M, lambda x: np.broadcast_to(q, x.shape).copy(),
-        lambda x, v: (np.broadcast_to(q, x.shape).copy(), np.zeros_like(v)), name="constant",
-    )
+    F = constant_map(M, [1.0, 0.0, 0.0, 0.0])
     assert rp2_family_average(F, K=6, seed=30) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -46,7 +46,7 @@ from mapenergy.maps import (
     unit_tangent_quadrature,
 )
 
-from fd_oracle import fd_map
+from fd_oracle import evaluator_map, fd_map
 from traced import traced_peak
 
 
@@ -129,28 +129,54 @@ def test_fd_matches_analytic_on_complex_projective():
 def test_a_finite_difference_step_is_a_finite_real_above_zero(h):
     # the step lives in the oracle now; a bad one would turn its columns into nan
     M = complex_projective(2)
-    for F in (identity_map(M), maps.MapObject(M, M, lambda y: y)):
-        with pytest.raises(GeometryError, match="finite-difference step"):
-            fd_map(F, h)
+    with pytest.raises(GeometryError, match="finite-difference step"):
+        fd_map(identity_map(M), h)
+    with pytest.raises(GeometryError, match="finite-difference step"):
+        evaluator_map(M, M, lambda y: y, "bare", h)
 
 
-@pytest.mark.parametrize("first_order", [
-    lambda F, grid: differential_columns(F, grid.nodes, tangent_frames(grid.manifold, grid.nodes)),
-    energy.p_energy,
-    energy.pullback_volume,
-], ids=["differential_columns", "p_energy", "pullback_volume"])
-def test_first_order_calculus_refuses_a_map_without_a_differential_by_name(first_order):
+def _rule(x, v):
+    return x, v
+
+
+@pytest.mark.parametrize("ev, rule, part", [
+    (lambda y: y, None, "fused"),
+    (lambda y: y, np.eye(3), "fused"),
+    (lambda y: y, "rule", "fused"),
+    (None, _rule, "evaluator"),
+    (np.eye(3), _rule, "evaluator"),
+], ids=["rule-none", "rule-array", "rule-string", "evaluator-none", "evaluator-array"])
+def test_a_map_without_a_callable_evaluator_or_rule_is_refused_when_built(ev, rule, part):
+    # a map is its rule: there is no map first-order calculus could meet without one
     M = complex_projective(2)
-    grid = build_grid(M, 50, seed=11)
-    calls = []
+    with pytest.raises(GeometryError, match=f"map 'bare' needs a callable {part}, got"):
+        maps.MapObject(M, M, ev, rule, "bare")
+    with pytest.raises(GeometryError, match=f"map 'bare' needs a callable {part}, got"):
+        maps.MapObject(M, M, evaluator=ev, fused=rule, name="bare")
 
-    def ev(y):
-        calls.append(y)
-        return y
 
-    with pytest.raises(GeometryError, match="map 'evaluator-only' has no differential"):
-        first_order(maps.MapObject(M, M, ev, name="evaluator-only"), grid)
-    assert calls == []
+def test_a_map_needs_its_rule_to_be_built():
+    M = complex_projective(2)
+    with pytest.raises(TypeError, match="fused"):
+        maps.MapObject(M, M, lambda y: y, name="bare")
+    # the benchmark's tracer tells analytic calls by this reading False
+    assert identity_map(M).differential is not None
+
+
+@pytest.mark.parametrize("dom, cod, A, message", [
+    (complex_projective(2), complex_projective(2), np.eye(2), r"shape \(3, 3\), got \(2, 2\)"),
+    (complex_projective(1), complex_projective(2), np.eye(2, 3), r"shape \(3, 2\), got \(2, 3\)"),
+    (real_projective(3), real_projective(3), np.eye(3), r"shape \(4, 4\), got \(3, 3\)"),
+    (real_projective(3), real_projective(3), np.ones(4), r"shape \(4, 4\), got \(4,\)"),
+    (real_projective(3), real_projective(3), (1 + 1j) * np.eye(4), "needs a real matrix"),
+    (sphere(2), real_projective(2), np.eye(3, dtype=complex), "needs a real matrix"),
+    (real_projective(2), real_projective(3), 1j * np.eye(4, 3), "needs a real matrix"),
+], ids=["cp2-2x2", "cp1-cp2-transposed", "rp3-3x3", "rp3-vector", "rp3-complex",
+        "s2-rp2-complex-dtype", "rp2-rp3-complex"])
+def test_a_linear_map_refuses_a_matrix_of_another_shape_or_a_complex_one_into_a_real_space(
+        dom, cod, A, message):
+    with pytest.raises(GeometryError, match=f"map 'linear' .*{message}"):
+        normalized_linear_map(dom, cod, A, "linear")
 
 
 def test_frame_independence_of_gram_invariants():
@@ -296,7 +322,10 @@ def test_compose_refuses_an_inner_codomain_other_than_the_outer_domain(outer):
 def test_fixed_rotation_matches_its_old_formula_bit_for_bit(d):
     g = make_rng(7 * d + 1).standard_normal((d, d))
     q, r = np.linalg.qr(g)
-    assert maps._fixed_rotation(d).tobytes() == (q * np.sign(np.diag(r))).tobytes()
+    rotation = q * np.sign(np.diag(r))
+    # the design is the cross-polytope of the rotation's rows in every dimension
+    coeffs, _ = maps._design_coefficients(d)
+    assert coeffs.tobytes() == np.concatenate([rotation, -rotation]).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -4,9 +4,10 @@ Every functional integrates a pointwise density of the map's analytic
 differential over a quadrature grid of its domain, in one pass shared by
 energies and volumes: energies read |dF|^2 from the differential's
 columns, volumes integrate sqrt(det G) of the pullback Gram matrix G.
-A grid of another space is refused by name before any node is
-evaluated.  Every node counts with its full weight.  Monte Carlo grids
-carry a standard error; mesh grids are deterministic.
+`p_energies` integrates several exponents from one such pass.  A grid
+of another space, or points of another space, are refused by name
+before any node is evaluated.  Every node counts with its full weight.
+Monte Carlo grids carry a standard error; mesh grids are deterministic.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .manifolds import GeometryError, is_finite_real, real_inner, sphere_volume
 from .maps import (
+    check_points,
     differential_columns,
     energy_density,
     grid_frames,
@@ -83,18 +85,29 @@ def _integrate(grid, density, label):
     return EnergyValue(value, stderr)
 
 
-def p_energy(F, grid, p=2.0):
-    """The p-energy of a map: half the integral of |dF|^p over the domain.
+def p_energies(F, grid, ps):
+    """The p-energy of a map for each exponent of `ps`, from one pass over
+    the grid: half the integral of |dF|^p over the domain.
 
     |dF|^2 at a node is the sum of the squared lengths of the
     differential's columns on the grid's reflection frame, the trace of
-    the pullback Gram matrix, which is not built.  `p` is a finite real
-    >= 1, checked before any node is evaluated.  Returns an EnergyValue.
+    the pullback Gram matrix, which is not built.  Each exponent is a
+    finite real >= 1, and all of them are checked before any node is
+    evaluated.  Returns one EnergyValue per exponent, in order.
     """
-    if not (is_finite_real(p) and p >= 1.0):
-        raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
+    ps = tuple(ps)
+    if not ps:
+        raise GeometryError("p_energies needs at least one exponent")
+    for p in ps:
+        if not (is_finite_real(p) and p >= 1.0):
+            raise GeometryError(f"p-energy is defined for a finite real p >= 1, got {p!r}")
     dens = _grid_density(F, grid, energy_density, "p_energy")
-    return _integrate(grid, 0.5 * dens ** (p / 2.0), "p_energy")
+    return [_integrate(grid, 0.5 * dens ** (p / 2.0), "p_energy") for p in ps]
+
+
+def p_energy(F, grid, p=2.0):
+    """The p-energy of a map, `p_energies` of the one exponent p."""
+    return p_energies(F, grid, (p,))[0]
 
 
 def croke_density(F, x):
@@ -104,12 +117,16 @@ def croke_density(F, x):
     so the result equals the trace of the pullback Gram matrix whenever
     the design integrates quadratics exactly.
     """
+    check_points("croke_density", F, x)
     M = F.domain
     dirs, w = unit_tangent_quadrature(M, x)
-    dirs = np.moveaxis(dirs, 0, -2)
-    cols = differential_columns(F, x, dirs)
-    sq = real_inner(cols, cols)
-    avg = np.einsum("j,...j->...", w, sq)
+
+    def mean_square(cols):
+        # each block's columns are a view of direction-first arrays, so
+        # einsum adds the directions with their axis outermost
+        return np.einsum("j,...j->...", w, real_inner(cols, cols))
+
+    avg = differential_columns(F, x, np.moveaxis(dirs, 0, -2), reduce=mean_square)
     return M.dim / sphere_volume(M.dim - 1) * avg
 
 

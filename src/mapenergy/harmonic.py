@@ -40,6 +40,7 @@ from .manifolds import (
     real_inner,
 )
 from .maps import (
+    check_points,
     compose,
     differential_columns,
     normalized_linear_map,
@@ -99,6 +100,7 @@ def tension(F, x):
     Vanishes exactly for harmonic maps; frame independent up to the
     finite-difference tolerance.
     """
+    check_points("tension", F, x)
     acc = _acceleration(F, x[..., None, :], tangent_frames(F.domain, x))
     return np.sum(acc, axis=-2)
 
@@ -112,6 +114,7 @@ def pluriharmonic_residual(F, x):
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("pluriharmonicity needs a complex projective domain")
+    check_points("pluriharmonic_residual", F, x)
     fr = tangent_frames(M, x)
     i, j = np.triu_indices(M.dim)
     ei, ej, xb = fr[..., i, :], fr[..., j, :], x[..., None, :]
@@ -132,6 +135,7 @@ def hermitian_residual(F, x):
     M = F.domain
     if not isinstance(M, ComplexProjective):
         raise GeometryError("Hermitian symmetry needs a complex projective domain")
+    check_points("hermitian_residual", F, x)
     G = pullback_gram(F, x, tangent_frames(M, x))
     n = M.N
     A, B, C = G[..., :n, :n], G[..., :n, n:], G[..., n:, n:]

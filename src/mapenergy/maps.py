@@ -32,7 +32,14 @@ to `differential_columns`: each block reduces its own columns, and only
 the reduced values are copied out, so no grid-sized column array is
 built.  The frames are the one grid-sized array kept per grid, half of
 it on CP^N: a grid keeps the reflected columns h of each frame (h, i h),
-and each block completes its own just before the fused call.  The
+frame axis first, (k, n, amb), and each block completes its own with two
+contiguous copies just before the fused call.  Blocks call the fused
+rule frame axis first, the base (1, nodes, amb) against (dim, nodes,
+amb), so its arrays are contiguous across the nodes.  The frames and
+columns that callers pass and get stay frame-last, (..., dim, amb), as
+`tangent_frames` gives them: the reductions and the harmonic probes
+read the frame axis there, and numpy sums 8 or more frame vectors in
+another order along a leading axis, so moving it would move bits.  The
 blocks run on a thread pool as wide as the CPUs the process may use
 when it may use more than one, and one after another otherwise.
 Every step is per node, so the numbers are bit-identical to one serial
@@ -94,13 +101,14 @@ def _pooled(block, starts, workers):
             future.cancel()
 
 
-def _by_node_chunks(fn, x, *arrays):
-    """fn(x, *arrays), in NODE_BLOCK-node blocks of the leading axis when
-    that axis holds at least two blocks; each block's result, one array,
-    is copied, in order as it arrives, into an output allocated from the
-    first block's result.  The blocks run on a
-    thread pool, at most one block per worker ahead of that copy, when
-    the process may use more than one CPU, and one after another
+def _by_node_chunks(fn, n, axis=0):
+    """fn(s) for node slices s of a batch of n nodes: one call on the whole
+    batch, s = slice(None), unless it holds at least two NODE_BLOCK-node
+    blocks, and one call per block otherwise.  Each block's result, one
+    array with its nodes along `axis`, is copied, in order as it arrives,
+    into an output allocated from the first block's result.  The blocks
+    run on a thread pool, at most one block per worker ahead of that copy,
+    when the process may use more than one CPU, and one after another
     otherwise.  So a block's temporaries bound the memory of a large
     batch on any CPU count, and the output is not held twice.
 
@@ -111,22 +119,20 @@ def _by_node_chunks(fn, x, *arrays):
     single block runs inline, while a larger batch would wait on a pool
     whose threads may all be waiting on it.
     """
-    n = len(x)
     if n < 2 * NODE_BLOCK:
-        return fn(x, *arrays)
+        return fn(slice(None))
 
     def block(start):
-        stop = start + NODE_BLOCK
-        return fn(x[start:stop], *(a[start:stop] for a in arrays))
+        return fn(slice(start, start + NODE_BLOCK))
 
     starts = range(0, n, NODE_BLOCK)
     workers = len(os.sched_getaffinity(0))
     parts = _pooled(block, starts, workers) if workers > 1 else map(block, starts)
-    out = None
+    out, lead = None, (slice(None),) * axis
     for start, part in zip(starts, parts):
         if out is None:
-            out = np.empty((n,) + part.shape[1:], part.dtype)
-        out[start:start + len(part)] = part
+            out = np.empty(part.shape[:axis] + (n,) + part.shape[axis + 1:], part.dtype)
+        out[lead + (slice(start, start + part.shape[axis]),)] = part
     return out
 
 
@@ -137,8 +143,8 @@ class MapObject:
     evaluator:    batch map of representatives, (..., amb_dom) -> (..., amb_cod)
     fused:        analytic rule (x, v) -> (F(x), dF_x v) from one evaluation,
                   F(x) bit for bit the evaluator's; the base x broadcasts
-                  against the vectors v, (..., 1, amb_dom) against
-                  (..., dim, amb_dom) when called for differential columns,
+                  against the vectors v, (1, ..., amb_dom) against
+                  (dim, ..., amb_dom) when called for differential columns,
                   so work on the base is done once per node, and dF_x v
                   has the broadcast batch shape
     """
@@ -172,28 +178,42 @@ def tangent_frames(M, x):
     orthogonal to x.  They are the frame; on CP^N it is followed by i
     times each of them, which spans the rest of the horizontal space.
     """
-    return _by_node_chunks(lambda xb: _completed(M, _reflection_frames(xb)), x)
+    return _by_node_chunks(
+        lambda s: np.ascontiguousarray(_frame_last(_completed(M, _reflection_frames(x[s])))),
+        len(x))
+
+
+def _frame_last(a):
+    """A frame-first array (k, ..., amb) as a frame-last view (..., k, amb)."""
+    return a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
 
 
 def _completed(M, h):
-    """The frame (h, i h) on a complex space, h itself on a real one."""
-    if M.is_complex:
-        return np.concatenate([h, 1j * h], axis=-2)
-    return h
+    """The frame (h, i h) on a complex space, h itself on a real one; frame axis first."""
+    if not M.is_complex:
+        return h
+    k = len(h)
+    full = np.empty((2 * k,) + h.shape[1:], np.result_type(h, 1j))
+    full[:k] = h
+    np.multiply(1j, h, out=full[k:])
+    return full
 
 
 def _reflection_frames(x):
-    """The reflected columns H e_j, j != k, at points (..., amb): (..., amb - 1, amb)."""
+    """The reflected columns H e_j, j != k, at points (..., amb), frame axis
+    first: (amb - 1, ..., amb), built in that layout."""
     amb = x.shape[-1]
     k = np.argmax(np.abs(x), axis=-1)[..., None]
     xk = np.take_along_axis(x, k, axis=-1)
     a = np.abs(xk)
-    w = np.where(np.arange(amb) == k, x + xk / a, x)
-    # the indices j != k in increasing order; w_j = x_j there, so
-    # H e_j = e_j - w conj(x_j) / (1 + |x_k|)
-    j = np.arange(amb - 1) + (np.arange(amb - 1) >= k)
-    c = np.take_along_axis(x, j, axis=-1).conj() / (1.0 + a)
-    return (j[..., None] == np.arange(amb)) - c[..., None] * w[..., None, :]
+    e = np.arange(amb)
+    w = np.where(e == k, x + xk / a, x)
+    # the indices j != k in increasing order, (amb - 1, ..., 1); w_j = x_j
+    # there, so H e_j = e_j - w conj(x_j) / (1 + |x_k|)
+    m = np.arange(amb - 1).reshape((-1,) + (1,) * x.ndim)
+    j = m + (m >= k)
+    h = np.take_along_axis(x[None], j, axis=-1).conj() / (1.0 + a) * w
+    return np.subtract(j == e, h, out=h)
 
 
 def differential_columns(F, x, frames, reduce=None, kept_frames=False):
@@ -205,16 +225,31 @@ def differential_columns(F, x, frames, reduce=None, kept_frames=False):
     `reduce(columns)` is returned in place of the columns; it runs on the
     block threads, under the rules `_by_node_chunks` sets for its `fn`.
     With `kept_frames`, `frames` are a grid's kept frames (`grid_frames`),
-    and each block completes its own to the full tangent frames, (h, i h)
-    on CP^N, just before the fused call.
+    frame axis first, and each block completes its own to the full
+    tangent frames, (h, i h) on CP^N, just before the fused call.  Blocks
+    call the fused rule frame axis first; `reduce` gets a frame-last view.
     """
-    def block(xb, fb):
+    first = frames if kept_frames else np.moveaxis(frames, -2, 0)
+
+    def block(s):
+        fb = first[:, s]
         if kept_frames:
             fb = _completed(F.domain, fb)
-        cols = F.differential(xb[..., None, :], fb)
-        return cols if reduce is None else reduce(cols)
+        cols = _frame_last(F.differential(x[s][None], fb))
+        return np.ascontiguousarray(cols) if reduce is None else reduce(cols)
 
-    return _by_node_chunks(block, x, frames)
+    return _by_node_chunks(block, len(x))
+
+
+def check_points(label, F, x):
+    """GeometryError naming `label` and the map F unless x can hold points
+    of F's domain: an array (..., amb) of the domain's ambient dimension,
+    real, or complex on a complex domain.  Called on entry, so nothing of
+    F is evaluated on points it refuses."""
+    M, x = F.domain, np.asarray(x)
+    if not (x.ndim and x.shape[-1] == M.ambient_dim and x.dtype.kind in ("iufc" if M.is_complex else "iuf")):
+        raise GeometryError(f"{label}: {x.dtype} points of shape {x.shape} are not points "
+                            f"of the domain {M!r} of map {F.name!r}")
 
 
 def pullback_gram(F, x, frames):
@@ -237,8 +272,10 @@ def volume_density(cols):
 def energy_density(cols):
     """Squared differential norm |dF|^2 per node from the differential
     columns (..., dim, amb): the sum of <dF e_i, dF e_i>, which is the
-    trace of the pullback Gram matrix bit for bit, without building it."""
-    return np.sum(real_inner(cols, cols), axis=-1)
+    trace of the pullback Gram matrix bit for bit, without building it.
+    The squared lengths are summed node-major, as numpy sums a contiguous
+    last axis, so frame-first columns give the bits of frame-last ones."""
+    return np.sum(np.ascontiguousarray(real_inner(cols, cols)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +358,13 @@ def _mesh_grid(M, level):
 
 
 def grid_frames(grid):
-    """`tangent_frames` at the grid nodes, built once and kept, read-only, on
-    the grid; on CP^N only the columns h of each frame (h, i h), which
+    """`tangent_frames` at the grid nodes, frame axis first, (k, n, amb):
+    built once, in that layout, and kept, read-only, on the grid.  On CP^N
+    only the columns h of each frame (h, i h), which
     `differential_columns(..., kept_frames=True)` completes block by block."""
-    return meshes.kept(grid.derived, "frames", lambda: _by_node_chunks(_reflection_frames, grid.nodes))
+    nodes = grid.nodes
+    return meshes.kept(grid.derived, "frames",
+                       lambda: _by_node_chunks(lambda s: _reflection_frames(nodes[s]), len(nodes), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +434,7 @@ def _normalization(cod, y, name):
     """The canonical representative of y / |y| and the pushforward of dy
     through y -> y / |y| there; GeometryError naming the map where |y| vanishes."""
     n = _norm(y)[..., None]
-    if np.any(n < 1e-12):
+    if (n < 1e-12).any():
         raise GeometryError(f"map {name!r} vanishes on a representative")
     u = y / n
     c, f = cod.canonicalize_with_factor(u)

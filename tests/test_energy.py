@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapenergy import constructions, energy, make_rng, maps
+from mapenergy import constructions, energy, make_rng, manifolds, maps
 from mapenergy.constructions import (
     conic_curve,
     conjugation_map,
@@ -127,6 +127,26 @@ def test_p_energy_checks_p_before_any_node_is_evaluated(p):
     with pytest.raises(GeometryError, match="finite real p >= 1"):
         p_energy(evaluator_map(M, M, ev, "recorder"), grid, p=p)
     assert calls == [] and grid.derived == {}
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.5, True], ids=repr)
+def test_p_energies_check_every_exponent_before_the_fused_rule_is_called(p):
+    M = complex_projective(2)
+    grid = build_grid(M, 50, seed=1)
+    calls = []
+
+    def rule(x, v):
+        calls.append(x.shape)
+        return x, v
+
+    F = MapObject(M, M, lambda x: x, rule, "recorder")
+    with pytest.raises(GeometryError, match="finite real p >= 1"):
+        energy.p_energies(F, grid, (2.0, 3.0, p))
+    with pytest.raises(GeometryError, match="at least one exponent"):
+        energy.p_energies(F, grid, ())
+    assert calls == [] and grid.derived == {}
+    # good exponents share one call of the rule on the grid's one block
+    assert len(energy.p_energies(F, grid, (2.0, 3.0))) == 2 and len(calls) == 1
 
 
 def test_identity_energy_general_exponent():
@@ -427,6 +447,41 @@ def test_functionals_on_kept_half_frames_equal_full_frame_references_byte_for_by
         assert _same_bytes(pullback_volume(F, grid), want_volume)
         if M.dim == 2:
             assert _same_bytes(surface_area(F, grid), want_volume)
+
+
+P_ENERGIES_GRIDS = {
+    **{f"{label}-mc-blocked": (lambda M=M, seed=seed: build_grid(M, 2 * maps.NODE_BLOCK + 700, seed=seed))
+       for seed, (label, M) in enumerate([("cp1", complex_projective(1)), ("cp2", complex_projective(2)),
+                                          ("rp2", real_projective(2)), ("rp3", real_projective(3)),
+                                          ("s3", sphere(3))])},
+    "s2-mesh": lambda: build_grid(sphere(2), 3, "mesh"),
+    "rp2-mesh": lambda: build_grid(real_projective(2), 3, "mesh"),
+    "cp1-mesh": lambda: build_grid(complex_projective(1), 3, "mesh"),
+}
+
+
+@pytest.mark.parametrize("name", P_ENERGIES_GRIDS)
+def test_p_energies_equal_each_p_energy_byte_for_byte(name):
+    grid = P_ENERGIES_GRIDS[name]()
+    M = grid.manifold
+    ps = (1.0, 2.0, 3.0, 4.0, 2.5)
+    for F in (identity_map(M), perturbed_identity(M, 0.2, seed=5)):
+        for p, got in zip(ps, energy.p_energies(F, grid, ps), strict=True):
+            for want in (p_energy(F, grid, p), _full_frame_energy(F, grid, p)[1]):
+                assert _same_bytes(got.value, want.value) and _same_bytes(got.stderr, want.stderr)
+
+
+@pytest.mark.parametrize("n", [700, 2 * maps.NODE_BLOCK + 700], ids=["one-block", "blocked"])
+@pytest.mark.parametrize("M", [complex_projective(4), sphere(9)], ids=["cp4", "s9"])
+def test_a_grid_density_adds_eight_or_more_frame_vectors_as_frame_last_columns_do(M, n):
+    # numpy adds 8 or more values along a contiguous last axis in another
+    # order than along a leading one; a grid's blocks compute their
+    # columns frame axis first, and their density must not see that
+    grid = build_grid(M, n, seed=5)
+    F = perturbed_identity(M, 0.2, seed=3)
+    cols = F.differential(grid.nodes[..., None, :], tangent_frames(M, grid.nodes))
+    want = np.sum(manifolds.real_inner(cols, cols), axis=-1)
+    assert _same_bytes(energy._grid_density(F, grid, energy_density, "p_energy"), want)
 
 
 @pytest.mark.parametrize("level", [3, 4])

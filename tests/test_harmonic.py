@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from mapenergy.constructions import (
     veronese_curve,
 )
 from mapenergy import harmonic
-from mapenergy.energy import p_energy
+from mapenergy.energy import croke_density, p_energy
 from mapenergy.harmonic import (
     hermitian_residual,
     index_trace_over_symmetries,
@@ -29,6 +31,7 @@ from mapenergy.manifolds import (
     GeometryError,
     complex_projective,
     real_inner,
+    real_projective,
     sphere,
     su_basis,
 )
@@ -46,6 +49,37 @@ from mapenergy.rand import make_rng
 
 from fd_oracle import evaluator_map
 from support import constant_map
+
+
+# ---------------------------------------------------------------------------
+# points of another space
+
+# (functional, domain of the identity, space the points are drawn on)
+FOREIGN_POINTS = {
+    "hermitian-cp3-on-cp2": (hermitian_residual, complex_projective(3), complex_projective(2)),
+    "tension-cp1-on-rp3": (tension, complex_projective(1), real_projective(3)),
+    "croke-cp3-on-cp2": (croke_density, complex_projective(3), complex_projective(2)),
+    "pluriharmonic-cp3-on-cp2": (pluriharmonic_residual, complex_projective(3), complex_projective(2)),
+    "tension-s1-on-cp1": (tension, sphere(1), complex_projective(1)),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_POINTS)
+def test_pointwise_functionals_refuse_points_of_another_space(case):
+    functional, M, other = FOREIGN_POINTS[case]
+    calls = []
+
+    def rule(x, v):
+        calls.append(x.shape)
+        return x, v
+
+    F = MapObject(M, M, lambda x: calls.append(x.shape) or x, rule, "identity")
+    x = other.random_point(make_rng(1), 4)
+    with pytest.raises(GeometryError, match=(f"^{functional.__name__}: {x.dtype} points of shape \\(4, "
+                                             f"{other.ambient_dim}\\) are not points of the domain "
+                                             f"{re.escape(repr(M))} of map 'identity'$")):
+        functional(F, x)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -434,19 +434,33 @@ def test_grid_frames_are_kept_once_per_grid_and_read_only():
         f[0, 0, 0] = 0.0
 
 
+@pytest.mark.parametrize("n", [50, 2 * maps.NODE_BLOCK + 700], ids=["one-block", "pooled"])
 @pytest.mark.parametrize("M", [complex_projective(1), complex_projective(2), real_projective(3), sphere(2)],
                          ids=["cp1", "cp2", "rp3", "s2"])
-def test_a_complex_grid_keeps_half_of_its_frames(M):
-    g = build_grid(M, 50, seed=9)
-    kept, full = grid_frames(g), tangent_frames(M, g.nodes)
+def test_a_grid_keeps_its_frames_frame_axis_first_and_half_of_them_on_cpn(M, n):
+    g = build_grid(M, n, seed=9)
+    kept, full = grid_frames(g), np.moveaxis(tangent_frames(M, g.nodes), -2, 0)
+    k = M.N if M.is_complex else M.dim
+    assert kept.shape == (k, n, M.ambient_dim)
+    assert kept.flags.c_contiguous and not kept.flags.writeable
+    # the kept columns h of the frame (h, i h) on CP^N, the whole frame elsewhere
+    np.testing.assert_array_equal(kept, full[:k])
     if M.is_complex:
-        # the kept columns h of the frame (h, i h)
-        assert 2 * kept.nbytes == full.nbytes
-        np.testing.assert_array_equal(kept, full[:, :M.N])
-        np.testing.assert_array_equal(1j * kept, full[:, M.N:])
-    else:
-        assert kept.nbytes == full.nbytes
-        np.testing.assert_array_equal(kept, full)
+        np.testing.assert_array_equal(1j * kept, full[k:])
+    assert (2 if M.is_complex else 1) * kept.nbytes == full.nbytes
+
+
+@pytest.mark.parametrize("M", [complex_projective(2), real_projective(3)], ids=["cp2", "rp3"])
+def test_grid_frames_never_hold_a_second_grid_sized_frame_array(monkeypatch, M):
+    # two CPUs: the pool runs at most two blocks ahead of the copy
+    monkeypatch.setattr(maps.os, "sched_getaffinity", lambda pid: {0, 1})
+    grid = build_grid(M, 24 * maps.NODE_BLOCK, seed=9)
+    peak = traced_peak(grid_frames, grid)
+    kept = grid_frames(grid)
+    # the kept frames, each block written into them as it arrives, plus
+    # the temporaries of the blocks in flight; a transposed or second copy
+    # of the frames would double the peak
+    assert kept.nbytes <= peak < 1.5 * kept.nbytes
 
 
 def test_hopf_chart_round_trip_and_isometry():
@@ -615,8 +629,9 @@ def test_a_composite_differential_evaluates_each_normalized_layer_once(monkeypat
     line = normalized_linear_map(cp1, cp2, sample_lines(2, 1, seed=5)[0][0], name="line")
     x = cp1.random_point(make_rng(69), 10)
     fr = tangent_frames(cp1, x)
-    # P of each layer sees its base points once, one per node
-    line_base, dilation_base = ("line", (10, 1, 2)), ("dilation-4", (10, 1, 3))
+    # P of each layer sees its base points once, one per node, on the
+    # frame axis's place
+    line_base, dilation_base = ("line", (1, 10, 2)), ("dilation-4", (1, 10, 3))
     for outer, want in ((identity_map(cp2), [line_base]),
                         (make_projective_dilation(2, 4.0), [line_base, dilation_base])):
         seen.clear()
@@ -811,7 +826,8 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
     seen = []
 
     def fused(x, v):
-        seen.append(len(x))
+        # the base x[None] holds a block's nodes on its second axis
+        seen.append(x.shape[1])
         return dilation.fused(x, v)
 
     F = maps.MapObject(dilation.domain, dilation.codomain, dilation.evaluator, fused)
@@ -832,7 +848,7 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
                          ids=["cp2", "rp3", "s3"])
 def test_blocked_tangent_frames_equal_one_serial_pass(pooled, M):
     x = M.random_point(make_rng(1), BLOCKED_NODES)
-    assert np.array_equal(tangent_frames(M, x), maps._completed(M, maps._reflection_frames(x)))
+    assert np.array_equal(tangent_frames(M, x), np.moveaxis(maps._completed(M, maps._reflection_frames(x)), 0, -2))
     assert pooled
 
 

@@ -122,11 +122,9 @@ def croke_density(F, x):
     dirs, w = unit_tangent_quadrature(M, x)
 
     def mean_square(cols):
-        # each block's columns are a view of direction-first arrays, so
-        # einsum adds the directions with their axis outermost
-        return np.einsum("j,...j->...", w, real_inner(cols, cols))
+        return np.einsum("j,j...->...", w, real_inner(cols, cols))
 
-    avg = differential_columns(F, x, np.moveaxis(dirs, 0, -2), reduce=mean_square)
+    avg = differential_columns(F, x, dirs, reduce=mean_square)
     return M.dim / sphere_volume(M.dim - 1) * avg
 
 
@@ -173,8 +171,7 @@ def curve_length(F, frame):
     ang = t[:, None] / M.radius
     x, f = M.canonicalize_with_factor(np.cos(ang) * base + np.sin(ang) * direction)
     v = f[:, None] * (-np.sin(ang) * base + np.cos(ang) * direction)
-    cols = differential_columns(F, x, v[..., None, :])
-    speed = F.codomain.norm(cols[..., 0, :])
+    speed = F.codomain.norm(differential_columns(F, x, v[None])[0])
     dt = t[1] - t[0]
     lengths = 0.5 * dt * (speed[:-1] + speed[1:])
     return float(np.sum(lengths))

@@ -8,9 +8,10 @@ the codomain logarithm, combined by one Richardson step, which is exact
 for geodesics and O(h^4) otherwise.  An acceleration calls F twice, once
 at the base point and once at its four probe points stacked on one
 leading axis; the two polarized directions of a second fundamental form
-share one acceleration, and frame vectors or frame pairs share one batch
-axis, so the F calls of a probe do not grow with the dimension.  The
-Hermitian residual reads the `pullback_gram` of the tangent frame alone.
+share one acceleration, and frame vectors or frame pairs stack on the
+leading frame axis of `tangent_frames`, so the F calls of a probe do not
+grow with the dimension.  The Hermitian residual reads the
+`pullback_gram` of the tangent frame alone.
 
 A second variation is the five-point second derivative in t of the
 energy of a family of maps t -> F_t, each with an analytic differential.
@@ -101,8 +102,8 @@ def tension(F, x):
     finite-difference tolerance.
     """
     check_points("tension", F, x)
-    acc = _acceleration(F, x[..., None, :], tangent_frames(F.domain, x))
-    return np.sum(acc, axis=-2)
+    acc = _acceleration(F, x[None], tangent_frames(F.domain, x))
+    return np.sum(acc, axis=0)
 
 
 def pluriharmonic_residual(F, x):
@@ -117,10 +118,10 @@ def pluriharmonic_residual(F, x):
     check_points("pluriharmonic_residual", F, x)
     fr = tangent_frames(M, x)
     i, j = np.triu_indices(M.dim)
-    ei, ej, xb = fr[..., i, :], fr[..., j, :], x[..., None, :]
+    ei, ej, xb = fr[i], fr[j], x[None]
     combo = (second_fundamental_form(F, xb, 1j * ei, 1j * ej)
              + second_fundamental_form(F, xb, ei, ej))
-    return np.max(F.codomain.norm(combo), axis=-1)
+    return np.max(F.codomain.norm(combo), axis=0)
 
 
 def hermitian_residual(F, x):
@@ -197,11 +198,11 @@ def jacobi_identity_check(F, generator, grid):
 
     M, a, x = F.domain, np.asarray(generator, dtype=complex), grid.nodes
     # the variation field dF(J K) at the nodes
-    W = differential_columns(F, x, (1j * M.killing_field(a, x))[..., None, :])[..., 0, :]
-    fr, xb = tangent_frames(M, x), x[..., None, :]
+    W = differential_columns(F, x, (1j * M.killing_field(a, x))[None])[0]
+    fr, xb = tangent_frames(M, x), x[None]
     grad = 1j * M.killing_derivative(a, xb, fr)
     total = np.concatenate([
-        np.sum(second_fundamental_form(F, *(b[k:k + TRACE_FORM_BLOCK] for b in (xb, grad, fr))), axis=-2)
+        np.sum(second_fundamental_form(F, *(b[:, k:k + TRACE_FORM_BLOCK] for b in (xb, grad, fr))), axis=0)
         for k in range(0, len(x), TRACE_FORM_BLOCK)])
     integrand = -2.0 * real_inner(total, W)
     rhs = float(np.sum(grid.weights * integrand))

@@ -32,18 +32,16 @@ to `differential_columns`: each block reduces its own columns, and only
 the reduced values are copied out, so no grid-sized column array is
 built.  The frames are the one grid-sized array kept per grid, half of
 it on CP^N: a grid keeps the reflected columns h of each frame (h, i h),
-frame axis first, (k, n, amb), and each block completes its own with two
-contiguous copies just before the fused call.  Blocks call the fused
-rule frame axis first, the base (1, nodes, amb) against (dim, nodes,
-amb), so its arrays are contiguous across the nodes.  The frames and
-columns that callers pass and get stay frame-last, (..., dim, amb), as
-`tangent_frames` gives them: the reductions and the harmonic probes
-read the frame axis there, and numpy sums 8 or more frame vectors in
-another order along a leading axis, so moving it would move bits.  The
-blocks run on a thread pool as wide as the CPUs the process may use
-when it may use more than one, and one after another otherwise.
-Every step is per node, so the numbers are bit-identical to one serial
-pass; there is no option.
+and each block completes its own with two contiguous copies just before
+the fused call.  The blocks run on a thread pool as wide as the CPUs the
+process may use when it may use more than one, and one after another
+otherwise.  Every step is per node, so the numbers are bit-identical to
+one serial pass; there is no option.
+
+Frame and column arrays lead with the frame axis, (dim, n, amb), so the
+fused rule takes the base (1, nodes, amb) against (dim, nodes, amb) with
+its arrays contiguous across the nodes; per-node reductions (densities,
+Gram matrices) lead with the node axis.
 """
 
 import collections
@@ -170,7 +168,8 @@ class MapObject:
 
 
 def tangent_frames(M, x):
-    """Orthonormal tangent frames at points (..., amb), shape (..., dim, amb).
+    """Orthonormal tangent frames at points (n, ..., amb), frame axis
+    first: shape (dim, n, ..., amb).
 
     With k the index of the largest |x_k| and w = x + (x_k/|x_k|) e_k, the
     Householder reflection H = I - w w* / (1 + |x_k|) sends x to a
@@ -178,14 +177,7 @@ def tangent_frames(M, x):
     orthogonal to x.  They are the frame; on CP^N it is followed by i
     times each of them, which spans the rest of the horizontal space.
     """
-    return _by_node_chunks(
-        lambda s: np.ascontiguousarray(_frame_last(_completed(M, _reflection_frames(x[s])))),
-        len(x))
-
-
-def _frame_last(a):
-    """A frame-first array (k, ..., amb) as a frame-last view (..., k, amb)."""
-    return a.transpose(*range(1, a.ndim - 1), 0, a.ndim - 1)
+    return _by_node_chunks(lambda s: _completed(M, _reflection_frames(x[s])), len(x), axis=1)
 
 
 def _completed(M, h):
@@ -217,28 +209,27 @@ def _reflection_frames(x):
 
 
 def differential_columns(F, x, frames, reduce=None, kept_frames=False):
-    """Pushforwards of the frame vectors, (..., dim, amb_cod), through the
-    analytic differential of F.
+    """Pushforwards of the frame vectors (k, n, ..., amb) at the points x
+    (n, ..., amb) through the analytic differential of F: the columns
+    (k, n, ..., amb_cod).
 
-    With `reduce`, a per-node function of the columns (..., dim,
-    amb_cod), each node block is reduced as it is computed and
-    `reduce(columns)` is returned in place of the columns; it runs on the
-    block threads, under the rules `_by_node_chunks` sets for its `fn`.
-    With `kept_frames`, `frames` are a grid's kept frames (`grid_frames`),
-    frame axis first, and each block completes its own to the full
-    tangent frames, (h, i h) on CP^N, just before the fused call.  Blocks
-    call the fused rule frame axis first; `reduce` gets a frame-last view.
+    With `reduce`, a per-node function of the columns, each node block is
+    reduced as it is computed and `reduce(columns)`, node axis first, is
+    returned in place of the columns; it runs on the block threads, under
+    the rules `_by_node_chunks` sets for its `fn`.  With `kept_frames`,
+    `frames` are a grid's kept frames (`grid_frames`), and each block
+    completes its own to the full tangent frames, (h, i h) on CP^N, just
+    before the fused call.
     """
-    first = frames if kept_frames else np.moveaxis(frames, -2, 0)
 
     def block(s):
-        fb = first[:, s]
+        fb = frames[:, s]
         if kept_frames:
             fb = _completed(F.domain, fb)
-        cols = _frame_last(F.differential(x[s][None], fb))
-        return np.ascontiguousarray(cols) if reduce is None else reduce(cols)
+        cols = F.differential(x[s][None], fb)
+        return cols if reduce is None else reduce(cols)
 
-    return _by_node_chunks(block, len(x))
+    return _by_node_chunks(block, len(x), axis=1 if reduce is None else 0)
 
 
 def check_points(label, F, x):
@@ -253,17 +244,19 @@ def check_points(label, F, x):
 
 
 def pullback_gram(F, x, frames):
-    """Pullback Gram matrices G_ij = <dF e_i, dF e_j>, shape (..., dim, dim)."""
+    """Pullback Gram matrices G_ij = <dF e_i, dF e_j> at the points x
+    (n, ..., amb), node axis first: shape (n, ..., dim, dim)."""
     return differential_columns(F, x, frames, reduce=_gram)
 
 
 def _gram(cols):
+    """Gram matrices (n, ..., k, k) of the columns (k, n, ..., amb)."""
     # exactly symmetric: G_ij and G_ji multiply the same pairs in one order
-    return real_inner(cols[..., :, None, :], cols[..., None, :, :])
+    return np.moveaxis(real_inner(cols[:, None], cols[None]), (0, 1), (-2, -1))
 
 
 def volume_density(cols):
-    """sqrt(det G) per node from the differential columns (..., dim, amb),
+    """sqrt(det G) per node from the differential columns (dim, n, ..., amb),
     as the product of G's eigenvalues clamped to be nonnegative."""
     w = np.maximum(np.linalg.eigvalsh(_gram(cols)), 0.0)
     return np.sqrt(np.prod(w, axis=-1))
@@ -271,11 +264,12 @@ def volume_density(cols):
 
 def energy_density(cols):
     """Squared differential norm |dF|^2 per node from the differential
-    columns (..., dim, amb): the sum of <dF e_i, dF e_i>, which is the
+    columns (dim, n, ..., amb): the sum of <dF e_i, dF e_i>, which is the
     trace of the pullback Gram matrix bit for bit, without building it.
-    The squared lengths are summed node-major, as numpy sums a contiguous
-    last axis, so frame-first columns give the bits of frame-last ones."""
-    return np.sum(np.ascontiguousarray(real_inner(cols, cols)), axis=-1)
+    The squared lengths are summed node-major, along a contiguous last
+    axis, since numpy adds 8 or more of them in another order along a
+    leading one."""
+    return np.sum(np.ascontiguousarray(np.moveaxis(real_inner(cols, cols), 0, -1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,5 +482,5 @@ def unit_tangent_quadrature(M, x):
     degree 3; weights sum to the area of the unit (dim-1)-sphere."""
     frame = tangent_frames(M, x)
     coeffs, w = _design_coefficients(M.dim)
-    dirs = np.einsum("jd,...da->j...a", coeffs, frame)
+    dirs = np.einsum("jd,d...a->j...a", coeffs, frame)
     return dirs, w

@@ -202,8 +202,10 @@ def _chord_graph(mesh):
     return np.stack([i, j], axis=1), np.arccos(dots)
 
 
-def _conformal_weight(weight, mesh):
-    """A finite positive conformal weight, callable or constant, at the mesh vertices."""
+def _conformal_weight(weight, mesh, perm):
+    """A finite positive conformal weight, callable or constant, at the mesh
+    vertices; it must be antipodally even under the mesh's antipodal
+    permutation `perm`, so that it is a metric on RP^2."""
     n = len(mesh.vertices)
     mu = (np.asarray(weight(mesh.vertices), dtype=float) if callable(weight)
           else np.full(n, float(weight)))
@@ -211,6 +213,8 @@ def _conformal_weight(weight, mesh):
         raise GeometryError("weight must produce one value per vertex")
     if not np.all(np.isfinite(mu) & (mu > 0)):
         raise GeometryError("the conformal weight must be finite and positive")
+    if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
+        raise GeometryError("the conformal weight must be antipodally even")
     return mu
 
 
@@ -232,9 +236,7 @@ def _systole_graph(weight, level):
     """
     mesh = icosphere(checked_resolution("mesh", level))
     perm = antipodal_permutation(mesh)
-    mu = _conformal_weight(weight, mesh)
-    if np.max(np.abs(mu - mu[perm])) > 1e-10 * np.max(mu):
-        raise GeometryError("the conformal weight must be antipodally even")
+    mu = _conformal_weight(weight, mesh, perm)
     pairs, lengths = kept(mesh.derived, "chord_graph", lambda: _chord_graph(mesh))
     root = np.sqrt(0.5 * (mu + mu[perm]))
     costs = lengths * 0.5 * (root[pairs[:, 0]] + root[pairs[:, 1]])
@@ -288,9 +290,11 @@ def systole_rp2(weight, level=4):
 
 def conformal_area_rp2(weight, level=5):
     """Area of the metric weight * round on RP^2 by quadrature on the
-    icosphere of level `level`, an integer >= 0."""
+    icosphere of level `level`, an integer >= 0; `weight` is as for
+    `systole_rp2`, antipodally even."""
     mesh = icosphere(checked_resolution("mesh", level))
-    return float(0.5 * np.sum(vertex_areas(mesh) * _conformal_weight(weight, mesh)))
+    mu = _conformal_weight(weight, mesh, antipodal_permutation(mesh))
+    return float(0.5 * np.sum(vertex_areas(mesh) * mu))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +446,7 @@ def _run_bounds_identity(seed, nodes, p=None):
         ("rp2", real_projective(2), seed + 10, "RPN_P", {"n": 2, "length": np.pi}, p_real),
         ("rp3", real_projective(3), seed + 11, "RPN_P", {"n": 3, "length": np.pi}, p_real),
     ]
-    worst, checked = 0.0, []
+    worst, checked, energies = 0.0, [], {}
     for label, M, grid_seed, tag, inputs, exponents in cases:
         if not exponents:
             continue
@@ -453,9 +457,10 @@ def _run_bounds_identity(seed, nodes, p=None):
         for q, bound, value in zip(exponents, bounds, values):
             worst = max(worst, _relerr(value.value, bound))
             checked.append(f"{label}-p{q:g}")
+            energies[checked[-1]] = value.value
         # free this grid and its kept frames before the next case builds its own
         del grid
-    return {"checked": checked}, worst
+    return {"checked": checked, "energies": energies}, worst
 
 
 @_experiment("line-formula", "lines", 2000, 0.01)

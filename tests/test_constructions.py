@@ -134,8 +134,8 @@ def test_rational_curve_matches_its_old_closures(build, c):
     assert differential_columns(F, z, fr).tobytes() == differential_columns(G, z, fr).tobytes()
     ev, diff = _old_curve_closures(c)
     assert F(z).tobytes() == ev(z).tobytes()
-    base = z[..., None, :]
-    for x, v in ((base, fr), (z, fr[..., 0, :])):
+    base = z[None]
+    for x, v in ((base, fr), (z, fr[0])):
         new, old = F.differential(x, v), diff(x, v)
         assert new.shape == old.shape
         np.testing.assert_allclose(new, old, rtol=0, atol=1e-14 * np.max(np.abs(old)))
@@ -358,8 +358,8 @@ def _assert_matches_reference(F, x, ev, diff, rtol=1e-14):
     fr = tangent_frames(F.domain, x)
     cols = differential_columns(F, x, fr)
     np.testing.assert_allclose(F(x), ev(x), rtol=0, atol=1e-14)
-    want = diff(x[:, None, :], fr)
-    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    want = diff(x[None], fr)
+    scale = np.max(np.abs(want), axis=(0, -1), keepdims=True)
     assert np.max(np.abs(cols - want) / scale) < rtol
 
 
@@ -448,10 +448,10 @@ def test_capped_theta_collar_is_the_normalized_pushforward():
     x = M.random_point(make_rng(23), 400)
     x = x[np.abs(x[..., 3]) < c - 1e-3]
     fr = tangent_frames(M, x)
-    cols = F.differential(x[:, None, :], fr)
+    cols = F.differential(x[None], fr)
     # the collar projects the representative with x_3 >= 0 radially onto x_3 = 0
-    s = np.where(x[:, None, 3:] >= 0.0, 1.0, -1.0)
-    xr, vr = s * x[:, None, :], s * fr
+    s = np.where(x[None, :, 3:] >= 0.0, 1.0, -1.0)
+    xr, vr = s * x[None], s * fr
     xr[..., 3], vr[..., 3] = 0.0, 0.0
     assert np.array_equal(cols, _normalization(M, xr, "collar")[1](vr))
     # the hand-written rule it replaced, (v - <x^, v> x^) / |x| with x^ = x / |x|, to rounding
@@ -469,7 +469,7 @@ def test_capped_theta_differential_is_finite_without_warnings_at_the_poles():
     fr = tangent_frames(M, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cols = make_capped_theta(t).differential(x[:, None, :], fr)
+        cols = make_capped_theta(t).differential(x[None], fr)
     # the dilation stretches the pole's tangent space by t
     np.testing.assert_allclose(cols, t * fr, rtol=0, atol=1e-12)
 

@@ -53,12 +53,14 @@ from support import constant_map
 
 
 def test_energy_density_arithmetic():
-    # rows are the differential's columns dF e_i; the density is the sum of their squared lengths
+    # rows are the differential's columns dF e_i at one node; the density is
+    # the sum of their squared lengths
     assert energy_density(np.eye(4)) == 4.0
     assert energy_density(np.zeros((3, 3))) == 0.0
     assert energy_density(np.array([[3.0, 0.0, 0.0], [0.0, 4.0, 0.0]])) == 25.0
     assert energy_density(np.array([[3j, 4.0], [1.0 - 1j, 0.0]])) == 27.0
-    batch = np.array([[[1.0, 2.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, -3.0]]])
+    # frame axis first: node 0 has the columns (1, 2) and (2, 0), node 1 (0, 0) and (0, -3)
+    batch = np.array([[[1.0, 2.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, -3.0]]])
     assert np.array_equal(energy_density(batch), [9.0, 9.0])
 
 
@@ -479,7 +481,8 @@ def test_a_grid_density_adds_eight_or_more_frame_vectors_as_frame_last_columns_d
     # columns frame axis first, and their density must not see that
     grid = build_grid(M, n, seed=5)
     F = perturbed_identity(M, 0.2, seed=3)
-    cols = F.differential(grid.nodes[..., None, :], tangent_frames(M, grid.nodes))
+    frame_last = np.ascontiguousarray(np.moveaxis(tangent_frames(M, grid.nodes), 0, 1))
+    cols = F.differential(grid.nodes[:, None], frame_last)
     want = np.sum(manifolds.real_inner(cols, cols), axis=-1)
     assert _same_bytes(energy._grid_density(F, grid, energy_density, "p_energy"), want)
 
@@ -533,8 +536,8 @@ ENERGY_CASES = [
 def test_energy_does_not_depend_on_the_frames(case, seed):
     F, grid, rtol = case
     frames = tangent_frames(grid.manifold, grid.nodes)
-    q, _ = np.linalg.qr(make_rng(seed).standard_normal((frames.shape[-2],) * 2))
-    turned = np.einsum("ij,...ja->...ia", q, frames)
+    q, _ = np.linalg.qr(make_rng(seed).standard_normal((len(frames),) * 2))
+    turned = np.einsum("ij,j...->i...", q, frames)
     reference = energy_density(differential_columns(F, grid.nodes, frames))
     np.testing.assert_allclose(energy_density(differential_columns(F, grid.nodes, turned)),
                                reference, rtol=rtol, atol=0)

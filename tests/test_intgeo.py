@@ -56,7 +56,7 @@ def test_geodesic_loop_closes_and_has_unit_speed():
     seen = []
 
     def record(x, v):
-        seen.append((x[..., 0, :], v[..., 0, :]))
+        seen.append((x[0], v[0]))
         return x, v
 
     F = MapObject(M, M, lambda x: x, record, name="recorder")

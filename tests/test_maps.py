@@ -75,14 +75,14 @@ def test_tangent_frames_orthonormal_and_horizontal():
               complex_projective(1), complex_projective(2), complex_projective(3)):
         x = np.concatenate([M.random_point(rng, 2000), _hard_points(M)])
         fr = tangent_frames(M, x)
-        assert fr.shape == (len(x), M.dim, M.ambient_dim)
-        G = np.einsum("kia,kja->kij", fr.conj(), fr).real
+        assert fr.shape == (M.dim, len(x), M.ambient_dim)
+        G = np.einsum("ika,jka->kij", fr.conj(), fr).real
         np.testing.assert_allclose(G, np.broadcast_to(np.eye(M.dim), G.shape), rtol=0, atol=1e-15)
         # tangent to the sphere; on CP^N horizontal, orthogonal to the complex span of x
-        np.testing.assert_allclose(np.einsum("ka,kia->ki", x.conj(), fr), 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.einsum("ka,ika->ki", x.conj(), fr), 0.0, rtol=0, atol=1e-15)
         single = tangent_frames(M, x[0])
         assert single.shape == (M.dim, M.ambient_dim)
-        np.testing.assert_allclose(single, fr[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(single, fr[:, 0], rtol=0, atol=1e-15)
 
 
 def test_identity_gram_is_identity():
@@ -103,7 +103,7 @@ def test_finite_difference_matches_analytic_o_h2():
     rng = make_rng(5)
     x = M.random_point(rng, 20)
     fr = tangent_frames(M, x)
-    exact = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
+    exact = F.differential(np.broadcast_to(x[None], fr.shape), fr)
     hs = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
     errs = []
     for h in hs:
@@ -120,7 +120,7 @@ def test_fd_matches_analytic_on_complex_projective():
     F = normalized_linear_map(M, M, A)
     x = M.random_point(rng, 15)
     fr = tangent_frames(M, x)
-    exact = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
+    exact = F.differential(np.broadcast_to(x[None], fr.shape), fr)
     cols = differential_columns(fd_map(F, 1e-4), x, fr)
     np.testing.assert_allclose(cols, exact, atol=1e-7)
 
@@ -187,7 +187,7 @@ def test_frame_independence_of_gram_invariants():
     x = M.random_point(rng, 30)
     f1 = tangent_frames(M, x)
     q, _ = np.linalg.qr(make_rng(2).standard_normal((M.dim, M.dim)))
-    f2 = np.einsum("ij,kja->kia", q, f1)
+    f2 = np.einsum("ij,jka->ika", q, f1)
     G1 = pullback_gram(F, x, f1)
     G2 = pullback_gram(F, x, f2)
     np.testing.assert_allclose(np.trace(G1, axis1=-2, axis2=-1), np.trace(G2, axis1=-2, axis2=-1),
@@ -285,8 +285,8 @@ def test_normalized_linear_map_matches_its_old_closures_bit_for_bit(dom, cod, A)
     x = dom.random_point(make_rng(33), 64)
     fr = tangent_frames(dom, x)
     assert F(x).tobytes() == ev(x).tobytes()
-    assert F.differential(x[..., None, :], fr).tobytes() == diff(x[..., None, :], fr).tobytes()
-    assert F.differential(x, fr[..., 0, :]).tobytes() == diff(x, fr[..., 0, :]).tobytes()
+    assert F.differential(x[None], fr).tobytes() == diff(x[None], fr).tobytes()
+    assert F.differential(x, fr[0]).tobytes() == diff(x, fr[0]).tobytes()
 
 
 def test_normalized_maps_reject_a_vanishing_image():
@@ -439,7 +439,7 @@ def test_grid_frames_are_kept_once_per_grid_and_read_only():
                          ids=["cp1", "cp2", "rp3", "s2"])
 def test_a_grid_keeps_its_frames_frame_axis_first_and_half_of_them_on_cpn(M, n):
     g = build_grid(M, n, seed=9)
-    kept, full = grid_frames(g), np.moveaxis(tangent_frames(M, g.nodes), -2, 0)
+    kept, full = grid_frames(g), tangent_frames(M, g.nodes)
     k = M.N if M.is_complex else M.dim
     assert kept.shape == (k, n, M.ambient_dim)
     assert kept.flags.c_contiguous and not kept.flags.writeable
@@ -487,7 +487,7 @@ def test_compose_chains_differentials():
     rng = make_rng(59)
     x = M.random_point(rng, 8)
     fr = tangent_frames(M, x)
-    cols_a = C.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
+    cols_a = C.differential(np.broadcast_to(x[None], fr.shape), fr)
     cols_f = differential_columns(fd_map(C), x, fr)
     np.testing.assert_allclose(cols_a, cols_f, atol=1e-7)
 
@@ -561,8 +561,8 @@ def test_a_per_node_base_gives_the_broadcast_base_columns_bit_for_bit(name):
     M = F.domain
     x = M.random_point(make_rng(61), 40)
     fr = tangent_frames(M, x)
-    broadcast = F.differential(np.broadcast_to(x[:, None, :], fr.shape), fr)
-    per_node = F.differential(x[:, None, :], fr)
+    broadcast = F.differential(np.broadcast_to(x[None], fr.shape), fr)
+    per_node = F.differential(x[None], fr)
     assert per_node.shape == broadcast.shape == fr.shape[:-1] + (F.codomain.ambient_dim,)
     assert np.array_equal(per_node, broadcast)
     cols = differential_columns(F, x, fr)
@@ -575,8 +575,8 @@ def test_a_composite_differential_is_the_outer_one_at_the_inner_value_bit_for_bi
     outer, inner = _composite_parts(name)
     F = compose(outer, inner)
     M = F.domain
-    x = M.random_point(make_rng(67), 40)[:, None, :]
-    fr = tangent_frames(M, x[:, 0])
+    x = M.random_point(make_rng(67), 40)[None]
+    fr = tangent_frames(M, x[0])
     want = outer.differential(inner(x), inner.differential(x, fr))
     assert np.array_equal(F.differential(x, fr), want)
     value, cols = F.fused(x, fr)
@@ -603,8 +603,8 @@ def test_a_fused_rule_gives_the_evaluator_and_the_differential_bit_for_bit(name)
     key = name.removeprefix("catalog:")
     F = standard_maps(key, **CATALOG_ARGS[key]) if key != name else _analytic_case(name)
     M = F.domain
-    x = M.random_point(make_rng(71), 40)[:, None, :]
-    fr = tangent_frames(M, x[:, 0])
+    x = M.random_point(make_rng(71), 40)[None]
+    fr = tangent_frames(M, x[0])
     value, cols = F.fused(x, fr)
     want = F(x)
     assert value.shape == want.shape and value.tobytes() == want.tobytes()
@@ -685,10 +685,10 @@ def pooled(monkeypatch):
     return uses
 
 
-def _single_blocks(fn, n):
+def _single_blocks(fn, n, axis=0):
     """fn(start, stop) over the node blocks of n nodes, each a single-block call,
-    concatenated along the node axis."""
-    return np.concatenate([fn(s, s + maps.NODE_BLOCK) for s in range(0, n, maps.NODE_BLOCK)])
+    concatenated along the node axis, `axis`."""
+    return np.concatenate([fn(s, s + maps.NODE_BLOCK) for s in range(0, n, maps.NODE_BLOCK)], axis)
 
 
 def _in_a_child(fn, timeout=120.0):
@@ -741,11 +741,11 @@ def test_blocked_batches_equal_single_block_calls_bit_for_bit(pooled, name):
     n = len(grid)
 
     cols = differential_columns(F, x, fr)
-    want_cols = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
+    want_cols = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[:, a:b]), n, 1)
     assert np.array_equal(cols, want_cols)
 
     G = pullback_gram(F, x, fr)
-    want_G = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
+    want_G = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[:, a:b]), n)
     assert np.array_equal(G, want_G)
 
     for p in (2.0, 3.0):
@@ -836,10 +836,10 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
     n = len(grid)
     cols = differential_columns(F, x, fr)
     assert seen == [maps.NODE_BLOCK, maps.NODE_BLOCK, n - 2 * maps.NODE_BLOCK]
-    want_cols = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[a:b]), n)
+    want_cols = _single_blocks(lambda a, b: differential_columns(F, x[a:b], fr[:, a:b]), n, 1)
     assert np.array_equal(cols, want_cols)
     G = pullback_gram(F, x, fr)
-    want_G = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[a:b]), n)
+    want_G = _single_blocks(lambda a, b: pullback_gram(F, x[a:b], fr[:, a:b]), n)
     assert np.array_equal(G, want_G)
     assert maps._POOLS == {}
 
@@ -848,8 +848,21 @@ def test_on_one_cpu_blocks_run_serially_without_a_pool(monkeypatch):
                          ids=["cp2", "rp3", "s3"])
 def test_blocked_tangent_frames_equal_one_serial_pass(pooled, M):
     x = M.random_point(make_rng(1), BLOCKED_NODES)
-    assert np.array_equal(tangent_frames(M, x), np.moveaxis(maps._completed(M, maps._reflection_frames(x)), 0, -2))
+    assert np.array_equal(tangent_frames(M, x), maps._completed(M, maps._reflection_frames(x)))
     assert pooled
+
+
+@pytest.mark.parametrize("n", [50, BLOCKED_NODES], ids=["one-block", "blocked"])
+@pytest.mark.parametrize("M", [sphere(2), real_projective(3), complex_projective(1), complex_projective(2),
+                               sphere(3)], ids=["s2", "rp3", "cp1", "cp2", "s3"])
+def test_frames_and_columns_lead_with_the_frame_axis(M, n):
+    grid = build_grid(M, n, seed=13)
+    frames = tangent_frames(M, grid.nodes)
+    assert frames.shape == (M.dim, n, M.ambient_dim)
+    assert frames.tobytes() == maps._completed(M, grid_frames(grid)).tobytes()
+    F = normalized_linear_map(M, M, np.diag(np.linspace(1.0, 1.3, M.ambient_dim)), name="stretch")
+    cols = differential_columns(F, grid.nodes, frames)
+    assert cols.shape == (M.dim, n, M.ambient_dim) and cols.flags.c_contiguous
 
 
 def test_the_pool_runs_at_most_one_block_per_worker_ahead():
@@ -893,7 +906,7 @@ def test_a_differential_that_calls_differential_columns_finishes(pooled):
     inner = identity_map(M)
 
     def fused(x, v):
-        return x, differential_columns(inner, x[..., 0, :], v)
+        return x, differential_columns(inner, x[0], v)
 
     F = maps.MapObject(M, M, lambda x: x, fused)
     grid = build_grid(M, BLOCKED_NODES, seed=5)

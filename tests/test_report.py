@@ -140,9 +140,14 @@ def test_systole_rejects_bad_weights():
     with pytest.raises(GeometryError):
         systole_rp2(lambda x: x[..., 0], level=2)  # signed weight
     with pytest.raises(GeometryError):
-        systole_rp2(lambda x: 1.0 + 0.5 * x[..., 0], level=2)  # odd part
-    with pytest.raises(GeometryError):
         systole_rp2(lambda x: np.ones(3), level=2)  # wrong shape
+
+
+@pytest.mark.parametrize("estimate", [systole_rp2, conformal_area_rp2])
+def test_systole_and_area_reject_weights_with_an_odd_part(estimate):
+    # such a weight is no metric on RP^2
+    with pytest.raises(GeometryError, match="must be antipodally even"):
+        estimate(lambda x: 1.0 + 0.5 * x[..., 0], level=2)
 
 
 @pytest.mark.parametrize("estimate", [systole_rp2, conformal_area_rp2])
